@@ -18,7 +18,7 @@ from .pcolfile import read_pcol, write_pcol
 from .spectral import (CharacterSpectrum, DegreeReport, character_transform,
                        coloring_degree, cyclotomic_polynomial, degree,
                        eigen_decomposition_check, hamming_weights,
-                       inverse_transform, merge_colors)
+                       inverse_transform)
 from .verify import (NonPerfectWitness, QuotientDiagnostics, UniformityCheck,
                      VerificationReport, check_uniform, compute_quotient,
                      densities_by_count, densities_from_quotient,
@@ -39,7 +39,7 @@ __all__ = [
     "search_colorings", "verification_report",
     "CharacterSpectrum", "DegreeReport", "character_transform",
     "inverse_transform", "degree", "coloring_degree", "hamming_weights",
-    "cyclotomic_polynomial", "eigen_decomposition_check", "merge_colors",
+    "cyclotomic_polynomial", "eigen_decomposition_check",
     "UniformCollection", "HammingCosetPartition", "RecursionSpec",
     "RecursionTrace", "ConstructedColoring", "UnbalancedBoolean",
     "rm_coloring", "rm_quotient", "translations_collection",

@@ -67,16 +67,14 @@ def _reduction_matrix(q: int) -> np.ndarray:
     return rows
 
 
-@lru_cache(maxsize=None)
+# Each entry is up to q**n bytes, 64 MiB at the default guard.
+@lru_cache(maxsize=4)
 def hamming_weights(n: int, q: int) -> np.ndarray:
     """Number of nonzero base-q digits of every index in [0, q**n)."""
-    idx = np.arange(q**n, dtype=np.int64)
-    w = np.zeros(q**n, dtype=np.uint8)
-    tmp = idx
+    w = np.zeros(1, dtype=np.uint8)
     for _ in range(n):
-        w = w + ((tmp % q) != 0)
-        tmp = tmp // q
-    w = w.astype(np.uint8)
+        # a new most significant digit: 0 keeps the weight, the q-1 others add one
+        w = np.concatenate([w] + [w + 1] * (q - 1))
     w.setflags(write=False)
     return w
 
@@ -212,9 +210,3 @@ def eigen_decomposition_check(C: Coloring, S, *, guard: int | None = None) -> bo
             if graph_eigenvalue(n, q, int(w)) not in allowed:
                 return False
     return True
-
-
-def merge_colors(C: Coloring, grouping) -> Coloring:
-    """Recolor by group index; with a two-eigenvalue quotient the result of
-    unifying two colors stays perfect (callers verify)."""
-    return Coloring.merged(C, grouping)

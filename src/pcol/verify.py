@@ -2,9 +2,11 @@
 
 Everything here is a certificate-grade computation: neighbor counting over
 all vertices, exact rational densities, and fraction-free integer spectra.
-Scan order is by ascending vertex index, so failure witnesses are
-reproducible; block-parallel runs merge deterministically and report the
-same witness for every thread count.
+Neighbor counts and the essential mask work on the table viewed as a
+``(q,)*n`` array, where the adjacency operator of H(n, q) is a sum of
+line sums over the axes.  ``threads`` splits the axes between threads whose
+integer partial results are combined exactly, so no reported value depends
+on it.  Failure witnesses are the first in ascending vertex-index order.
 """
 from __future__ import annotations
 
@@ -76,27 +78,19 @@ class VerificationReport:
     degrees: tuple[int, ...] | None = None
 
 
-def _block_ranges(total: int, blocks: int) -> list[tuple[int, int]]:
-    blocks = max(1, min(blocks, total))
-    step = (total + blocks - 1) // blocks
-    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
+def _map_axis_groups(fn, n: int, threads: int) -> list:
+    """fn(axes) for each of max(1, min(threads, n)) disjoint groups of the n axes.
 
-
-def _run_blocks(fn, total: int, threads: int) -> list:
-    ranges = _block_ranges(total, threads)
-    if threads <= 1 or len(ranges) == 1:
-        return [fn(lo, hi) for lo, hi in ranges]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        futures = [ex.submit(fn, lo, hi) for lo, hi in ranges]
-        return [f.result() for f in futures]
-
-
-def _neighbor_colors(table: np.ndarray, idx: np.ndarray, pos: int, delta: int, q: int):
-    place = q**pos
-    if q == 2:
-        return table[idx ^ place]
-    dig = (idx // place) % q
-    return table[idx + (((dig + delta) % q) - dig) * place]
+    Groups run on their own threads; callers combine the per-group results
+    with exact integer or boolean operations, so no value depends on the
+    grouping.
+    """
+    t = max(1, min(threads, n))
+    groups = [range(g, n, t) for g in range(t)]
+    if t == 1:
+        return [fn(groups[0])]
+    with ThreadPoolExecutor(max_workers=t) as ex:
+        return list(ex.map(fn, groups))
 
 
 def _guarded_table(C: Coloring, guard: int | None) -> Coloring:
@@ -105,6 +99,10 @@ def _guarded_table(C: Coloring, guard: int | None) -> Coloring:
     if cells > limit:
         raise TooLargeError(f"q**n = {cells} exceeds the guard {limit}")
     return C.materialize(guard)
+
+
+def _profile(table: np.ndarray, v: int, n: int, q: int, k: int) -> tuple[int, ...]:
+    return tuple(np.bincount(table[neighbors(v, n, q)], minlength=k).tolist())
 
 
 def compute_quotient(C: Coloring, *, threads: int = 1,
@@ -117,42 +115,39 @@ def compute_quotient(C: Coloring, *, threads: int = 1,
     Cm = _guarded_table(C, guard)
     n, q, k = Cm.n, Cm.q, Cm.k
     table = Cm.table
-    N = q**n
-    count_t = np.int16 if n * (q - 1) < 32768 else np.int32
-    counts = np.zeros((N, k), dtype=count_t)
-
-    def fill(lo, hi):
-        idx = np.arange(lo, hi, dtype=np.int64)
-        block = counts[lo:hi]
-        for pos in range(n):
-            for delta in range(1, q):
-                nc = _neighbor_colors(table, idx, pos, delta, q)
-                for j in range(k):
-                    block[:, j] += nc == j
-        return None
-
-    _run_blocks(fill, N, threads)
-
     _, first_idx = np.unique(table, return_index=True)
     if first_idx.size != k:
         raise NotSurjectiveError(int(np.argmin(np.bincount(table, minlength=k))))
-    ref_rows = counts[first_idx]
+    cube = table.reshape((q,) * n)
+    degree = n * (q - 1)
+    count_t = np.int16 if degree < 32768 else np.int32
+    # Every row sums to the degree, so the last color's column follows from
+    # the others and a vertex mismatches in it only if it mismatches earlier.
+    columns = []
+    bad = np.zeros(cube.shape, dtype=bool)
+    for j in range(k - 1):
+        ind = (cube == j).astype(count_t)
 
-    def scan(lo, hi):
-        bad = (counts[lo:hi] != ref_rows[table[lo:hi].astype(np.int64)]).any(axis=1)
-        if bad.any():
-            return lo + int(np.argmax(bad))
-        return None
+        def line_sums(axes):
+            acc = np.zeros(cube.shape, dtype=count_t)
+            for axis in axes:
+                acc += ind.sum(axis=axis, keepdims=True, dtype=count_t)
+            return acc
 
-    hits = [h for h in _run_blocks(scan, N, threads) if h is not None]
-    if hits:
-        v = min(hits)
+        # Each line through v holds v itself once per axis.
+        cnt = sum(_map_axis_groups(line_sums, n, threads)) - n * ind
+        ref = cnt.flat[first_idx]
+        bad |= cnt != ref[cube]
+        columns.append(ref.tolist())
+
+    if bad.any():
+        v = int(np.argmax(bad))
         color = int(table[v])
         a = int(first_idx[color])
-        return NonPerfectWitness(color, a, v,
-                                 tuple(int(x) for x in counts[a]),
-                                 tuple(int(x) for x in counts[v]))
-    return QuotientMatrix.of(ref_rows.tolist(), n, q)
+        return NonPerfectWitness(color, a, v, _profile(table, a, n, q, k),
+                                 _profile(table, v, n, q, k))
+    rows = [[col[i] for col in columns] for i in range(k)]
+    return QuotientMatrix.of([row + [degree - sum(row)] for row in rows], n, q)
 
 
 def essential_arguments(C: Coloring, *, threads: int = 1,
@@ -160,24 +155,16 @@ def essential_arguments(C: Coloring, *, threads: int = 1,
     """mask[i] is True iff the coloring changes along some line in direction i."""
     Cm = _guarded_table(C, guard)
     n, q = Cm.n, Cm.q
-    table = Cm.table
-    N = q**n
+    cube = Cm.table.reshape((q,) * n)
 
-    def scan(lo, hi):
-        idx = np.arange(lo, hi, dtype=np.int64)
-        local = []
-        for pos in range(n):
-            hit = False
-            for delta in range(1, q):
-                nc = _neighbor_colors(table, idx, pos, delta, q)
-                if (nc != table[lo:hi]).any():
-                    hit = True
-                    break
-            local.append(hit)
-        return local
+    def varies(axes):
+        return {axis: bool((cube != cube.take([0], axis=axis)).any()) for axis in axes}
 
-    results = _run_blocks(scan, N, threads)
-    return tuple(any(r[pos] for r in results) for pos in range(n))
+    by_axis = {}
+    for part in _map_axis_groups(varies, n, threads):
+        by_axis.update(part)
+    # Axis n-1-i of the (q,)*n view is digit i of the vertex index.
+    return tuple(by_axis[n - 1 - i] for i in range(n))
 
 
 def densities_by_count(C: Coloring, *, guard: int | None = None) -> tuple[Fraction, ...]:

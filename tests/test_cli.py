@@ -139,6 +139,15 @@ def test_verify_threads_identical_output(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
+def test_verify_rejects_nonpositive_threads(tmp_path, capsys):
+    path = tmp_path / "p3.pcol"
+    write_pcol(path, parity(3))
+    for t in ("0", "-2"):
+        assert main(["verify", str(path), "--threads", t]) == 2
+        err = capsys.readouterr().err
+        assert "--threads" in err and "Traceback" not in err
+
+
 def test_info(tmp_path, capsys):
     path = tmp_path / "p2.pcol"
     write_pcol(path, parity(2))

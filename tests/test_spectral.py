@@ -7,7 +7,7 @@ from pcol.core import Coloring, digits
 from pcol.spectral import (CharacterSpectrum, character_transform,
                            coloring_degree, cyclotomic_polynomial, degree,
                            eigen_decomposition_check, hamming_weights,
-                           inverse_transform, merge_colors)
+                           inverse_transform)
 from pcol.verify import compute_quotient
 
 
@@ -200,7 +200,7 @@ def test_merge_two_colors_of_two_eigenvalue_coloring():
     assert quotient_spectrum(compute_quotient(syn)) == {7: 1, -1: 7}
     for pair in [(0, 1), (2, 5), (0, 7)]:
         rest = [[c] for c in range(8) if c not in pair]
-        merged = merge_colors(syn, [list(pair)] + rest)
+        merged = Coloring.merged(syn, [list(pair)] + rest)
         S = compute_quotient(merged)
         assert isinstance(S, QuotientMatrix)
         assert set(quotient_spectrum(S)) == {7, -1}
@@ -210,6 +210,10 @@ def test_hamming_weights_table():
     w = hamming_weights(3, 3)
     assert w[0] == 0
     assert w[13] == sum(1 for d in digits(13, 3, 3) if d)
+    for n, q in [(0, 2), (1, 7), (5, 2), (3, 4), (2, 5)]:
+        w = hamming_weights(n, q)
+        assert w.dtype == np.uint8 and not w.flags.writeable
+        assert w.tolist() == [sum(1 for d in digits(v, n, q) if d) for v in range(q**n)]
 
 
 def test_two_coloring_degree_matches_second_eigenvalue_index():

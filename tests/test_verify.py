@@ -23,8 +23,12 @@ def hamming_code_characteristic():
 
 
 def brute_quotient(C):
-    """Independent oracle: per-vertex neighbor profiles via plain loops."""
+    """Independent oracle: per-vertex neighbor profiles via plain loops.
+
+    Returns the quotient rows, or the first witness in vertex-index order.
+    """
     Cm = C.materialize()
+    first = {}
     profiles = {}
     for v in range(Cm.q**Cm.n):
         cnt = [0] * Cm.k
@@ -32,9 +36,84 @@ def brute_quotient(C):
             cnt[int(Cm.table[u])] += 1
         cv = int(Cm.table[v])
         if cv in profiles and profiles[cv] != tuple(cnt):
-            return None
+            return NonPerfectWitness(cv, first[cv], v, profiles[cv], tuple(cnt))
+        first.setdefault(cv, v)
         profiles[cv] = tuple(cnt)
     return [list(profiles[i]) for i in range(Cm.k)]
+
+
+def brute_essential(C):
+    """Independent oracle: position i is essential iff some edge in direction i
+    joins two colors; neighbors() lists the q-1 neighbors per position in order."""
+    Cm = C.materialize()
+    n, q = Cm.n, Cm.q
+    mask = [False] * n
+    for v in range(q**n):
+        nbrs = neighbors(v, n, q)
+        for i in range(n):
+            if any(Cm.table[u] != Cm.table[v] for u in nbrs[i * (q - 1):(i + 1) * (q - 1)]):
+                mask[i] = True
+    return tuple(mask)
+
+
+def _relabeled(values, q):
+    _, table = np.unique(np.asarray(values), return_inverse=True)
+    return Coloring.from_table(table, q=q)
+
+
+def random_colorings(rng):
+    """Random, perfect and perturbed-perfect colorings for q = 2..5, n from 0.
+
+    Perfect ones are Z_q-linear functionals (zero coefficients give dummy
+    positions) moved by a random automorphism of H(n, q): an axis permutation
+    and an alphabet permutation per axis.
+    """
+    for q, n_max in ((2, 6), (3, 4), (4, 3), (5, 3)):
+        for n in range(n_max + 1):
+            N = q**n
+            k = int(rng.integers(min(N, 2), min(N, 4) + 1))
+            yield _relabeled(rng.permutation(np.arange(N) % k), q)
+
+            coeffs = rng.integers(0, q, size=n)
+            digit = np.arange(N) // q ** np.arange(n)[:, None] % q  # (n, N)
+            cube = (coeffs @ digit % q).reshape((q,) * n)
+            for axis in range(n):
+                cube = np.take(cube, rng.permutation(q), axis=axis)
+            cube = cube.transpose(rng.permutation(n))
+            labels = rng.permutation(q)
+            perfect = _relabeled(labels[cube], q)
+            yield perfect
+
+            perturbed = np.array(perfect.table)
+            perturbed[rng.integers(0, N)] = rng.integers(0, perfect.k)
+            yield _relabeled(perturbed, q)
+
+
+def test_kernels_match_scalar_oracle_on_random_colorings():
+    rng = np.random.default_rng(20241204)
+    seen = set()
+    for _ in range(2):
+        for C in random_colorings(rng):
+            expected = brute_quotient(C)
+            mask = brute_essential(C)
+            seen.add((C.q, isinstance(expected, NonPerfectWitness)))
+            for threads in (1, 3, C.n + 2):
+                S = compute_quotient(C, threads=threads)
+                got = S.as_lists() if isinstance(S, QuotientMatrix) else S
+                assert got == expected, (C.table.tolist(), threads)
+                assert essential_arguments(C, threads=threads) == mask
+    assert seen == {(q, w) for q in (2, 3, 4, 5) for w in (False, True)}
+
+
+def test_kernels_edge_cases():
+    # k = 1 for every n; n = 0 is H(0, q), one vertex and no edges
+    for q in (2, 3, 5):
+        for n in (0, 1, 3):
+            const = Coloring.from_table([0] * q**n, q=q)
+            assert (const.n, const.k) == (n, 1)
+            for threads in (1, 3, n + 2):
+                assert compute_quotient(const, threads=threads).as_lists() == [[n * (q - 1)]]
+                assert essential_arguments(const, threads=threads) == (False,) * n
 
 
 def test_parity_quotient():
@@ -56,7 +135,7 @@ def test_quotient_matches_brute_force_oracle():
         if isinstance(S, QuotientMatrix):
             assert S.as_lists() == oracle
         else:
-            assert oracle is None
+            assert S == oracle
 
 
 def test_and_gate_witness():
