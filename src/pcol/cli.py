@@ -166,8 +166,6 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.threads < 1:
-        raise OutOfRangeError(f"--threads must be at least 1, got {args.threads}")
     C = read_pcol(args.path)
     rep = verification_report(C, essential=args.essential, threads=args.threads)
     if args.degree:

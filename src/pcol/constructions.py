@@ -15,8 +15,8 @@ from math import gcd
 
 import numpy as np
 
-from .core import (Coloring, QuotientMatrix, digits, materialize_guard,
-                   vertex_index, vertex_range)
+from .core import (Coloring, QuotientMatrix, _shifted_index, digits,
+                   materialize_guard, vertex_index)
 from .errors import (BadDensityError, BadOuterColoringError, InconsistentError,
                      NotEssentialError, NotPowerOfTwoError, OutOfRangeError,
                      SizeMismatchError, TooLargeError)
@@ -59,40 +59,18 @@ class _RMBody:
         self.s = s
         self.alphas = tuple(tuple_unrank(field.q, s, i) for i in range(field.q**s))
 
-    def evaluate(self, v, n, q):
-        F = self.field
-        a = 0
-        beta = [0] * self.s
-        for i in range(n):
-            d = v % q
-            v //= q
-            if d:
-                a = F.add(a, d)
-                alpha = self.alphas[i]
-                for t in range(self.s):
-                    if alpha[t]:
-                        beta[t] = F.add(beta[t], F.mul(d, alpha[t]))
-        rank = sum(beta[t] * q**t for t in range(self.s))
-        return q * rank + a
-
-    def build_table(self, n, q):
-        add = self.field.add_table.astype(np.int64)
-        mul = self.field.mul_table.astype(np.int64)
-        idx = vertex_range(n, q)
-        a = np.zeros(idx.size, dtype=np.int64)
-        beta = [np.zeros(idx.size, dtype=np.int64) for _ in range(self.s)]
+    def eval(self, idx):
+        q = self.field.q
+        add, mul = self.field.add_table, self.field.mul_table
+        a = np.zeros(idx.shape, dtype=np.uint8)
+        beta = [a] * self.s
         rest = idx
-        for i in range(n):
-            d = rest % q
+        for alpha in self.alphas:
+            d = (rest % q).astype(np.intp)
             rest = rest // q
             a = add[a, d]
-            alpha = self.alphas[i]
-            for t in range(self.s):
-                if alpha[t]:
-                    beta[t] = add[beta[t], mul[d, alpha[t]]]
-        rank = np.zeros(idx.size, dtype=np.int64)
-        for t in range(self.s):
-            rank += beta[t] * q**t
+            beta = [add[b, mul[d, t]] if t else b for b, t in zip(beta, alpha)]
+        rank = sum(b.astype(np.int64) * q**t for t, b in enumerate(beta))
         return q * rank + a
 
 
@@ -137,29 +115,16 @@ def translations_collection(C: Coloring, *, guard: int | None = None) -> Uniform
     return UniformCollection(members, "translations", quotient)
 
 
-def _index_shift_table(n: int, q: int, word: tuple[int, ...], sign: int) -> np.ndarray:
-    """mapped[v] = index of (x + sign*word) for every vertex x."""
-    idx = vertex_range(n, q)
-    mapped = np.zeros(idx.size, dtype=np.int64)
-    rest = idx
-    place = 1
-    for z in word:
-        mapped += ((rest % q + sign * z) % q) * place
-        rest = rest // q
-        place *= q
-    return mapped
-
-
 def coloring_periods(C: Coloring, *, candidates=None, guard: int | None = None) -> list[int]:
     """All v with C(x + v) == C(x) for every x (a subgroup of Z_q**n)."""
     Cm = C.materialize(guard)
     n, q = Cm.n, Cm.q
     tab = Cm.table
+    idx = np.arange(q**n, dtype=np.int64)
     pool = range(q**n) if candidates is None else candidates
     found = []
     for v in pool:
-        word = digits(v, n, q)
-        if np.array_equal(tab[_index_shift_table(n, q, word, +1)], tab):
+        if np.array_equal(tab[_shifted_index(idx, q, digits(v, n, q), +1)], tab):
             found.append(v)
     if candidates is None:
         return sorted(found)
@@ -187,12 +152,12 @@ def reduce_by_periods(col: UniformCollection, *, candidates=None,
     base = col.colorings[0]
     n, q = base.n, base.q
     periods = coloring_periods(base, candidates=candidates, guard=guard)
-    rep = vertex_range(n, q).copy()
+    idx = np.arange(q**n, dtype=np.int64)
+    rep = idx.copy()
     for p in periods:
         if p == 0:
             continue
-        mapped = _index_shift_table(n, q, digits(p, n, q), +1)
-        np.minimum(rep, mapped, out=rep)
+        np.minimum(rep, _shifted_index(idx, q, digits(p, n, q), +1), out=rep)
     kept = tuple(col.colorings[z] for z in range(q**n) if rep[z] == z)
     return UniformCollection(kept, "translations", col.quotient)
 

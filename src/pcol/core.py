@@ -2,8 +2,13 @@
 
 A vertex is the integer index v = sum(x_i * q**i) of its word (x_0, ..., x_{n-1});
 position 0 is the least significant digit.  A Coloring is either an explicit
-dense table over all q**n vertices or a symbolic composition node evaluated
-per vertex; symbolic colorings stay usable past the materialization guard.
+dense table over all q**n vertices or a symbolic composition node.  Every
+node has one method, ``eval(idx)``, mapping an integer array of vertex
+indices to their colors: ``evaluate`` passes one vertex in an object array,
+so symbolic colorings stay exact past the materialization guard and past
+int64, and ``materialize`` fills the table in blocks of indices, so its
+memory is the table plus one block.  The guard bounds every table handed
+out, explicit ones included.
 """
 from __future__ import annotations
 
@@ -17,6 +22,8 @@ from .errors import (InvalidPartitionError, NotSurjectiveError, OutOfRangeError,
 
 DEFAULT_MATERIALIZE_GUARD = 1 << 26
 GUARD_ENV_VAR = "PCOL_MATERIALIZE_GUARD"
+# Vertex indices per eval call in materialize: bounds its int64 temporaries.
+_MATERIALIZE_BLOCK = 1 << 20
 
 
 def materialize_guard(override: int | None = None) -> int:
@@ -64,6 +71,28 @@ def neighbors(v: int, n: int, q: int) -> list[int]:
                 out.append(base + r * place)
         place *= q
     return out
+
+
+def _shifted_index(idx: np.ndarray, q: int, word, sign: int) -> np.ndarray:
+    """Index of x + sign*word over Z_q**n, digit by digit, for every index x in idx."""
+    out = np.zeros(idx.shape, dtype=idx.dtype)
+    rest = idx
+    place = 1
+    for z in word:
+        out += ((rest % q + sign * z) % q) * place
+        rest = rest // q
+        place *= q
+    return out
+
+
+def _require_surjective(arr: np.ndarray, k: int) -> None:
+    # Blocked, because indexing casts to np.intp: 8 bytes per cell at once.
+    seen = np.zeros(k, dtype=bool)
+    for lo in range(0, arr.size, _MATERIALIZE_BLOCK):
+        seen[arr[lo:lo + _MATERIALIZE_BLOCK]] = True
+    missing = np.flatnonzero(~seen)
+    if missing.size:
+        raise NotSurjectiveError(int(missing[0]))
 
 
 def color_dtype(k: int):
@@ -114,10 +143,7 @@ class Coloring:
             raise OutOfRangeError(f"color {top} not below k={k}")
         arr = arr.astype(color_dtype(k))
         if validate:
-            counts = np.bincount(arr, minlength=k)
-            missing = np.nonzero(counts == 0)[0]
-            if missing.size:
-                raise NotSurjectiveError(int(missing[0]))
+            _require_surjective(arr, k)
         arr.setflags(write=False)
         return Coloring(n, q, k, _TableBody(arr), provenance)
 
@@ -187,7 +213,8 @@ class Coloring:
     def evaluate(self, v: int) -> int:
         if not 0 <= v < self.q**self.n:
             raise OutOfRangeError(f"vertex {v} not in [0, {self.q**self.n})")
-        return int(self.body.evaluate(v, self.n, self.q))
+        # Object dtype keeps Python integers, exact for vertices past int64.
+        return int(self.body.eval(np.array([int(v)], dtype=object))[0])
 
     @property
     def is_explicit(self) -> bool:
@@ -200,19 +227,22 @@ class Coloring:
         return self.body.arr
 
     def materialize(self, guard: int | None = None) -> "Coloring":
-        """Explicit-table copy of this coloring; verifies surjectivity."""
-        if self.is_explicit:
-            return self
+        """Explicit-table copy of this coloring; verifies surjectivity.
+
+        Raises TooLargeError past the guard, for explicit tables too.
+        """
         cells = self.q**self.n
         limit = materialize_guard(guard)
         if cells > limit:
             raise TooLargeError(
                 f"q**n = {cells} exceeds the materialization guard {limit}")
-        arr = self.body.build_table(self.n, self.q).astype(color_dtype(self.k))
-        counts = np.bincount(arr, minlength=self.k)
-        missing = np.nonzero(counts == 0)[0]
-        if missing.size:
-            raise NotSurjectiveError(int(missing[0]))
+        if self.is_explicit:
+            return self
+        arr = np.empty(cells, dtype=color_dtype(self.k))
+        for lo in range(0, cells, _MATERIALIZE_BLOCK):
+            hi = min(lo + _MATERIALIZE_BLOCK, cells)
+            arr[lo:hi] = self.body.eval(np.arange(lo, hi, dtype=np.int64))
+        _require_surjective(arr, self.k)
         arr.setflags(write=False)
         return Coloring(self.n, self.q, self.k, _TableBody(arr), self.provenance)
 
@@ -224,11 +254,11 @@ class Coloring:
         return f"Coloring(n={self.n}, q={self.q}, k={self.k}, {kind})"
 
 
-def vertex_range(n: int, q: int) -> np.ndarray:
-    return np.arange(q**n, dtype=np.int64)
-
-
 # -- body nodes --------------------------------------------------------
+#
+# eval(idx) maps an integer array of vertex indices (int64, or object for
+# exact Python integers) to their colors.  Index arithmetic keeps idx.dtype;
+# an index is cast to np.intp only once it has been reduced into a table.
 
 
 class _TableBody:
@@ -237,11 +267,8 @@ class _TableBody:
     def __init__(self, arr: np.ndarray):
         self.arr = arr
 
-    def evaluate(self, v, n, q):
-        return self.arr[v]
-
-    def build_table(self, n, q):
-        return self.arr
+    def eval(self, idx):
+        return self.arr[idx.astype(np.intp, copy=False)]
 
 
 class _TranslationBody:
@@ -251,26 +278,8 @@ class _TranslationBody:
         self.base = base
         self.shift = shift
 
-    def evaluate(self, v, n, q):
-        w = 0
-        place = 1
-        for z in self.shift:
-            w += ((v % q - z) % q) * place
-            v //= q
-            place *= q
-        return self.base.evaluate(w)
-
-    def build_table(self, n, q):
-        base_tab = self.base.materialize().table
-        idx = vertex_range(n, q)
-        mapped = np.zeros(idx.size, dtype=np.int64)
-        rest = idx
-        place = 1
-        for z in self.shift:
-            mapped += ((rest % q - z) % q) * place
-            rest = rest // q
-            place *= q
-        return base_tab[mapped]
+    def eval(self, idx):
+        return self.base.body.eval(_shifted_index(idx, self.base.q, self.shift, -1))
 
 
 class _CylinderBody:
@@ -280,15 +289,9 @@ class _CylinderBody:
         self.base = base
         self.offset = offset
 
-    def evaluate(self, v, n, q):
-        w = (v // q**self.offset) % q**self.base.n
-        return self.base.evaluate(w)
-
-    def build_table(self, n, q):
-        base_tab = self.base.materialize().table
-        idx = vertex_range(n, q)
-        window = (idx // q**self.offset) % q**self.base.n
-        return base_tab[window]
+    def eval(self, idx):
+        q = self.base.q
+        return self.base.body.eval(idx // q**self.offset % q**self.base.n)
 
 
 class _OuterBody:
@@ -298,28 +301,23 @@ class _OuterBody:
         self.members = members
         self.outer = outer
 
-    def evaluate(self, v, n, q):
+    def eval(self, idx):
         M = len(self.members)
-        nb = self.members[0].n
-        y = v % q**M
-        x = v // q**M
-        e = int(self.outer.table[y])
-        i, j = divmod(e, q)
-        window = (x // q**(j * nb)) % q**nb
-        return self.members[i].evaluate(window)
-
-    def build_table(self, n, q):
-        M = len(self.members)
-        nb = self.members[0].n
-        member_tabs = np.stack([c.materialize().table for c in self.members])
-        idx = vertex_range(n, q)
-        y = idx % q**M
-        x = idx // q**M
-        e = self.outer.table[y].astype(np.int64)
-        i = e // q
-        j = e % q
-        window = (x // np.power(q, j * nb, dtype=np.int64)) % q**nb
-        return member_tabs[i, window]
+        q, nb = self.members[0].q, self.members[0].n
+        i, j = np.divmod(self.outer.table[(idx % q**M).astype(np.intp)], q)
+        # Group j of the x-part starts at position M + j*nb.
+        place = np.array([q**(M + t * nb) for t in range(q)], dtype=idx.dtype)
+        window = idx // place[j] % q**nb
+        if M * q**nb <= idx.size:
+            # Tabulate each member once rather than re-evaluate it per index.
+            tabs = np.stack([c.body.eval(np.arange(q**nb, dtype=np.int64))
+                             for c in self.members])
+            return tabs[i, window.astype(np.intp, copy=False)]
+        out = np.empty(idx.shape, dtype=np.int64)
+        for a in np.unique(i):
+            sel = i == a
+            out[sel] = self.members[a].body.eval(window[sel])
+        return out
 
 
 class _MergeBody:
@@ -329,11 +327,8 @@ class _MergeBody:
         self.base = base
         self.mapping = mapping
 
-    def evaluate(self, v, n, q):
-        return self.mapping[self.base.evaluate(v)]
-
-    def build_table(self, n, q):
-        return self.mapping[self.base.materialize().table]
+    def eval(self, idx):
+        return self.mapping[self.base.body.eval(idx).astype(np.intp, copy=False)]
 
 
 class _SyndromeBody:
@@ -342,17 +337,9 @@ class _SyndromeBody:
     def __init__(self, m: int):
         self.m = m
 
-    def evaluate(self, v, n, q):
-        syn = 0
-        for p in range(n):
-            if (v >> p) & 1:
-                syn ^= p + 1
-        return syn
-
-    def build_table(self, n, q):
-        idx = vertex_range(n, q)
-        syn = np.zeros(idx.size, dtype=np.int64)
-        for p in range(n):
+    def eval(self, idx):
+        syn = np.zeros(idx.shape, dtype=idx.dtype)
+        for p in range((1 << self.m) - 1):
             syn ^= ((idx >> p) & 1) * (p + 1)
         return syn
 

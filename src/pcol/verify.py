@@ -78,27 +78,24 @@ class VerificationReport:
     degrees: tuple[int, ...] | None = None
 
 
-def _map_axis_groups(fn, n: int, threads: int) -> list:
-    """fn(axes) for each of max(1, min(threads, n)) disjoint groups of the n axes.
-
-    Groups run on their own threads; callers combine the per-group results
-    with exact integer or boolean operations, so no value depends on the
-    grouping.
-    """
+def _axis_groups(n: int, threads: int) -> list[range]:
+    """Split the n axes into max(1, min(threads, n)) disjoint groups."""
+    if threads < 1:
+        raise OutOfRangeError(f"threads (--threads) must be at least 1, got {threads}")
     t = max(1, min(threads, n))
-    groups = [range(g, n, t) for g in range(t)]
-    if t == 1:
+    return [range(g, n, t) for g in range(t)]
+
+
+def _map_axis_groups(fn, groups: list[range]) -> list:
+    """fn(axes) for each group of axes, each group on its own thread.
+
+    Callers combine the per-group results with exact integer or boolean
+    operations, so no value depends on the grouping.
+    """
+    if len(groups) == 1:
         return [fn(groups[0])]
-    with ThreadPoolExecutor(max_workers=t) as ex:
+    with ThreadPoolExecutor(max_workers=len(groups)) as ex:
         return list(ex.map(fn, groups))
-
-
-def _guarded_table(C: Coloring, guard: int | None) -> Coloring:
-    cells = C.q**C.n
-    limit = materialize_guard(guard)
-    if cells > limit:
-        raise TooLargeError(f"q**n = {cells} exceeds the guard {limit}")
-    return C.materialize(guard)
 
 
 def _profile(table: np.ndarray, v: int, n: int, q: int, k: int) -> tuple[int, ...]:
@@ -112,12 +109,15 @@ def compute_quotient(C: Coloring, *, threads: int = 1,
     Returns the quotient matrix if the profile of a vertex depends only on
     its color, otherwise the first witness in vertex-index order.
     """
-    Cm = _guarded_table(C, guard)
+    groups = _axis_groups(C.n, threads)
+    Cm = C.materialize(guard)
     n, q, k = Cm.n, Cm.q, Cm.k
     table = Cm.table
-    _, first_idx = np.unique(table, return_index=True)
-    if first_idx.size != k:
-        raise NotSurjectiveError(int(np.argmin(np.bincount(table, minlength=k))))
+    # argmax finds the first True; a color that is absent reads vertex 0.
+    first_idx = np.array([np.argmax(table == c) for c in range(k)], dtype=np.intp)
+    missing = np.flatnonzero(table[first_idx] != np.arange(k))
+    if missing.size:
+        raise NotSurjectiveError(int(missing[0]))
     cube = table.reshape((q,) * n)
     degree = n * (q - 1)
     count_t = np.int16 if degree < 32768 else np.int32
@@ -135,7 +135,7 @@ def compute_quotient(C: Coloring, *, threads: int = 1,
             return acc
 
         # Each line through v holds v itself once per axis.
-        cnt = sum(_map_axis_groups(line_sums, n, threads)) - n * ind
+        cnt = sum(_map_axis_groups(line_sums, groups)) - n * ind
         ref = cnt.flat[first_idx]
         bad |= cnt != ref[cube]
         columns.append(ref.tolist())
@@ -153,7 +153,8 @@ def compute_quotient(C: Coloring, *, threads: int = 1,
 def essential_arguments(C: Coloring, *, threads: int = 1,
                         guard: int | None = None) -> tuple[bool, ...]:
     """mask[i] is True iff the coloring changes along some line in direction i."""
-    Cm = _guarded_table(C, guard)
+    groups = _axis_groups(C.n, threads)
+    Cm = C.materialize(guard)
     n, q = Cm.n, Cm.q
     cube = Cm.table.reshape((q,) * n)
 
@@ -161,14 +162,14 @@ def essential_arguments(C: Coloring, *, threads: int = 1,
         return {axis: bool((cube != cube.take([0], axis=axis)).any()) for axis in axes}
 
     by_axis = {}
-    for part in _map_axis_groups(varies, n, threads):
+    for part in _map_axis_groups(varies, groups):
         by_axis.update(part)
     # Axis n-1-i of the (q,)*n view is digit i of the vertex index.
     return tuple(by_axis[n - 1 - i] for i in range(n))
 
 
 def densities_by_count(C: Coloring, *, guard: int | None = None) -> tuple[Fraction, ...]:
-    Cm = _guarded_table(C, guard)
+    Cm = C.materialize(guard)
     N = Cm.q**Cm.n
     counts = np.bincount(Cm.table, minlength=Cm.k)
     return tuple(Fraction(int(c), N) for c in counts)
@@ -418,12 +419,12 @@ def search_colorings(n: int, q: int, S, require_all_essential: bool = False, *,
 def verification_report(C: Coloring, *, essential: bool = False, threads: int = 1,
                         guard: int | None = None) -> VerificationReport:
     """Bundle quotient, densities, spectrum, and optional essential mask."""
-    Cm = _guarded_table(C, guard)
-    result = compute_quotient(Cm, threads=threads)
+    Cm = C.materialize(guard)
+    result = compute_quotient(Cm, threads=threads, guard=guard)
     perfect = isinstance(result, QuotientMatrix)
-    dens = densities_by_count(Cm)
+    dens = densities_by_count(Cm, guard=guard)
     spec = quotient_spectrum(result) if perfect else None
-    mask = essential_arguments(Cm, threads=threads) if essential else None
+    mask = essential_arguments(Cm, threads=threads, guard=guard) if essential else None
     return VerificationReport(
         n=Cm.n, q=Cm.q, k=Cm.k, perfect=perfect,
         quotient=result if perfect else None,

@@ -1,0 +1,71 @@
+"""Plain-Python scalar oracle for the colors of symbolic colorings.
+
+``scalar_color(C, v)`` walks the composition tree of C one vertex at a time
+with Python integers only, following the meaning of each body node as the
+construction defines it.  The vectorized ``eval`` of every node is checked
+against it, through both ``Coloring.evaluate`` and ``Coloring.materialize``.
+"""
+
+BODY_KINDS = ("_TableBody", "_TranslationBody", "_CylinderBody", "_OuterBody",
+              "_MergeBody", "_SyndromeBody", "_RMBody")
+
+
+def body_kinds(C):
+    """Names of the body node types in C's composition tree."""
+    body = C.body
+    kinds = {type(body).__name__}
+    for attr in ("base", "outer"):
+        if hasattr(body, attr):
+            kinds |= body_kinds(getattr(body, attr))
+    for member in getattr(body, "members", ()):
+        kinds |= body_kinds(member)
+    return kinds
+
+
+def scalar_color(C, v: int) -> int:
+    body = C.body
+    n, q = C.n, C.q
+    kind = type(body).__name__
+    if kind == "_TableBody":
+        return int(body.arr[v])
+    if kind == "_TranslationBody":
+        # base(x - shift), digit by digit over Z_q
+        w = 0
+        place = 1
+        for z in body.shift:
+            w += ((v % q - z) % q) * place
+            v //= q
+            place *= q
+        return scalar_color(body.base, w)
+    if kind == "_CylinderBody":
+        return scalar_color(body.base, (v // q**body.offset) % q**body.base.n)
+    if kind == "_OuterBody":
+        # F(y, x) = member_i(x^j) with outer(y) = q*i + j
+        M = len(body.members)
+        nb = body.members[0].n
+        i, j = divmod(scalar_color(body.outer, v % q**M), q)
+        x = v // q**M
+        return scalar_color(body.members[i], (x // q**(j * nb)) % q**nb)
+    if kind == "_MergeBody":
+        return int(body.mapping[scalar_color(body.base, v)])
+    if kind == "_SyndromeBody":
+        syn = 0
+        for p in range(n):
+            if (v >> p) & 1:
+                syn ^= p + 1
+        return syn
+    if kind == "_RMBody":
+        # (sum x_i, sum x_i * alpha_i) over GF(q), encoded q * rank(beta) + a
+        F = body.field
+        a = 0
+        beta = [0] * body.s
+        for i in range(n):
+            d = v % q
+            v //= q
+            if d:
+                a = F.add(a, d)
+                for t, at in enumerate(body.alphas[i]):
+                    if at:
+                        beta[t] = F.add(beta[t], F.mul(d, at))
+        return q * sum(b * q**t for t, b in enumerate(beta)) + a
+    raise TypeError(f"no scalar oracle for {kind}")

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from pcol.errors import (BadDensityError, BadOuterColoringError,
                          SizeMismatchError)
 from pcol.verify import (check_uniform, compute_quotient, densities_by_count,
                          essential_arguments)
+from scalar_oracle import BODY_KINDS, body_kinds, scalar_color
 
 
 def parity(n):
@@ -268,21 +270,26 @@ def test_construct_boolean_rejects_bad_params():
 
 def test_constructed_coloring_symbolic_evaluate_agrees():
     built = construct_bc(3, 1)  # e=1, M=4: plain union coloring on H(3,2)
-    tab = built.coloring.materialize().table
-    for v in range(8):
-        assert built.coloring.evaluate(v) == tab[v]
+    expect = [scalar_color(built.coloring, v) for v in range(8)]
+    assert built.coloring.materialize().table.tolist() == expect
+    assert [built.coloring.evaluate(v) for v in range(8)] == expect
 
 
-def test_symbolic_members_evaluate_like_their_tables():
-    # outer-node colorings agree with their materialization at sampled vertices
-    rng = np.random.default_rng(0xFEED)
+def _two_step_member():
     two_step = iterate_construction(
         RecursionSpec(hamming_union_collection(hamming_cosets(1), 1),
                       rm_coloring(2, 1), 2))
-    C = two_step.collection.colorings[1]
-    tab = C.materialize().table
-    for v in rng.integers(0, 2**C.n, size=10_000):
-        assert C.evaluate(int(v)) == tab[int(v)]
+    return two_step.collection.colorings[1]
+
+
+def test_symbolic_members_evaluate_like_their_tables():
+    # outer-node colorings agree with the scalar oracle, whole and sampled
+    rng = np.random.default_rng(0xFEED)
+    C = _two_step_member()
+    N = 2**C.n
+    assert C.materialize().table.tolist() == [scalar_color(C, v) for v in range(N)]
+    for v in rng.integers(0, N, size=10_000):
+        assert C.evaluate(int(v)) == scalar_color(C, int(v))
 
 
 def test_flagship_symbolic_evaluate_sampled():
@@ -291,7 +298,95 @@ def test_flagship_symbolic_evaluate_sampled():
     tab = C.materialize().table
     rng = np.random.default_rng(0xF1A6)
     for v in rng.integers(0, 2**22, size=2_000):
-        assert C.evaluate(int(v)) == tab[int(v)]
+        assert C.evaluate(int(v)) == tab[int(v)] == scalar_color(C, int(v))
+
+
+def _oracle_instances():
+    """One small coloring per body node type, n = 0 cases and q > 2 included."""
+    point2 = Coloring.from_table([0], q=2)
+    point3 = Coloring.from_table([0], q=3)
+    digit0 = Coloring.from_table([v % 3 for v in range(9)], q=3)
+    union = hamming_union_coloring(hamming_cosets(2), 2, 3)
+    line3 = Coloring.from_table([0, 1, 2], q=3)
+    return {
+        "table": parity(3),
+        "table_n0": point3,
+        "translation": Coloring.translation(digit0, (2, 1)),
+        "translation_n0": Coloring.translation(point2, ()),
+        "cylinder": Coloring.cylinder(digit0, n=4, offset=1),
+        "cylinder_of_n0": Coloring.cylinder(point3, n=2, offset=1),
+        "merge": Coloring.merged(rm_coloring(3, 1), [[0, 3, 6], [1, 4, 7], [2, 5, 8]]),
+        "merge_n0": Coloring.merged(point2, [[0]]),
+        "syndrome": Coloring.syndrome(3),
+        "rm_2_2": rm_coloring(2, 2),
+        "rm_3_1": rm_coloring(3, 1),
+        "rm_4_1": rm_coloring(4, 1),
+        "outer_q2": Coloring.outer(
+            [Coloring.translation(union, z) for z in (0, 1, 5, 7)], rm_coloring(2, 2)),
+        "outer_q3": Coloring.outer(
+            [line3, Coloring.translation(line3, (1,)), Coloring.merged(line3, [[2], [0], [1]])],
+            rm_coloring(3, 1)),
+        "outer_of_n0": Coloring.outer([point2, point2], rm_coloring(2, 1)),
+        "two_step": _two_step_member(),
+        "bc_3_1": construct_bc(3, 1).coloring,
+    }
+
+
+def test_oracle_instances_cover_every_body_node():
+    covered = set().union(*(body_kinds(C) for C in _oracle_instances().values()))
+    assert covered == set(BODY_KINDS)
+
+
+@pytest.mark.parametrize("name", sorted(_oracle_instances()))
+def test_every_body_node_matches_scalar_oracle(name):
+    C = _oracle_instances()[name]
+    N = C.q**C.n
+    expect = [scalar_color(C, v) for v in range(N)]
+    assert C.materialize().table.tolist() == expect
+    assert [C.evaluate(v) for v in range(N)] == expect
+    assert C.body.eval(np.arange(N, dtype=np.int64)).tolist() == expect
+    if type(C.body).__name__ == "_OuterBody":
+        # Below M * q**nb indices eval recurses into the members; at or
+        # above it, it tabulates them.
+        M, nb = len(C.body.members), C.body.members[0].n
+        cut = M * C.q**nb
+        assert 1 < cut <= N
+        rng = np.random.default_rng(len(name))
+        for size in (cut - 1, cut):
+            idx = rng.integers(0, N, size=size)
+            assert C.body.eval(idx).tolist() == [expect[v] for v in idx]
+
+
+def test_deep_symbolic_members_evaluate_exactly_past_int64():
+    # The flagship's collection lengthened twice more lives on H(112, 2);
+    # guard=1 keeps every step symbolic.
+    trace = iterate_construction(
+        RecursionSpec(hamming_union_collection(hamming_cosets(3), 3),
+                      rm_coloring(2, 3), 3), guard=1)
+    rng = np.random.default_rng(0xB16)
+    wide = Coloring.cylinder(rm_coloring(3, 2), n=70, offset=31)
+    shift = tuple(int(z) for z in rng.integers(0, 3, size=70))
+    cases = list(trace.collection.colorings[:3]) + [
+        wide, Coloring.translation(wide, shift)]
+    for C in cases:
+        N = C.q**C.n
+        assert N > 2**63
+        verts = [0, 2**63, N - 1] + [int.from_bytes(rng.bytes(16), "little") % N
+                                     for _ in range(40)]
+        for v in verts:
+            assert C.evaluate(v) == scalar_color(C, v)
+
+
+def test_flagship_materialize_memory_is_blocked():
+    # The 4 MiB table plus one block of index temporaries, not int64 per cell.
+    C = construct_bc(10, 6).coloring
+    tracemalloc.start()
+    try:
+        C.materialize()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 96 * 2**20
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])

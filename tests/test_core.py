@@ -5,6 +5,7 @@ from pcol.core import (Coloring, digits, materialize_guard, neighbors,
                        vertex_index)
 from pcol.errors import (InvalidPartitionError, NotSurjectiveError,
                          OutOfRangeError, TooLargeError)
+from scalar_oracle import scalar_color
 
 
 def parity_coloring(n):
@@ -115,10 +116,11 @@ def test_syndrome_small():
 
 
 def test_materialize_guard():
-    C = Coloring.translation(parity_coloring(4), 0)
-    with pytest.raises(TooLargeError):
-        C.materialize(guard=8)
-    assert C.materialize(guard=16).table.size == 16
+    explicit = parity_coloring(4)
+    for C in (Coloring.translation(explicit, 0), explicit):
+        with pytest.raises(TooLargeError):
+            C.materialize(guard=8)
+        assert C.materialize(guard=16).table.size == 16
 
 
 def test_guard_env_override(monkeypatch):
@@ -160,9 +162,9 @@ def test_symbolic_evaluate_matches_materialization():
         Coloring.translation(Coloring.cylinder(base, n=5, offset=1), (1, 0, 1, 0, 0)),
         [[1], [0]],
     )
-    tab = comp.materialize().table
+    assert comp.materialize().table.tolist() == [scalar_color(comp, v) for v in range(32)]
     for v in rng.integers(0, 32, size=200):
-        assert comp.evaluate(int(v)) == tab[int(v)]
+        assert comp.evaluate(int(v)) == scalar_color(comp, int(v))
 
 
 def test_default_guard_blocks_huge_materialization():

@@ -5,6 +5,7 @@ import pytest
 
 from pcol.core import Coloring, QuotientMatrix, neighbors
 from pcol.errors import (DisconnectedError, InconsistentError,
+                         NotSurjectiveError, OutOfRangeError,
                          SpectrumNotInGraphError, TooLargeError)
 from pcol.verify import (NonPerfectWitness, check_uniform, compute_quotient,
                          densities_by_count, densities_from_quotient,
@@ -114,6 +115,28 @@ def test_kernels_edge_cases():
             for threads in (1, 3, n + 2):
                 assert compute_quotient(const, threads=threads).as_lists() == [[n * (q - 1)]]
                 assert essential_arguments(const, threads=threads) == (False,) * n
+
+
+def test_library_rejects_nonpositive_threads():
+    # k = 1 runs no count loop, so the check must not depend on one
+    for C in (parity(3), Coloring.from_table([0] * 8, q=2)):
+        for threads in (0, -2):
+            with pytest.raises(OutOfRangeError):
+                compute_quotient(C, threads=threads)
+            with pytest.raises(OutOfRangeError):
+                essential_arguments(C, threads=threads)
+            with pytest.raises(OutOfRangeError):
+                verification_report(C, threads=threads)
+
+
+def test_quotient_reports_first_missing_color():
+    # absent colors, with vertex 0 holding color 0 or not
+    for values, k, missing in (([1, 1, 3, 1], 4, 0), ([0, 0, 0, 2], 3, 1),
+                               ([0, 1, 1, 0, 1, 0, 0, 1], 4, 2)):
+        C = Coloring.from_table(values, q=2, k=k, validate=False)
+        with pytest.raises(NotSurjectiveError) as ei:
+            compute_quotient(C)
+        assert ei.value.missing_color == missing
 
 
 def test_parity_quotient():
