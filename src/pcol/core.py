@@ -85,12 +85,16 @@ def _shifted_index(idx: np.ndarray, q: int, word, sign: int) -> np.ndarray:
     return out
 
 
-def _require_surjective(arr: np.ndarray, k: int) -> None:
-    # Blocked, because indexing casts to np.intp: 8 bytes per cell at once.
-    seen = np.zeros(k, dtype=bool)
+def _color_counts(arr: np.ndarray, k: int) -> np.ndarray:
+    """Cells of each color, counted in blocks: bincount casts to np.intp."""
+    counts = np.zeros(k, dtype=np.int64)
     for lo in range(0, arr.size, _MATERIALIZE_BLOCK):
-        seen[arr[lo:lo + _MATERIALIZE_BLOCK]] = True
-    missing = np.flatnonzero(~seen)
+        counts += np.bincount(arr[lo:lo + _MATERIALIZE_BLOCK], minlength=k)
+    return counts
+
+
+def _require_surjective(arr: np.ndarray, k: int) -> None:
+    missing = np.flatnonzero(_color_counts(arr, k) == 0)
     if missing.size:
         raise NotSurjectiveError(int(missing[0]))
 

@@ -4,9 +4,11 @@ Frequencies are indexed like vertices; the weight-w characters span the
 eigenspace of H(n, q) for eigenvalue n(q-1) - q*w, so degree questions reduce
 to the support of the transform.  Coefficients are exact: plain integers for
 q = 2 (the Walsh-Hadamard spectrum, stored unnormalized, i.e. scaled by q**n)
-and integer coordinate vectors in Z[x]/Phi_q(x) otherwise.  The alphabet is
-treated as Z_q here even when a coloring was built from GF(q); the
-eigenspaces do not depend on that choice.
+and integer coordinate vectors in Z[x]/Phi_q(x) otherwise, computed by an
+in-place Walsh-Hadamard transform of one int64 copy for q = 2 and by n
+digit-rotating steps of one integer matrix on the power-basis coordinates
+for q > 2.  The alphabet is treated as Z_q here even when a coloring was
+built from GF(q); the eigenspaces do not depend on that choice.
 """
 from __future__ import annotations
 
@@ -50,7 +52,7 @@ def cyclotomic_polynomial(q: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _reduction_matrix(q: int) -> np.ndarray:
-    """(q, D) integer matrix sending group-ring coefficients to Z[x]/Phi_q."""
+    """(q, D) integer matrix; row j holds the coordinates of x**j in Z[x]/Phi_q."""
     phi = cyclotomic_polynomial(q)
     D = len(phi) - 1
     rows = np.zeros((q, D), dtype=np.int64)
@@ -110,32 +112,37 @@ class DegreeReport:
         return max(self.per_color)
 
 
-def _fwht(values: np.ndarray) -> np.ndarray:
-    a = values.astype(np.int64).copy()
-    size = a.size
+def _fwht(a: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform of a flat int64 array, in place."""
     h = 1
-    while h < size:
-        b = a.reshape(-1, 2 * h)
-        low = b[:, :h].copy()
-        b[:, :h] = low + b[:, h:]
-        b[:, h:] = low - b[:, h:]
+    while h < a.size:
+        b = a.reshape(-1, 2, h)
+        lo, hi = b[:, 0], b[:, 1]
+        lo += hi
+        hi *= -2
+        hi += lo
         h *= 2
     return a
 
 
-def _groupring_transform(table: np.ndarray, n: int, q: int, sign: int) -> np.ndarray:
-    """Factorized transform with values in Z[x]/(x**q - 1); table is (N, q)."""
-    vals = table
-    for axis in range(n):
-        v = vals.reshape(q ** (n - axis - 1), q, q**axis, q)
-        new = np.zeros_like(v)
-        for t in range(q):
-            acc = new[:, t]
-            for s in range(q):
-                shift = (sign * s * t) % q
-                acc += np.roll(v[:, s], shift, axis=-1)
-        vals = new.reshape(q**n, q)
-    return vals
+def _cyclotomic_transform(values: np.ndarray, n: int, q: int, sign: int) -> np.ndarray:
+    """Transform of (q**n, D) coordinates in Z[x]/Phi_q; a flat table is coordinate 0.
+
+    Block (s, t) of K multiplies by zeta**(sign*s*t).  Reduction is a ring
+    homomorphism, so every step holds the reduced partial transform.
+    """
+    R = _reduction_matrix(q)
+    N, D = values.shape[0], R.shape[1]
+    K = np.block([[R[(np.arange(D) + sign * s * t) % q] for t in range(q)] for s in range(q)])
+    vals = values
+    if values.ndim == 1:
+        vals = np.zeros((N, D), dtype=np.int64)
+        vals[:, 0] = values
+    # Transform the most significant digit and move it to the least
+    # significant place: after n steps the digits are back in order.
+    for _ in range(n):
+        vals = vals.reshape(q, N // q, D).transpose(1, 0, 2).reshape(N // q, q * D) @ K
+    return vals.reshape(N, D)
 
 
 def character_transform(values, n: int, q: int, *, guard: int | None = None) -> CharacterSpectrum:
@@ -144,16 +151,12 @@ def character_transform(values, n: int, q: int, *, guard: int | None = None) -> 
     limit = materialize_guard(guard)
     if N > limit:
         raise TooLargeError(f"q**n = {N} exceeds the guard {limit}")
-    arr = np.asarray(values).reshape(-1).astype(np.int64)
+    arr = np.asarray(values).reshape(-1)
     if arr.size != N:
         raise OutOfRangeError(f"expected {N} values, got {arr.size}")
     if q == 2:
-        return CharacterSpectrum(n, q, _fwht(arr))
-    ring = np.zeros((N, q), dtype=np.int64)
-    ring[:, 0] = arr
-    raw = _groupring_transform(ring, n, q, sign=1)
-    reduced = raw @ _reduction_matrix(q)
-    return CharacterSpectrum(n, q, reduced)
+        return CharacterSpectrum(n, q, _fwht(arr.astype(np.int64)))
+    return CharacterSpectrum(n, q, _cyclotomic_transform(arr, n, q, sign=1))
 
 
 def inverse_transform(spectrum: CharacterSpectrum) -> np.ndarray:
@@ -161,36 +164,28 @@ def inverse_transform(spectrum: CharacterSpectrum) -> np.ndarray:
     n, q = spectrum.n, spectrum.q
     N = q**n
     if q == 2:
-        back = _fwht(spectrum.coeffs)
+        back = _fwht(np.array(spectrum.coeffs, dtype=np.int64))
         if (back % N).any():
             raise AssertionError("inverse transform is not integral")
         return back // N
-    D = spectrum.coeffs.shape[1]
-    ring = np.zeros((N, q), dtype=np.int64)
-    ring[:, :D] = spectrum.coeffs
-    raw = _groupring_transform(ring, n, q, sign=-1)
-    reduced = raw @ _reduction_matrix(q)
-    if reduced[:, 1:].any() or (reduced[:, 0] % N).any():
+    back = _cyclotomic_transform(spectrum.coeffs, n, q, sign=-1)
+    if back[:, 1:].any() or (back[:, 0] % N).any():
         raise AssertionError("inverse transform is not integral")
-    return reduced[:, 0] // N
+    return back[:, 0] // N
 
 
 def degree(values, n: int, q: int, *, guard: int | None = None) -> int:
     """Largest frequency weight with a nonzero coefficient; 0 for constants."""
-    spec = character_transform(values, n, q, guard=guard)
-    mask = spec.nonzero_mask()
-    if not mask.any():
-        return 0
-    return int(hamming_weights(n, q)[mask].max())
+    mask = character_transform(values, n, q, guard=guard).nonzero_mask()
+    return int(hamming_weights(n, q)[mask].max(initial=0))
 
 
 def coloring_degree(C: Coloring, *, guard: int | None = None) -> DegreeReport:
     """Degree of each color's characteristic function."""
     Cm = C.materialize(guard)
     table = Cm.table
-    per_color = tuple(
-        degree((table == i).astype(np.int64), Cm.n, Cm.q, guard=guard)
-        for i in range(Cm.k))
+    per_color = tuple(degree(table == i, Cm.n, Cm.q, guard=guard)
+                      for i in range(Cm.k))
     return DegreeReport(per_color)
 
 
@@ -205,8 +200,7 @@ def eigen_decomposition_check(C: Coloring, S, *, guard: int | None = None) -> bo
     allowed = set(quotient_spectrum(S, n, q))
     table = Cm.table
     for i in range(Cm.k):
-        spec = character_transform((table == i).astype(np.int64), n, q, guard=guard)
-        for w in spec.support_weights():
-            if graph_eigenvalue(n, q, int(w)) not in allowed:
-                return False
+        weights = character_transform(table == i, n, q, guard=guard).support_weights()
+        if any(graph_eigenvalue(n, q, int(w)) not in allowed for w in weights):
+            return False
     return True

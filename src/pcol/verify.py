@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import Coloring, QuotientMatrix, materialize_guard, neighbors
+from .core import Coloring, QuotientMatrix, _color_counts, materialize_guard, neighbors
 from .errors import (DisconnectedError, InconsistentError, NotSurjectiveError,
                      OutOfRangeError, SpectrumNotInGraphError, TooLargeError)
 
@@ -171,8 +171,7 @@ def essential_arguments(C: Coloring, *, threads: int = 1,
 def densities_by_count(C: Coloring, *, guard: int | None = None) -> tuple[Fraction, ...]:
     Cm = C.materialize(guard)
     N = Cm.q**Cm.n
-    counts = np.bincount(Cm.table, minlength=Cm.k)
-    return tuple(Fraction(int(c), N) for c in counts)
+    return tuple(Fraction(int(c), N) for c in _color_counts(Cm.table, Cm.k))
 
 
 def _matrix_rows(S) -> tuple[tuple[int, ...], ...]:
@@ -313,7 +312,7 @@ def check_uniform(collection, *, guard: int | None = None, sample: int | None = 
                   seed: int = 0x5EED) -> UniformityCheck:
     """Is the per-vertex multiset of member colors vertex-independent?
 
-    Exhaustive when the stacked tables fit the guard; otherwise request a
+    Exhaustive when the member tables together fit the guard; otherwise request a
     pseudo-random sample size, which flags the result as non-exhaustive.
     When the collection carries a common quotient matrix, the multiplicity
     vector is also compared against rho_i * M from detailed balance.
@@ -334,15 +333,17 @@ def check_uniform(collection, *, guard: int | None = None, sample: int | None = 
             raise TooLargeError(
                 f"{M} tables of {N} cells exceed the guard {limit}; "
                 "pass sample= to spot-check")
-        stack = np.stack([c.materialize(guard).table for c in members])
+        tables = [c.materialize(guard).table for c in members]
         mult = []
         for i in range(k):
-            cnt = (stack == i).sum(axis=0, dtype=np.int32)
+            cnt = np.zeros(N, dtype=np.int32)
+            for t in tables:
+                cnt += t == i
             bad = cnt != cnt[0]
             if bad.any():
                 v = int(np.argmax(bad))
-                at_v = tuple(int((stack[:, v] == j).sum()) for j in range(k))
-                at_0 = tuple(int((stack[:, 0] == j).sum()) for j in range(k))
+                at_v, at_0 = (tuple(np.bincount([t[u] for t in tables], minlength=k).tolist())
+                              for u in (v, 0))
                 return UniformityCheck(False, None, True, v, at_v, at_0)
             mult.append(int(cnt[0]))
         mult = tuple(mult)

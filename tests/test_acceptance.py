@@ -2,6 +2,7 @@
 with its timing (through the capture, so it shows in any pytest run)."""
 import json
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -177,8 +178,14 @@ def test_criterion_6_uniformity_suite(flagship, capsys):
                       rm_coloring(2, 1), 2))
     assert check_uniform(two_step.collection).uniform
     built, _ = flagship
-    flag = check_uniform(built.collection)
+    tracemalloc.start()
+    try:
+        flag = check_uniform(built.collection)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert flag.uniform and flag.matches_density is True
+    assert peak < 80 * 2**20  # eight 4 MiB tables and one int32 count, no stacked copy
     report(capsys, 6, "translation, coset-union, and recursion collections all uniform "
               "with counting multiplicities", time.perf_counter() - t0)
 

@@ -16,6 +16,7 @@ from pcol.errors import (BadDensityError, BadOuterColoringError,
                          NotEssentialError, NotPowerOfTwoError,
                          NotPrimePowerError, OutOfRangeError,
                          SizeMismatchError)
+from pcol.spectral import coloring_degree, eigen_decomposition_check
 from pcol.verify import (check_uniform, compute_quotient, densities_by_count,
                          essential_arguments)
 from scalar_oracle import BODY_KINDS, body_kinds, scalar_color
@@ -377,16 +378,29 @@ def test_deep_symbolic_members_evaluate_exactly_past_int64():
             assert C.evaluate(v) == scalar_color(C, v)
 
 
-def test_flagship_materialize_memory_is_blocked():
-    # The 4 MiB table plus one block of index temporaries, not int64 per cell.
-    C = construct_bc(10, 6).coloring
+def _traced_peak(fn) -> int:
     tracemalloc.start()
     try:
-        C.materialize()
-        peak = tracemalloc.get_traced_memory()[1]
+        fn()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 96 * 2**20
+
+
+def test_flagship_materialize_memory_is_blocked():
+    # The 4 MiB table plus one block of index temporaries, not int64 per cell.
+    assert _traced_peak(construct_bc(10, 6).coloring.materialize) < 96 * 2**20
+
+
+def test_flagship_spectral_and_density_memory():
+    # One 32 MiB int64 transform buffer per color at a time; colors counted
+    # in blocks, not with the table cast to np.intp.
+    built = construct_bc(10, 6)
+    C = built.coloring.materialize()
+    S = built.predicted_quotient
+    assert _traced_peak(lambda: coloring_degree(C)) < 64 * 2**20
+    assert _traced_peak(lambda: eigen_decomposition_check(C, S)) < 64 * 2**20
+    assert _traced_peak(lambda: densities_by_count(C)) < 16 * 2**20
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])

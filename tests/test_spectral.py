@@ -76,7 +76,8 @@ def test_double_transform_is_scaling():
     assert np.array_equal(twice.coeffs, 16 * f)
 
 
-@pytest.mark.parametrize("n,q", [(6, 2), (4, 3), (3, 4), (3, 5), (2, 6)])
+@pytest.mark.parametrize("n,q", [(6, 2), (4, 3), (3, 4), (3, 5), (2, 6), (0, 3), (1, 2),
+                                 (3, 7), (2, 8), (2, 9), (2, 10)])
 def test_matches_slow_dft(n, q):
     rng = np.random.default_rng(100 + q)
     f = rng.integers(-3, 4, size=q**n)
@@ -84,12 +85,24 @@ def test_matches_slow_dft(n, q):
     assert np.allclose(spectrum_as_complex(spec), dft_oracle(f, n, q), atol=1e-8)
 
 
-@pytest.mark.parametrize("n,q", [(8, 2), (5, 3), (4, 4), (3, 5)])
+@pytest.mark.parametrize("n,q", [(8, 2), (5, 3), (4, 4), (3, 5), (1, 3), (2, 7), (2, 9)])
 def test_inverse_roundtrip(n, q):
     rng = np.random.default_rng(200 + q)
     f = rng.integers(-9, 10, size=q**n)
     spec = character_transform(f, n, q)
     assert np.array_equal(inverse_transform(spec), f)
+
+
+@pytest.mark.parametrize("n,q", [(5, 2), (3, 3), (2, 6)])
+def test_transforms_leave_their_arguments_unchanged(n, q):
+    rng = np.random.default_rng(500 + q)
+    f = rng.integers(-9, 10, size=q**n)
+    f_before = f.copy()
+    spec = character_transform(f, n, q)
+    assert np.array_equal(f, f_before)
+    coeffs_before = spec.coeffs.copy()
+    inverse_transform(spec)
+    assert np.array_equal(spec.coeffs, coeffs_before)
 
 
 def test_parseval_exact_q2():
