@@ -4,17 +4,38 @@ Text:   line 1 ``PCOL 1``, line 2 ``q=<q> n=<n> k=<k>``, then q**n
 whitespace-separated color values in vertex-index order.
 Binary: line 1 ``PCOLB1``, the same header line, then one little-endian byte
 per vertex (two when k > 256).  Both round-trip bit-exactly.
+
+Text is written, and read when canonical (ASCII digits separated by
+``\\t\\n\\v\\f\\r`` and space), with numpy byte operations over fixed-size
+blocks.  Any other text file goes through the per-token loop, which reports
+the line and column of a bad token.
 """
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
-from .core import Coloring
-from .errors import ColorOutOfRangeError, LengthMismatchError, ParseError
+from .core import Coloring, color_dtype
+from .errors import (ColorOutOfRangeError, LengthMismatchError, ParseError,
+                     UnsupportedError)
 
 TEXT_MAGIC = "PCOL 1"
 BINARY_MAGIC = b"PCOLB1"
 _VALUES_PER_LINE = 64
+# Values per written block; a multiple of _VALUES_PER_LINE, so blocks end on line ends.
+_WRITE_BLOCK = 1 << 18
+# Payload bytes per parsed block, before the cut back to whitespace.
+_PARSE_BLOCK = 1 << 20
+# Longest token parsed by digit arithmetic: 10**18 - 1 still fits in int64.
+_MAX_DIGITS = 18
+_POW10 = 10 ** np.arange(_MAX_DIGITS, dtype=np.int64)
+# Byte classes of the canonical payload: 0 whitespace, 1 digit, 2 anything else.
+_BYTE_CLASS = np.full(256, 2, dtype=np.uint8)
+_BYTE_CLASS[list(b"\t\n\v\f\r ")] = 0
+_BYTE_CLASS[list(b"0123456789")] = 1
+# The ASCII line boundaries of str.splitlines.
+_LINE_END = re.compile(rb"\r\n|[\n\r\v\f\x1c-\x1e]")
 
 
 def _format_header(C: Coloring) -> str:
@@ -39,6 +60,25 @@ def _parse_header(line: str, lineno: int) -> tuple[int, int, int]:
     return q, n, k
 
 
+def _format_block(values: np.ndarray, labels: np.ndarray, widths: np.ndarray,
+                  last: bool) -> np.ndarray:
+    """ASCII bytes of whole lines of values: labels joined by spaces, 64 a line."""
+    w = widths[values]
+    ends = np.cumsum(w + 1)
+    starts = ends - w - 1
+    out = np.full(int(ends[-1]), ord(" "), dtype=np.uint8)
+    out[ends[_VALUES_PER_LINE - 1::_VALUES_PER_LINE] - 1] = ord("\n")
+    if last:
+        out[-1] = ord("\n")
+    for j in range(labels.shape[1]):
+        at, digit = starts + j, labels[values, j]
+        if j:
+            longer = w > j
+            at, digit = at[longer], digit[longer]
+        out[at] = digit
+    return out
+
+
 def write_pcol(path, C: Coloring, *, binary: bool = False,
                guard: int | None = None) -> None:
     """Write a coloring; symbolic colorings are materialized first."""
@@ -51,15 +91,23 @@ def write_pcol(path, C: Coloring, *, binary: bool = False,
             fh.write(header.encode("ascii") + b"\n")
             fh.write(payload)
         return
-    values = Cm.table.tolist()
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(TEXT_MAGIC + "\n")
-        fh.write(header + "\n")
-        for lo in range(0, len(values), _VALUES_PER_LINE):
-            fh.write(" ".join(map(str, values[lo:lo + _VALUES_PER_LINE])) + "\n")
+    labels = np.array([str(c) for c in range(Cm.k)], dtype=bytes)
+    widths = np.char.str_len(labels)
+    labels = labels.view(np.uint8).reshape(Cm.k, -1)
+    table = Cm.table
+    with open(path, "wb") as fh:
+        fh.write(f"{TEXT_MAGIC}\n{header}\n".encode("ascii"))
+        for lo in range(0, table.size, _WRITE_BLOCK):
+            hi = min(lo + _WRITE_BLOCK, table.size)
+            fh.write(_format_block(table[lo:hi], labels, widths, hi == table.size))
 
 
 def _check_payload(arr: np.ndarray, q: int, n: int, k: int) -> Coloring:
+    # q**n >= 2**(n*floor(log2 q)) exceeds the value count past this bound;
+    # q**n is not computed there, since it may have millions of digits.
+    if n * (q.bit_length() - 1) > arr.size.bit_length():
+        raise LengthMismatchError(
+            f"header q={q} n={n} asks for more than the {arr.size} values given")
     expected = q**n
     if arr.size != expected:
         raise LengthMismatchError(
@@ -71,24 +119,77 @@ def _check_payload(arr: np.ndarray, q: int, n: int, k: int) -> Coloring:
     return Coloring.from_table(arr, q, k)
 
 
-def read_pcol(path) -> Coloring:
-    """Read either format back into an explicit coloring."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob.startswith(BINARY_MAGIC):
-        nl1 = blob.find(b"\n")
-        nl2 = blob.find(b"\n", nl1 + 1)
-        if nl1 < 0 or nl2 < 0:
-            raise ParseError("truncated binary header", line=1)
-        q, n, k = _parse_header(blob[nl1 + 1:nl2].decode("ascii", "replace"), 2)
-        itemsize = 1 if k <= 256 else 2
-        payload = blob[nl2 + 1:]
-        if len(payload) % itemsize:
-            raise LengthMismatchError(
-                f"payload of {len(payload)} bytes is not a multiple of {itemsize}")
-        arr = np.frombuffer(payload, dtype="<u1" if itemsize == 1 else "<u2")
-        return _check_payload(arr, q, n, k)
+def _parse_block_values(chunk: np.ndarray, digit: np.ndarray) -> np.ndarray | None:
+    """Values of the digit tokens in a block that starts after whitespace.
 
+    None when a token is longer than _MAX_DIGITS.
+    """
+    first = digit.copy()
+    first[1:] &= ~digit[:-1]
+    pos = np.flatnonzero(digit)
+    starts = np.flatnonzero(first[pos])
+    if starts.size == pos.size:
+        return chunk[pos] - ord("0")
+    lens = np.diff(starts, append=pos.size)
+    if lens.max() > _MAX_DIGITS:
+        return None
+    place = np.repeat(starts + lens, lens) - np.arange(1, pos.size + 1)
+    return np.add.reduceat((chunk[pos] - ord("0")) * _POW10[place], starts)
+
+
+def _parse_canonical_text(blob: bytes):
+    """(table, q, n, k) of a canonical text file with exactly q**n values below k.
+
+    None for anything else, which the token loop then reads or rejects.
+    """
+    m1 = _LINE_END.search(blob)
+    m2 = m1 and _LINE_END.search(blob, m1.end())
+    if m2 is None:
+        return None
+    try:
+        if blob[:m1.start()].decode("ascii").strip() != TEXT_MAGIC:
+            return None
+        q, n, k = _parse_header(blob[m1.end():m2.start()].decode("ascii").strip(), 2)
+    except (UnicodeDecodeError, ParseError):
+        return None
+    data = np.frombuffer(blob, dtype=np.uint8, offset=m2.end())
+    if n * (q.bit_length() - 1) > data.size.bit_length():
+        return None
+    cells = q**n
+    # Every value but the last takes a digit and a separator.
+    if cells > (data.size + 1) // 2:
+        return None
+    try:
+        table = np.empty(cells, dtype=color_dtype(k))
+    except UnsupportedError:
+        return None
+    filled = start = 0
+    while start < data.size:
+        end = min(start + _PARSE_BLOCK, data.size)
+        cls = _BYTE_CLASS[data[start:end]]
+        if cls.max() > 1:
+            return None
+        if end < data.size and cls[-1] and _BYTE_CLASS[data[end]]:
+            # A token runs past the block: end the block at its last whitespace.
+            cut = cls.size - int(np.argmin(cls[::-1]))
+            if cls[cut - 1]:
+                return None
+            cls, end = cls[:cut], start + cut
+        values = _parse_block_values(data[start:end], cls.view(np.bool_))
+        if values is None or filled + values.size > cells:
+            return None
+        if values.size and int(values.max()) >= k:
+            return None
+        table[filled:filled + values.size] = values
+        filled += values.size
+        start = end
+    if filled != cells:
+        return None
+    return table, q, n, k
+
+
+def _parse_text_tokens(blob: bytes):
+    """(values, q, n, k) of any text file, token by token; raises on bad input."""
     try:
         text = blob.decode("ascii")
     except UnicodeDecodeError as exc:
@@ -109,8 +210,34 @@ def read_pcol(path) -> Coloring:
                 raise ParseError(f"non-integer token {token!r}", line=lineno,
                                  column=line.find(token, col - 1) + 1)
             col = line.find(token, col - 1) + len(token) + 1
-    arr = np.array(values, dtype=np.int64)
+    try:
+        arr = np.array(values, dtype=np.int64)
+    except OverflowError:
+        v, value = next((v, x) for v, x in enumerate(values) if not 0 <= x < 2**63)
+        raise ColorOutOfRangeError(
+            f"vertex {v} has color {value}, not below k={k}" if value >= 0
+            else f"vertex {v} has negative color {value}")
     if arr.size and arr.min() < 0:
         v = int(np.argmax(arr < 0))
         raise ColorOutOfRangeError(f"vertex {v} has negative color {int(arr[v])}")
-    return _check_payload(arr, q, n, k)
+    return arr, q, n, k
+
+
+def read_pcol(path) -> Coloring:
+    """Read either format back into an explicit coloring."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if blob.startswith(BINARY_MAGIC):
+        nl1 = blob.find(b"\n")
+        nl2 = blob.find(b"\n", nl1 + 1)
+        if nl1 < 0 or nl2 < 0:
+            raise ParseError("truncated binary header", line=1)
+        q, n, k = _parse_header(blob[nl1 + 1:nl2].decode("ascii", "replace"), 2)
+        itemsize = 1 if k <= 256 else 2
+        payload = blob[nl2 + 1:]
+        if len(payload) % itemsize:
+            raise LengthMismatchError(
+                f"payload of {len(payload)} bytes is not a multiple of {itemsize}")
+        arr = np.frombuffer(payload, dtype="<u1" if itemsize == 1 else "<u2")
+        return _check_payload(arr, q, n, k)
+    return _check_payload(*(_parse_canonical_text(blob) or _parse_text_tokens(blob)))

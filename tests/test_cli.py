@@ -1,14 +1,18 @@
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 
+import numpy as np
 import pytest
 
+from pcol import pcolfile
 from pcol.cli import main
 from pcol.core import Coloring
 from pcol.errors import (ColorOutOfRangeError, LengthMismatchError,
-                         ParseError)
+                         ParseError, PcolError)
 from pcol.pcolfile import read_pcol, write_pcol
 
 
@@ -228,3 +232,174 @@ def test_binary_truncation_detected(tmp_path):
     path.write_bytes(blob[:-3])
     with pytest.raises(LengthMismatchError):
         read_pcol(path)
+
+
+# -- text codec: the per-token loops as oracles -------------------------------
+
+def _oracle_text(C):
+    values = C.table.tolist()
+    lines = [" ".join(map(str, values[lo:lo + 64])) + "\n"
+             for lo in range(0, len(values), 64)]
+    return f"PCOL 1\nq={C.q} n={C.n} k={C.k}\n" + "".join(lines)
+
+
+def _random_table(rng, q, n, k):
+    table = rng.integers(0, k, q**n)
+    table[rng.choice(q**n, size=k, replace=False)] = np.arange(k)
+    return Coloring.from_table(table, q, k)
+
+
+def _layout(rng, values, separators):
+    """Values as text with runs of one or two separators and some leading zeros."""
+    runs = [a + b for a in separators for b in [""] + separators]
+    seps = [runs[i] for i in rng.integers(0, len(runs), len(values) + 1)]
+    zeros = ["0" * z for z in rng.choice(3, size=len(values), p=[0.8, 0.1, 0.1])]
+    body = "".join(s + z + str(v) for s, z, v in zip(seps, zeros, values))
+    return body + (seps[-1] if rng.integers(2) else "")
+
+
+def _no_token_loop(blob):
+    raise AssertionError("canonical text went through the token loop")
+
+
+CANONICAL_SPACE = [" ", "\t", "\n", "\r\n", "\r", "\v", "\f"]
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("k", [1, 2, 10, 11, 27, 300])
+def test_text_reader_matches_token_split(tmp_path, q, k):
+    rng = np.random.default_rng(1000 * q + k)
+    n0 = 0
+    while q**n0 < k:
+        n0 += 1
+    path = tmp_path / "t.pcol"
+    for n in (n0, n0 + 1, n0 + 2):
+        C = _random_table(rng, q, n, k)
+        for separators in (CANONICAL_SPACE, CANONICAL_SPACE + ["\x1c", "\x1d", "\x1e", "\x1f"]):
+            payload = _layout(rng, C.table.tolist(), separators)
+            path.write_bytes(f"PCOL 1\nq={q} n={n} k={k}\n{payload}".encode("ascii"))
+            assert read_pcol(path).table.tolist() == [int(t) for t in payload.split()]
+
+
+@pytest.mark.parametrize("q,n,k", [(2, 19, 2), (3, 12, 27), (5, 8, 300)])
+def test_text_reader_past_one_block(tmp_path, monkeypatch, q, n, k):
+    # Several parse blocks, with one- and multi-digit tokens cut at block ends.
+    C = _random_table(np.random.default_rng(k), q, n, k)
+    payload = _layout(np.random.default_rng(n), C.table.tolist(), CANONICAL_SPACE)
+    header = f"PCOL 1\nq={q} n={n} k={k}\n"
+    block = pcolfile._PARSE_BLOCK
+    # Shift the payload so that a token of two or more digits spans the first block end.
+    at = [m.start() for m in re.finditer(r"\d\d+", payload[:block])][-1]
+    payload = " " * (block - 1 - at) + payload
+    assert len(payload) > block and payload[block - 1:block + 1].isdigit()
+    path = tmp_path / "big.pcol"
+    path.write_bytes((header + payload).encode("ascii"))
+    monkeypatch.setattr(pcolfile, "_parse_text_tokens", _no_token_loop)
+    assert np.array_equal(read_pcol(path).table, C.table)
+
+
+@pytest.mark.parametrize("q,n,k", [(2, 0, 1), (2, 5, 2), (3, 5, 27), (3, 12, 300),
+                                   (2, 19, 11)])
+def test_text_writer_matches_joined_lines(tmp_path, monkeypatch, q, n, k):
+    # N = 1, N < 64, N not a multiple of 64, and N past one write block.
+    C = _random_table(np.random.default_rng(q * n + k), q, n, k)
+    path = tmp_path / "w.pcol"
+    write_pcol(path, C)
+    assert path.read_bytes() == _oracle_text(C).encode("ascii")
+    monkeypatch.setattr(pcolfile, "_parse_text_tokens", _no_token_loop)
+    assert np.array_equal(read_pcol(path).table, C.table)
+
+
+def test_noncanonical_tokens_read_as_before(tmp_path):
+    path = tmp_path / "f.pcol"
+    path.write_text("PCOL 1\nq=2 n=2 k=2\n0 +1 1 0\n")
+    assert read_pcol(path).table.tolist() == [0, 1, 1, 0]
+    path.write_text("PCOL 1\nq=2 n=2 k=2\n0 1_0 1 0\n")
+    with pytest.raises(ColorOutOfRangeError, match="vertex 1 has color 10, not below k=2"):
+        read_pcol(path)
+    path.write_text("PCOL 1\nq=2 n=2 k=2\n0 -1 1 0\n")
+    with pytest.raises(ColorOutOfRangeError, match="vertex 1 has negative color -1"):
+        read_pcol(path)
+    # Tokens longer than the digit arithmetic takes.
+    for ones in ("0" * 18 + "1", "0" * 24 + "1"):
+        path.write_text(f"PCOL 1\nq=2 n=2 k=2\n0 {ones}\n1 0")
+        assert read_pcol(path).table.tolist() == [0, 1, 1, 0]
+    path.write_text("PCOL 1\nq=2 n=2 k=2\n0 1\n1 x\n")
+    with pytest.raises(ParseError) as ei:
+        read_pcol(path)
+    assert (ei.value.line, ei.value.column) == (4, 3)
+    assert str(ei.value) == "non-integer token 'x' (line 4, column 3)"
+
+
+@pytest.mark.parametrize("q,n", [(2, 20000), (3, 16000000)])
+@pytest.mark.parametrize("binary", [False, True])
+def test_huge_header_n_is_a_length_error(tmp_path, capsys, q, n, binary):
+    path = tmp_path / "h.pcol"
+    if binary:
+        path.write_bytes(f"PCOLB1\nq={q} n={n} k=2\n".encode("ascii") + bytes([0, 1, 1, 0]))
+    else:
+        path.write_text(f"PCOL 1\nq={q} n={n} k=2\n0 1 1 0\n")
+    t0 = time.perf_counter()
+    with pytest.raises(LengthMismatchError, match=f"q={q} n={n}"):
+        read_pcol(path)
+    assert main(["info", str(path)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_oversized_token_is_out_of_range(tmp_path, capsys):
+    path = tmp_path / "o.pcol"
+    path.write_text("PCOL 1\nq=2 n=2 k=2\n0 1 99999999999999999999999 0\n")
+    with pytest.raises(ColorOutOfRangeError,
+                       match="vertex 2 has color 99999999999999999999999"):
+        read_pcol(path)
+    assert main(["info", str(path)]) == 2
+
+
+def _outcome(read):
+    try:
+        return read().table.tolist()
+    except PcolError as exc:
+        return type(exc), str(exc)
+
+
+_FUZZ_BYTES = b"0123456789 \t\n\r\v\f\x1c\x1f+-_xq=nk\x00\xff"
+
+
+def _mutations(rng, blob):
+    cut = blob.index(b"\n", blob.index(b"\n") + 1) + 1
+    yield blob[:rng.integers(0, len(blob) + 1)]
+    for _ in range(3):
+        out = bytearray(blob)
+        for at in rng.integers(0, len(out), rng.integers(1, 4)):
+            out[at] = _FUZZ_BYTES[rng.integers(len(_FUZZ_BYTES))]
+        yield bytes(out)
+    magic = blob[:blob.index(b"\n") + 1]
+    q, n, k = (int(v) for v in rng.choice(
+        [0, 1, 2, 3, 4, 9, 27, 256, 257, 65537, 10**30], size=3))
+    header = rng.choice([f"q={q} n={n} k={k}", f"q={q} n={n}", f"k={k} n={n} q={q}",
+                         f"q={q} n={n} k={k} x=1", f"q={q} n=-{n} k={k}", ""])
+    yield magic + header.encode("ascii") + b"\n" + blob[cut:]
+
+
+def test_fuzz_reader_raises_only_pcol_errors(tmp_path, capsys):
+    from pcol.constructions import rm_coloring
+
+    rng = np.random.default_rng(5)
+    sources = [parity(3), rm_coloring(3, 1), _random_table(rng, 2, 9, 300)]
+    path = tmp_path / "fuzz.pcol"
+    for C in sources:
+        for binary in (False, True):
+            write_pcol(path, C, binary=binary)
+            blob = path.read_bytes()
+            for _ in range(40):
+                for mutated in _mutations(rng, blob):
+                    path.write_bytes(mutated)
+                    got = _outcome(lambda: read_pcol(path))
+                    if not mutated.startswith(pcolfile.BINARY_MAGIC):
+                        # The block parser agrees with the token loop on every input.
+                        assert got == _outcome(lambda: pcolfile._check_payload(
+                            *pcolfile._parse_text_tokens(mutated)))
+                    if isinstance(got, tuple):
+                        assert main(["info", str(path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err

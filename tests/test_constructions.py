@@ -16,6 +16,7 @@ from pcol.errors import (BadDensityError, BadOuterColoringError,
                          NotEssentialError, NotPowerOfTwoError,
                          NotPrimePowerError, OutOfRangeError,
                          SizeMismatchError)
+from pcol.pcolfile import read_pcol, write_pcol
 from pcol.spectral import coloring_degree, eigen_decomposition_check
 from pcol.verify import (check_uniform, compute_quotient, densities_by_count,
                          essential_arguments)
@@ -401,6 +402,15 @@ def test_flagship_spectral_and_density_memory():
     assert _traced_peak(lambda: coloring_degree(C)) < 64 * 2**20
     assert _traced_peak(lambda: eigen_decomposition_check(C, S)) < 64 * 2**20
     assert _traced_peak(lambda: densities_by_count(C)) < 16 * 2**20
+
+
+def test_flagship_text_io_memory(tmp_path):
+    # Text I/O holds the file's bytes, the table and one block, not a list of
+    # Python ints or strings per value.
+    C = construct_bc(10, 6).coloring.materialize()
+    path = tmp_path / "bc.pcol"
+    assert _traced_peak(lambda: write_pcol(path, C)) < 16 * 2**20
+    assert _traced_peak(lambda: read_pcol(path)) < 32 * 2**20
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
