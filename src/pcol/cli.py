@@ -1,8 +1,9 @@
 """Command-line surface: construct colorings, verify files, report as JSON.
 
 Exit codes: 0 verified-pass, 1 verified-fail (witness or expectation
-mismatch), 2 operational error.  All fractions in reports are exact strings;
-``--threads`` never changes a reported value.
+mismatch), 2 operational error.  All fractions in reports are exact strings.
+``--threads`` is accepted and must be at least 1, but has no effect:
+verification runs in one thread.
 """
 from __future__ import annotations
 
@@ -247,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--expect-quotient", metavar="JSON",
                      help="fail unless the quotient equals this matrix")
     ver.add_argument("--json", action="store_true", help="print the JSON report")
-    ver.add_argument("--threads", type=int, default=1)
+    ver.add_argument("--threads", type=int, default=1,
+                     help="accepted and checked to be at least 1; has no effect")
     ver.set_defaults(func=_cmd_verify)
 
     inf = sub.add_parser("info", help="summarize a coloring file")

@@ -17,8 +17,7 @@ import re
 import numpy as np
 
 from .core import Coloring, color_dtype
-from .errors import (ColorOutOfRangeError, LengthMismatchError, ParseError,
-                     UnsupportedError)
+from .errors import ColorOutOfRangeError, LengthMismatchError, ParseError
 
 TEXT_MAGIC = "PCOL 1"
 BINARY_MAGIC = b"PCOLB1"
@@ -57,6 +56,7 @@ def _parse_header(line: str, lineno: int) -> tuple[int, int, int]:
     q, n, k = out
     if q < 2 or n < 0 or k < 1:
         raise ParseError(f"invalid dimensions q={q} n={n} k={k}", line=lineno)
+    color_dtype(k)  # raises UnsupportedError for k > 65536, before any payload is read
     return q, n, k
 
 
@@ -159,10 +159,7 @@ def _parse_canonical_text(blob: bytes):
     # Every value but the last takes a digit and a separator.
     if cells > (data.size + 1) // 2:
         return None
-    try:
-        table = np.empty(cells, dtype=color_dtype(k))
-    except UnsupportedError:
-        return None
+    table = np.empty(cells, dtype=color_dtype(k))
     filled = start = 0
     while start < data.size:
         end = min(start + _PARSE_BLOCK, data.size)

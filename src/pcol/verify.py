@@ -2,15 +2,15 @@
 
 Everything here is a certificate-grade computation: neighbor counting over
 all vertices, exact rational densities, and fraction-free integer spectra.
-Neighbor counts and the essential mask work on the table viewed as a
-``(q,)*n`` array, where the adjacency operator of H(n, q) is a sum of
-line sums over the axes.  ``threads`` splits the axes between threads whose
-integer partial results are combined exactly, so no reported value depends
-on it.  Failure witnesses are the first in ascending vertex-index order.
+Neighbor counts and the essential mask loop over the digits p of the
+vertex index, on the table viewed as ``(high digits, digit p, low digits)``,
+where the adjacency operator of H(n, q) is a sum of line sums along digit p.
+They run in one thread; ``threads`` is accepted and must be at least 1, but
+has no effect.  Failure witnesses are the first in ascending vertex-index
+order.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -78,24 +78,9 @@ class VerificationReport:
     degrees: tuple[int, ...] | None = None
 
 
-def _axis_groups(n: int, threads: int) -> list[range]:
-    """Split the n axes into max(1, min(threads, n)) disjoint groups."""
+def _check_threads(threads: int) -> None:
     if threads < 1:
         raise OutOfRangeError(f"threads (--threads) must be at least 1, got {threads}")
-    t = max(1, min(threads, n))
-    return [range(g, n, t) for g in range(t)]
-
-
-def _map_axis_groups(fn, groups: list[range]) -> list:
-    """fn(axes) for each group of axes, each group on its own thread.
-
-    Callers combine the per-group results with exact integer or boolean
-    operations, so no value depends on the grouping.
-    """
-    if len(groups) == 1:
-        return [fn(groups[0])]
-    with ThreadPoolExecutor(max_workers=len(groups)) as ex:
-        return list(ex.map(fn, groups))
 
 
 def _profile(table: np.ndarray, v: int, n: int, q: int, k: int) -> tuple[int, ...]:
@@ -109,7 +94,7 @@ def compute_quotient(C: Coloring, *, threads: int = 1,
     Returns the quotient matrix if the profile of a vertex depends only on
     its color, otherwise the first witness in vertex-index order.
     """
-    groups = _axis_groups(C.n, threads)
+    _check_threads(threads)
     Cm = C.materialize(guard)
     n, q, k = Cm.n, Cm.q, Cm.k
     table = Cm.table
@@ -118,26 +103,28 @@ def compute_quotient(C: Coloring, *, threads: int = 1,
     missing = np.flatnonzero(table[first_idx] != np.arange(k))
     if missing.size:
         raise NotSurjectiveError(int(missing[0]))
-    cube = table.reshape((q,) * n)
     degree = n * (q - 1)
-    count_t = np.int16 if degree < 32768 else np.int32
+    # Sums wrap in this dtype on the way, but each final count is at most
+    # the degree, so it comes out exact.
+    count_t = np.min_scalar_type(degree)
+    line = np.empty(table.size // q, dtype=count_t)
     # Every row sums to the degree, so the last color's column follows from
     # the others and a vertex mismatches in it only if it mismatches earlier.
     columns = []
-    bad = np.zeros(cube.shape, dtype=bool)
+    bad = np.zeros(table.size, dtype=bool)
     for j in range(k - 1):
-        ind = (cube == j).astype(count_t)
-
-        def line_sums(axes):
-            acc = np.zeros(cube.shape, dtype=count_t)
-            for axis in axes:
-                acc += ind.sum(axis=axis, keepdims=True, dtype=count_t)
-            return acc
-
-        # Each line through v holds v itself once per axis.
-        cnt = sum(_map_axis_groups(line_sums, groups)) - n * ind
-        ref = cnt.flat[first_idx]
-        bad |= cnt != ref[cube]
+        ind = (table == j).astype(count_t)
+        cnt = np.zeros(table.size, dtype=count_t)
+        for p in range(n):
+            # Axis 1 of this view is digit p; the line through v along it
+            # holds the q vertices that differ from v in digit p only.
+            lines, cnt3 = line.reshape(-1, q**p), cnt.reshape(-1, q, q**p)
+            np.einsum("arb->ab", ind.reshape(-1, q, q**p), out=lines)
+            cnt3 += lines[:, None, :]
+        # Each line through v holds v itself once per digit.
+        cnt -= n * ind
+        ref = cnt[first_idx]
+        bad |= cnt != ref[table]
         columns.append(ref.tolist())
 
     if bad.any():
@@ -152,20 +139,15 @@ def compute_quotient(C: Coloring, *, threads: int = 1,
 
 def essential_arguments(C: Coloring, *, threads: int = 1,
                         guard: int | None = None) -> tuple[bool, ...]:
-    """mask[i] is True iff the coloring changes along some line in direction i."""
-    groups = _axis_groups(C.n, threads)
+    """mask[p] is True iff the coloring changes along some line in digit p."""
+    _check_threads(threads)
     Cm = C.materialize(guard)
     n, q = Cm.n, Cm.q
-    cube = Cm.table.reshape((q,) * n)
-
-    def varies(axes):
-        return {axis: bool((cube != cube.take([0], axis=axis)).any()) for axis in axes}
-
-    by_axis = {}
-    for part in _map_axis_groups(varies, groups):
-        by_axis.update(part)
-    # Axis n-1-i of the (q,)*n view is digit i of the vertex index.
-    return tuple(by_axis[n - 1 - i] for i in range(n))
+    mask = []
+    for p in range(n):
+        t = Cm.table.reshape(-1, q, q**p)
+        mask.append(bool((t[:, 1:] != t[:, :1]).any()))
+    return tuple(mask)
 
 
 def densities_by_count(C: Coloring, *, guard: int | None = None) -> tuple[Fraction, ...]:

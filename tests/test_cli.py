@@ -12,7 +12,7 @@ from pcol import pcolfile
 from pcol.cli import main
 from pcol.core import Coloring
 from pcol.errors import (ColorOutOfRangeError, LengthMismatchError,
-                         ParseError, PcolError)
+                         ParseError, PcolError, UnsupportedError)
 from pcol.pcolfile import read_pcol, write_pcol
 
 
@@ -354,6 +354,20 @@ def test_oversized_token_is_out_of_range(tmp_path, capsys):
                        match="vertex 2 has color 99999999999999999999999"):
         read_pcol(path)
     assert main(["info", str(path)]) == 2
+
+
+@pytest.mark.parametrize("binary", [False, True])
+def test_too_many_colors_rejected_from_header(tmp_path, capsys, binary):
+    # The payload is malformed too, so only a header check raises UnsupportedError.
+    path = tmp_path / "k.pcol"
+    if binary:
+        path.write_bytes(b"PCOLB1\nq=2 n=1 k=70000\n\x00\x00\x01")
+    else:
+        path.write_text("PCOL 1\nq=2 n=1 k=70000\n0 x\n")
+    with pytest.raises(UnsupportedError, match="k=70000"):
+        read_pcol(path)
+    assert main(["info", str(path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def _outcome(read):

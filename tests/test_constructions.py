@@ -395,10 +395,14 @@ def test_flagship_materialize_memory_is_blocked():
 
 def test_flagship_spectral_and_density_memory():
     # One 32 MiB int64 transform buffer per color at a time; colors counted
-    # in blocks, not with the table cast to np.intp.
+    # in blocks, not with the table cast to np.intp.  Neighbor counts hold a
+    # few uint8 arrays of the table's 4 MiB size, and the essential mask one
+    # bool array of half of it.
     built = construct_bc(10, 6)
     C = built.coloring.materialize()
     S = built.predicted_quotient
+    assert _traced_peak(lambda: compute_quotient(C)) < 28 * 2**20
+    assert _traced_peak(lambda: essential_arguments(C)) < 4 * 2**20
     assert _traced_peak(lambda: coloring_degree(C)) < 64 * 2**20
     assert _traced_peak(lambda: eigen_decomposition_check(C, S)) < 64 * 2**20
     assert _traced_peak(lambda: densities_by_count(C)) < 16 * 2**20

@@ -115,6 +115,23 @@ def test_kernels_edge_cases():
             for threads in (1, 3, n + 2):
                 assert compute_quotient(const, threads=threads).as_lists() == [[n * (q - 1)]]
                 assert essential_arguments(const, threads=threads) == (False,) * n
+    # Degrees past uint8 and uint16 use the wider count dtypes.
+    for n, q, rows in ((2, 300, [[498, 100], [200, 398]]),
+                       (1, 65537, [[43691, 21845], [43692, 21844]])):
+        values = (np.arange(q**n) % q < q // 3).astype(np.uint8)
+        assert compute_quotient(Coloring.from_table(values, q=q)).as_lists() == rows
+        values[5] ^= 1
+        flipped = Coloring.from_table(values, q=q)
+        got = compute_quotient(flipped)
+        if n == 2:
+            # brute_quotient stops at the first witness, vertex 100
+            assert got == brute_quotient(flipped)
+        else:
+            # every 2-coloring of H(1, q) = K_q is perfect; the rows are the
+            # profiles of the first vertex of colors 0 and 1, vertices 5 and 0
+            assert got.as_lists() == [
+                np.bincount(values[neighbors(v, n, q)], minlength=2).tolist()
+                for v in (5, 0)]
 
 
 def test_library_rejects_nonpositive_threads():
