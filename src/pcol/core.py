@@ -94,9 +94,13 @@ def _color_counts(arr: np.ndarray, k: int) -> np.ndarray:
 
 
 def _require_surjective(arr: np.ndarray, k: int) -> None:
-    missing = np.flatnonzero(_color_counts(arr, k) == 0)
-    if missing.size:
-        raise NotSurjectiveError(int(missing[0]))
+    """Raise for the lowest color missing from arr; stop once every color has been seen."""
+    seen = np.zeros(k, dtype=bool)
+    for lo in range(0, arr.size, _MATERIALIZE_BLOCK):
+        seen |= np.bincount(arr[lo:lo + _MATERIALIZE_BLOCK], minlength=k) > 0
+        if seen.all():
+            return
+    raise NotSurjectiveError(int(np.argmin(seen)))
 
 
 def color_dtype(k: int):
@@ -145,7 +149,9 @@ class Coloring:
             k = top + 1
         if top >= k:
             raise OutOfRangeError(f"color {top} not below k={k}")
-        arr = arr.astype(color_dtype(k))
+        # A read-only array of the right dtype is taken as it is; any array
+        # the caller can still write to is copied.
+        arr = arr.astype(color_dtype(k), copy=arr.flags.writeable)
         if validate:
             _require_surjective(arr, k)
         arr.setflags(write=False)
@@ -308,15 +314,26 @@ class _OuterBody:
     def eval(self, idx):
         M = len(self.members)
         q, nb = self.members[0].q, self.members[0].n
-        i, j = np.divmod(self.outer.table[(idx % q**M).astype(np.intp)], q)
+        Q = q**M
         # Group j of the x-part starts at position M + j*nb.
         place = np.array([q**(M + t * nb) for t in range(q)], dtype=idx.dtype)
-        window = idx // place[j] % q**nb
         if M * q**nb <= idx.size:
-            # Tabulate each member once rather than re-evaluate it per index.
+            # Tabulate each member once rather than re-evaluate it per index:
+            # tabs[w, i] is member i at window w.
             tabs = np.stack([c.body.eval(np.arange(q**nb, dtype=np.int64))
-                             for c in self.members])
-            return tabs[i, window.astype(np.intp, copy=False)]
+                             for c in self.members], axis=1)
+            if (idx.ndim == 1 and idx.size % Q == 0 and idx[0] % Q == 0
+                    and idx[-1] - idx[0] == idx.size - 1 and (idx[1:] > idx[:-1]).all()):
+                # An aligned range of whole rows x of q**M indices: row x is
+                # G[x, cols], where G[x, j*M + i] is member i at window j of x
+                # and cols maps each outer color E(y) = q*i + j to j*M + i.
+                G = tabs[(idx[::Q, None] // place % q**nb).astype(np.intp, copy=False)]
+                E = self.outer.table.astype(np.intp)
+                return np.take(G.reshape(-1, q * M), E % q * M + E // q, axis=1).reshape(-1)
+            i, j = np.divmod(self.outer.table[(idx % Q).astype(np.intp)], q)
+            return tabs[(idx // place[j] % q**nb).astype(np.intp, copy=False), i]
+        i, j = np.divmod(self.outer.table[(idx % Q).astype(np.intp)], q)
+        window = idx // place[j] % q**nb
         out = np.empty(idx.shape, dtype=np.int64)
         for a in np.unique(i):
             sel = i == a

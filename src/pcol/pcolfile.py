@@ -116,6 +116,8 @@ def _check_payload(arr: np.ndarray, q: int, n: int, k: int) -> Coloring:
         v = int(np.argmax(arr >= k))
         raise ColorOutOfRangeError(
             f"vertex {v} has color {int(arr[v])}, not below k={k}")
+    # The table is this reader's own: read-only, from_table need not copy it.
+    arr.setflags(write=False)
     return Coloring.from_table(arr, q, k)
 
 
@@ -231,10 +233,10 @@ def read_pcol(path) -> Coloring:
             raise ParseError("truncated binary header", line=1)
         q, n, k = _parse_header(blob[nl1 + 1:nl2].decode("ascii", "replace"), 2)
         itemsize = 1 if k <= 256 else 2
-        payload = blob[nl2 + 1:]
-        if len(payload) % itemsize:
+        size = len(blob) - nl2 - 1
+        if size % itemsize:
             raise LengthMismatchError(
-                f"payload of {len(payload)} bytes is not a multiple of {itemsize}")
-        arr = np.frombuffer(payload, dtype="<u1" if itemsize == 1 else "<u2")
+                f"payload of {size} bytes is not a multiple of {itemsize}")
+        arr = np.frombuffer(blob, dtype="<u1" if itemsize == 1 else "<u2", offset=nl2 + 1)
         return _check_payload(arr, q, n, k)
     return _check_payload(*(_parse_canonical_text(blob) or _parse_text_tokens(blob)))

@@ -318,7 +318,7 @@ def check_uniform(collection, *, guard: int | None = None, sample: int | None = 
         tables = [c.materialize(guard).table for c in members]
         mult = []
         for i in range(k):
-            cnt = np.zeros(N, dtype=np.int32)
+            cnt = np.zeros(N, dtype=np.min_scalar_type(M))
             for t in tables:
                 cnt += t == i
             bad = cnt != cnt[0]

@@ -185,7 +185,7 @@ def test_criterion_6_uniformity_suite(flagship, capsys):
     finally:
         tracemalloc.stop()
     assert flag.uniform and flag.matches_density is True
-    assert peak < 80 * 2**20  # eight 4 MiB tables and one int32 count, no stacked copy
+    assert peak < 52 * 2**20  # eight 4 MiB tables and one uint8 count, no stacked copy
     report(capsys, 6, "translation, coset-union, and recursion collections all uniform "
               "with counting multiplicities", time.perf_counter() - t0)
 

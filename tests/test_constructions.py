@@ -296,11 +296,13 @@ def test_symbolic_members_evaluate_like_their_tables():
 
 def test_flagship_symbolic_evaluate_sampled():
     built = construct_bc(10, 6)
-    C = built.coloring
-    tab = C.materialize().table
+    members = built.collection.colorings
+    assert len(members) == 8
     rng = np.random.default_rng(0xF1A6)
-    for v in rng.integers(0, 2**22, size=2_000):
-        assert C.evaluate(int(v)) == tab[int(v)] == scalar_color(C, int(v))
+    for C in members:
+        tab = C.materialize().table
+        for v in rng.integers(0, 2**22, size=500):
+            assert C.evaluate(int(v)) == tab[int(v)] == scalar_color(C, int(v))
 
 
 def _oracle_instances():
@@ -349,14 +351,32 @@ def test_every_body_node_matches_scalar_oracle(name):
     assert C.body.eval(np.arange(N, dtype=np.int64)).tolist() == expect
     if type(C.body).__name__ == "_OuterBody":
         # Below M * q**nb indices eval recurses into the members; at or
-        # above it, it tabulates them.
+        # above it, it tabulates them, and fills an aligned range of whole
+        # q**M-index rows by one column gather.
         M, nb = len(C.body.members), C.body.members[0].n
-        cut = M * C.q**nb
+        cut, Q = M * C.q**nb, C.q**M
         assert 1 < cut <= N
+        size = -(-cut // Q) * Q
+        assert size <= N
         rng = np.random.default_rng(len(name))
-        for size in (cut - 1, cut):
-            idx = rng.integers(0, N, size=size)
-            assert C.body.eval(idx).tolist() == [expect[v] for v in idx]
+        base = np.arange(size)
+        swapped = base.copy()
+        swapped[[1, 2]] = swapped[[2, 1]]
+        duplicate = base.copy()
+        duplicate[1] = duplicate[0]
+        # Random indices either side of the cut; aligned ranges at the first,
+        # second and last row; then arrays the gather must not take: a start
+        # off the row, a partial last row, reversed, shuffled, two indices
+        # swapped, one duplicated, one skipped.  All again as object dtype.
+        cases = [rng.integers(0, N, size=s) for s in (cut - 1, cut)]
+        cases += [lo + base for lo in sorted({0, Q, N - size}) if lo + size <= N]
+        cases += [1 + np.arange(min(cut, N - 1)), np.arange(min(size + 1, N - 1)),
+                  base[::-1], rng.permutation(base), swapped, duplicate]
+        if size < N:
+            cases.append(base + (base >= Q - 1))
+        cases += [idx.astype(object) for idx in cases]
+        for idx in cases:
+            assert C.body.eval(idx).tolist() == [expect[v] for v in idx], idx
 
 
 def test_deep_symbolic_members_evaluate_exactly_past_int64():
@@ -389,8 +409,14 @@ def _traced_peak(fn) -> int:
 
 
 def test_flagship_materialize_memory_is_blocked():
-    # The 4 MiB table plus one block of index temporaries, not int64 per cell.
-    assert _traced_peak(construct_bc(10, 6).coloring.materialize) < 96 * 2**20
+    # The 4 MiB table plus one 8 MiB block of indices: recursion nodes fill
+    # a block by one column gather, with no per-cell temporaries.
+    assert _traced_peak(construct_bc(10, 6).coloring.materialize) < 16 * 2**20
+
+
+def test_guard_edge_materialize_memory_is_blocked():
+    # bc(9, 3) on H(24, 2): the 16 MiB table plus one block of indices.
+    assert _traced_peak(construct_bc(9, 3).coloring.materialize) < 32 * 2**20
 
 
 def test_flagship_spectral_and_density_memory():
@@ -415,6 +441,16 @@ def test_flagship_text_io_memory(tmp_path):
     path = tmp_path / "bc.pcol"
     assert _traced_peak(lambda: write_pcol(path, C)) < 16 * 2**20
     assert _traced_peak(lambda: read_pcol(path)) < 32 * 2**20
+
+
+def test_flagship_binary_read_memory(tmp_path):
+    # The file's bytes are the table: no payload slice, no dtype copy, only
+    # the blocked surjectivity count on top.
+    C = construct_bc(10, 6).coloring.materialize()
+    path = tmp_path / "bc.pcolb"
+    write_pcol(path, C, binary=True)
+    assert _traced_peak(lambda: read_pcol(path)) < 15 * 2**20
+    assert read_pcol(path).table.tobytes() == C.table.tobytes()
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])

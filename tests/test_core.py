@@ -56,6 +56,20 @@ def test_from_table_validation():
         Coloring.from_table([0, 1, 2], q=2)  # size 3 not a power of 2
 
 
+def test_from_table_copies_only_writable_arrays():
+    # An array the caller can still write to is copied, whatever its dtype.
+    for dtype in (np.uint8, np.int64):
+        values = np.array([0, 1, 1, 0], dtype=dtype)
+        C = Coloring.from_table(values, q=2)
+        values[:] = 1
+        assert C.table.tolist() == [0, 1, 1, 0]
+        assert not C.table.flags.writeable
+    # A read-only array of the color dtype is taken as it is.
+    frozen = np.array([0, 1, 1, 0], dtype=np.uint8)
+    frozen.setflags(write=False)
+    assert np.shares_memory(Coloring.from_table(frozen, q=2).table, frozen)
+
+
 def test_evaluate_explicit():
     C = Coloring.from_table([0, 1, 1, 0], q=2)
     assert C.evaluate(3) == 0
