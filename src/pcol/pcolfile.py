@@ -3,7 +3,9 @@
 Text:   line 1 ``PCOL 1``, line 2 ``q=<q> n=<n> k=<k>``, then q**n
 whitespace-separated color values in vertex-index order.
 Binary: line 1 ``PCOLB1``, the same header line, then one little-endian byte
-per vertex (two when k > 256).  Both round-trip bit-exactly.
+per vertex (two when k > 256).  Both round-trip bit-exactly.  The reader
+checks the header against the materialization guard before it reads the
+payload.
 
 Text is written, and read when canonical (ASCII digits separated by
 ``\\t\\n\\v\\f\\r`` and space), with numpy byte operations over fixed-size
@@ -12,12 +14,14 @@ the line and column of a bad token.
 """
 from __future__ import annotations
 
+import os
 import re
 
 import numpy as np
 
-from .core import Coloring, color_dtype
-from .errors import ColorOutOfRangeError, LengthMismatchError, ParseError
+from .core import Coloring, color_dtype, materialize_guard
+from .errors import (ColorOutOfRangeError, LengthMismatchError, ParseError,
+                     TooLargeError, UnsupportedError)
 
 TEXT_MAGIC = "PCOL 1"
 BINARY_MAGIC = b"PCOLB1"
@@ -33,8 +37,9 @@ _POW10 = 10 ** np.arange(_MAX_DIGITS, dtype=np.int64)
 _BYTE_CLASS = np.full(256, 2, dtype=np.uint8)
 _BYTE_CLASS[list(b"\t\n\v\f\r ")] = 0
 _BYTE_CLASS[list(b"0123456789")] = 1
-# The ASCII line boundaries of str.splitlines.
+# The ASCII line boundaries of str.splitlines, and the binary format's one.
 _LINE_END = re.compile(rb"\r\n|[\n\r\v\f\x1c-\x1e]")
+_BINARY_LINE_END = re.compile(rb"\n")
 
 
 def _format_header(C: Coloring) -> str:
@@ -222,9 +227,61 @@ def _parse_text_tokens(blob: bytes):
     return arr, q, n, k
 
 
+def _check_guard(fh) -> None:
+    """TooLargeError when the header's q**n is above the guard and the payload
+    is long enough to hold that many values.
+
+    Reads the file no further than one block past the header.  Every other
+    fault is left to the full reader, which reports it in its own order.
+    """
+    buf = bytearray(fh.read(_PARSE_BLOCK))
+    binary = buf.startswith(BINARY_MAGIC)
+    line_end = _BINARY_LINE_END if binary else _LINE_END
+    ends, pos, eof = [], 0, not buf
+    while len(ends) < 2:
+        m = line_end.search(buf, pos)
+        # A lone "\r" at the end of what was read may begin a "\r\n".
+        if m and (eof or m.end() < len(buf) or m.group() != b"\r"):
+            ends.append(m)
+            pos = m.end()
+        elif eof:
+            return
+        else:
+            pos = m.start() if m else len(buf)
+            chunk = fh.read(_PARSE_BLOCK)
+            eof = not chunk
+            buf += chunk
+    if not binary and buf[:ends[0].start()].decode("ascii", "replace").strip() != TEXT_MAGIC:
+        return
+    try:
+        q, n, k = _parse_header(buf[ends[0].end():ends[1].start()].decode("ascii", "replace"), 2)
+    except (ParseError, UnsupportedError):
+        return
+    size = os.fstat(fh.fileno()).st_size - ends[1].end()
+    # One or two bytes a value in binary; in text a digit and a separator
+    # a value, but the last.
+    most = size // (1 if k <= 256 else 2) if binary else (size + 1) // 2
+    # Past this bound q**n >= 2**(n*floor(log2 q)) exceeds most, and
+    # q**n, which may have millions of digits, is not computed.
+    if n * (q.bit_length() - 1) > most.bit_length():
+        return
+    cells, limit = q**n, materialize_guard()
+    if limit < cells <= most:
+        raise TooLargeError(
+            f"header q={q} n={n}: q**n = {cells} exceeds the materialization guard {limit}")
+
+
 def read_pcol(path) -> Coloring:
-    """Read either format back into an explicit coloring."""
+    """Read either format back into an explicit coloring.
+
+    A header whose q**n is above the materialization guard raises
+    TooLargeError before the payload is read.
+    """
     with open(path, "rb") as fh:
+        # A pipe has no size to hold the header against, and cannot be reread.
+        if fh.seekable():
+            _check_guard(fh)
+            fh.seek(0)
         blob = fh.read()
     if blob.startswith(BINARY_MAGIC):
         nl1 = blob.find(b"\n")

@@ -4,11 +4,15 @@ Frequencies are indexed like vertices; the weight-w characters span the
 eigenspace of H(n, q) for eigenvalue n(q-1) - q*w, so degree questions reduce
 to the support of the transform.  Coefficients are exact: plain integers for
 q = 2 (the Walsh-Hadamard spectrum, stored unnormalized, i.e. scaled by q**n)
-and integer coordinate vectors in Z[x]/Phi_q(x) otherwise, computed by an
-in-place Walsh-Hadamard transform of one int64 copy for q = 2 and by n
-digit-rotating steps of one integer matrix on the power-basis coordinates
-for q > 2.  The alphabet is treated as Z_q here even when a coloring was
-built from GF(q); the eigenspaces do not depend on that choice.
+and integer coordinate vectors in Z[x]/Phi_q(x) otherwise.  For q = 2 they
+come from an in-place Walsh-Hadamard transform of one copy of the input, in
+int32 when q**n * max|value| < 2**31 (every color indicator up to 2**30
+cells) and in int64 otherwise; the low digits run on transposed blocks.  For
+q > 2 they are int64, from n digit-rotating steps of one integer matrix on
+the power-basis coordinates.  The alphabet is treated as Z_q here even when
+a coloring was built from GF(q); the eigenspaces do not depend on that
+choice.  The eigenspace check of a perfect coloring needs no transform: its
+own quotient's spectrum is the union of the colors' supports.
 """
 from __future__ import annotations
 
@@ -17,9 +21,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Coloring, materialize_guard
-from .errors import OutOfRangeError, TooLargeError
-from .verify import graph_eigenvalue, quotient_spectrum
+from .core import Coloring, QuotientMatrix, materialize_guard
+from .errors import NotSurjectiveError, OutOfRangeError, TooLargeError
+from .verify import compute_quotient, graph_eigenvalue, quotient_spectrum
 
 
 def _polydiv_exact(num: list[int], den: list[int]) -> list[int]:
@@ -69,6 +73,11 @@ def _reduction_matrix(q: int) -> np.ndarray:
     return rows
 
 
+# Spans of the q = 2 transform that run on transposed blocks, and the cells per block.
+_FWHT_LOW_SPAN = 1 << 7
+_FWHT_BLOCK = 1 << 16
+
+
 # Each entry is up to q**n bytes, 64 MiB at the default guard.
 @lru_cache(maxsize=4)
 def hamming_weights(n: int, q: int) -> np.ndarray:
@@ -85,9 +94,10 @@ def hamming_weights(n: int, q: int) -> np.ndarray:
 class CharacterSpectrum:
     """Exact transform coefficients, indexed by frequency word.
 
-    For q = 2 ``coeffs`` has shape (q**n,); otherwise shape (q**n, D) holding
-    coordinates in the power basis of Z[x]/Phi_q(x).  Values carry the
-    implicit 1/q**n normalization.
+    For q = 2 ``coeffs`` has shape (q**n,) and dtype int32 when every
+    coefficient fits, i.e. q**n * max|value| < 2**31, else int64; otherwise
+    shape (q**n, D), int64, holding coordinates in the power basis of
+    Z[x]/Phi_q(x).  Values carry the implicit 1/q**n normalization.
     """
 
     n: int
@@ -112,9 +122,8 @@ class DegreeReport:
         return max(self.per_color)
 
 
-def _fwht(a: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform of a flat int64 array, in place."""
-    h = 1
+def _butterflies(a: np.ndarray, h: int) -> None:
+    """Walsh-Hadamard levels of spans h, 2h, ... below a.size; flat a, in place."""
     while h < a.size:
         b = a.reshape(-1, 2, h)
         lo, hi = b[:, 0], b[:, 1]
@@ -122,6 +131,24 @@ def _fwht(a: np.ndarray) -> np.ndarray:
         hi *= -2
         hi += lo
         h *= 2
+
+
+def _fwht(a: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform of a flat integer array, in place.
+
+    A level of span h works on runs of h contiguous cells, so the spans below
+    _FWHT_LOW_SPAN run on transposed blocks, where those digits are the high
+    ones; the block is the only temporary.  Wider spans run in place.
+    """
+    low = min(a.size, _FWHT_LOW_SPAN)
+    rows = a.reshape(-1, low)
+    step = max(1, _FWHT_BLOCK // low)
+    for r0 in range(0, rows.shape[0], step):
+        block = rows[r0:r0 + step]
+        t = np.ascontiguousarray(block.T)
+        _butterflies(t.reshape(-1), t.shape[1])
+        block[...] = t.T
+    _butterflies(a, low)
     return a
 
 
@@ -155,7 +182,12 @@ def character_transform(values, n: int, q: int, *, guard: int | None = None) -> 
     if arr.size != N:
         raise OutOfRangeError(f"expected {N} values, got {arr.size}")
     if q == 2:
-        return CharacterSpectrum(n, q, _fwht(arr.astype(np.int64)))
+        # Every partial sum is at most N * max|v| in magnitude, so an owned
+        # int32 copy is exact below 2**31.  Python ints, as np.abs wraps at
+        # the int64 minimum.
+        top = max(-int(arr.min()), int(arr.max()))
+        buf = arr.astype(np.int32 if N * top < 2**31 else np.int64)
+        return CharacterSpectrum(n, q, _fwht(buf))
     return CharacterSpectrum(n, q, _cyclotomic_transform(arr, n, q, sign=1))
 
 
@@ -193,11 +225,21 @@ def eigen_decomposition_check(C: Coloring, S, *, guard: int | None = None) -> bo
     """Spectral mass of every color must sit on eigenvalues of S.
 
     True iff for every color the transform of its characteristic function is
-    supported on weights w with n(q-1) - q*w an eigenvalue of S.
+    supported on weights w with n(q-1) - q*w an eigenvalue of S.  For a
+    perfect C with quotient T and indicator matrix F, A F = F T gives
+    P_lam F = F Pi_lam(T) for each spectral projector, and F has full column
+    rank, so the colors' supports together are exactly spec T: one quotient
+    replaces the k transforms.  Any other C takes the transforms.
     """
     Cm = C.materialize(guard)
     n, q = Cm.n, Cm.q
     allowed = set(quotient_spectrum(S, n, q))
+    try:
+        own = compute_quotient(Cm, guard=guard)
+    except NotSurjectiveError:
+        own = None  # an empty color leaves F short of full rank
+    if isinstance(own, QuotientMatrix):
+        return set(quotient_spectrum(own)) <= allowed
     table = Cm.table
     for i in range(Cm.k):
         weights = character_transform(table == i, n, q, guard=guard).support_weights()

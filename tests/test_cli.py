@@ -4,15 +4,16 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from pcol import pcolfile
 from pcol.cli import main
-from pcol.core import Coloring
+from pcol.core import GUARD_ENV_VAR, Coloring
 from pcol.errors import (ColorOutOfRangeError, LengthMismatchError,
-                         ParseError, PcolError, UnsupportedError)
+                         ParseError, PcolError, TooLargeError, UnsupportedError)
 from pcol.pcolfile import read_pcol, write_pcol
 
 
@@ -417,3 +418,94 @@ def test_fuzz_reader_raises_only_pcol_errors(tmp_path, capsys):
                     if isinstance(got, tuple):
                         assert main(["info", str(path)]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_fuzz_reader_applies_the_guard_from_the_header(tmp_path, capsys, monkeypatch):
+    from pcol.constructions import rm_coloring
+
+    rng = np.random.default_rng(9)
+    sources = [parity(3), rm_coloring(3, 1).materialize(), _random_table(rng, 2, 9, 300)]
+    path = tmp_path / "fuzz.pcol"
+    for C in sources:
+        cells = C.q**C.n
+        for binary in (False, True):
+            monkeypatch.delenv(GUARD_ENV_VAR, raising=False)
+            write_pcol(path, C, binary=binary)
+            blob = path.read_bytes()
+            monkeypatch.setenv(GUARD_ENV_VAR, str(cells))
+            assert read_pcol(path).table.tolist() == C.table.tolist()
+            monkeypatch.setenv(GUARD_ENV_VAR, str(cells - 1))
+            with pytest.raises(TooLargeError, match=f"q={C.q} n={C.n}"):
+                read_pcol(path)
+            for _ in range(20):
+                for mutated in _mutations(rng, blob):
+                    path.write_bytes(mutated)
+                    monkeypatch.delenv(GUARD_ENV_VAR)
+                    free = _outcome(lambda: read_pcol(path))
+                    monkeypatch.setenv(GUARD_ENV_VAR, str(cells - 1))
+                    got = _outcome(lambda: read_pcol(path))
+                    if isinstance(free, list) and len(free) > cells - 1:
+                        assert got[0] is TooLargeError
+                    elif got != free:
+                        # Only a header past the guard may end the read early.
+                        assert got[0] is TooLargeError
+                        q, n = map(int, re.match(r"header q=(\d+) n=(\d+):", got[1]).groups())
+                        assert q**n > cells - 1
+                    if isinstance(got, tuple):
+                        assert main(["info", str(path)]) == 2
+                        assert main(["verify", str(path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("binary", [False, True])
+def test_guard_applies_before_the_payload_is_read(tmp_path, capsys, monkeypatch, binary):
+    # A sparse 16 or 32 MiB payload: only the header and one block are read.
+    path = tmp_path / "big.pcol"
+    header = b"PCOLB1\nq=2 n=24 k=2\n" if binary else b"PCOL 1\nq=2 n=24 k=2\n"
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.truncate(len(header) + (2**24 if binary else 2**25 - 1))
+    monkeypatch.setenv(GUARD_ENV_VAR, str(2**20))
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLargeError, match="q=2 n=24"):
+            read_pcol(path)
+        assert tracemalloc.get_traced_memory()[1] < 4 * 2**20
+    finally:
+        tracemalloc.stop()
+    assert main(["info", str(path)]) == 2
+    assert main(["verify", str(path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    # A payload too short for q**n stays a length error, also past the guard.
+    path.write_bytes(header + bytes([0, 1, 1, 0]) if binary else header + b"0 1 1 0\n")
+    with pytest.raises(LengthMismatchError):
+        read_pcol(path)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_reader_takes_a_pipe():
+    r, w = os.pipe()
+    try:
+        os.write(w, b"PCOL 1\nq=2 n=2 k=2\n0 1 1 0\n")
+        os.close(w)
+        assert read_pcol(f"/dev/fd/{r}").table.tolist() == [0, 1, 1, 0]
+    finally:
+        os.close(r)
+
+
+def test_header_check_reads_on_across_blocks(tmp_path, monkeypatch):
+    # Headers longer than a read block, and "\r\n" split between two blocks;
+    # the first block holds the binary magic.
+    path = tmp_path / "h.pcol"
+    heads = [b"PCOL 1\r\nq=2 n=2 k=2\r\n", b" PCOL 1 \r\n  q=2   n=2 k=2  \r\n",
+             b"PCOL 1\nq=2 n=2 k=2", b"PCOLB1\r\nq=2 n=2 k=2\r\n"]
+    for block in range(len(pcolfile.BINARY_MAGIC), 40):
+        monkeypatch.setattr(pcolfile, "_PARSE_BLOCK", block)
+        for head in heads:
+            payload = bytes([0, 1, 1, 0]) if head.startswith(b"PCOLB1") else b"\n0 1 1 0\n"
+            path.write_bytes(head + payload)
+            monkeypatch.setenv(GUARD_ENV_VAR, "4")
+            assert read_pcol(path).table.tolist() == [0, 1, 1, 0]
+            monkeypatch.setenv(GUARD_ENV_VAR, "3")
+            with pytest.raises(TooLargeError, match="q=2 n=2"):
+                read_pcol(path)

@@ -420,18 +420,26 @@ def test_guard_edge_materialize_memory_is_blocked():
 
 
 def test_flagship_spectral_and_density_memory():
-    # One 32 MiB int64 transform buffer per color at a time; colors counted
-    # in blocks, not with the table cast to np.intp.  Neighbor counts hold a
-    # few uint8 arrays of the table's 4 MiB size, and the essential mask one
-    # bool array of half of it.
+    # One 16 MiB int32 transform buffer per color at a time, next to the
+    # 4 MiB indicator and nonzero mask; colors counted in blocks, not with
+    # the table cast to np.intp.  Neighbor counts hold a few uint8 arrays of
+    # the table's 4 MiB size, and the essential mask one bool array of half
+    # of it.  The eigenspace check of a perfect coloring is one quotient.
     built = construct_bc(10, 6)
     C = built.coloring.materialize()
     S = built.predicted_quotient
     assert _traced_peak(lambda: compute_quotient(C)) < 28 * 2**20
     assert _traced_peak(lambda: essential_arguments(C)) < 4 * 2**20
-    assert _traced_peak(lambda: coloring_degree(C)) < 64 * 2**20
-    assert _traced_peak(lambda: eigen_decomposition_check(C, S)) < 64 * 2**20
+    assert _traced_peak(lambda: coloring_degree(C)) < 32 * 2**20
+    assert _traced_peak(lambda: eigen_decomposition_check(C, S)) < 26 * 2**20
     assert _traced_peak(lambda: densities_by_count(C)) < 16 * 2**20
+
+
+def test_guard_edge_coloring_degree_memory():
+    # bc(9, 3) on H(24, 2): a 64 MiB int32 transform buffer and the 16 MiB
+    # indicator, nonzero mask and weight table.
+    C = construct_bc(9, 3).coloring.materialize()
+    assert _traced_peak(lambda: coloring_degree(C)) < 128 * 2**20
 
 
 def test_flagship_text_io_memory(tmp_path):

@@ -3,12 +3,12 @@ from math import gcd
 import numpy as np
 import pytest
 
-from pcol.core import Coloring, digits
+from pcol.core import Coloring, QuotientMatrix, digits
 from pcol.spectral import (CharacterSpectrum, character_transform,
                            coloring_degree, cyclotomic_polynomial, degree,
                            eigen_decomposition_check, hamming_weights,
                            inverse_transform)
-from pcol.verify import compute_quotient
+from pcol.verify import compute_quotient, graph_eigenvalue, quotient_spectrum
 
 
 def parity(n):
@@ -77,7 +77,7 @@ def test_double_transform_is_scaling():
 
 
 @pytest.mark.parametrize("n,q", [(6, 2), (4, 3), (3, 4), (3, 5), (2, 6), (0, 3), (1, 2),
-                                 (3, 7), (2, 8), (2, 9), (2, 10)])
+                                 (3, 7), (2, 8), (2, 9), (2, 10), (8, 2), (9, 2)])
 def test_matches_slow_dft(n, q):
     rng = np.random.default_rng(100 + q)
     f = rng.integers(-3, 4, size=q**n)
@@ -85,12 +85,16 @@ def test_matches_slow_dft(n, q):
     assert np.allclose(spectrum_as_complex(spec), dft_oracle(f, n, q), atol=1e-8)
 
 
-@pytest.mark.parametrize("n,q", [(8, 2), (5, 3), (4, 4), (3, 5), (1, 3), (2, 7), (2, 9)])
+@pytest.mark.parametrize("n,q", [(8, 2), (5, 3), (4, 4), (3, 5), (1, 3), (2, 7), (2, 9),
+                                 (0, 2), (17, 2)])
 def test_inverse_roundtrip(n, q):
     rng = np.random.default_rng(200 + q)
     f = rng.integers(-9, 10, size=q**n)
     spec = character_transform(f, n, q)
-    assert np.array_equal(inverse_transform(spec), f)
+    # q = 2 coefficients of these values fit int32; the inverse is int64.
+    assert spec.coeffs.dtype == (np.int32 if q == 2 else np.int64)
+    back = inverse_transform(spec)
+    assert back.dtype == np.int64 and np.array_equal(back, f)
 
 
 @pytest.mark.parametrize("n,q", [(5, 2), (3, 3), (2, 6)])
@@ -103,6 +107,55 @@ def test_transforms_leave_their_arguments_unchanged(n, q):
     coeffs_before = spec.coeffs.copy()
     inverse_transform(spec)
     assert np.array_equal(spec.coeffs, coeffs_before)
+
+
+def level_loop_oracle(values):
+    """The plain q = 2 transform: one in-place int64 pass per digit."""
+    a = np.array(values, dtype=np.int64).reshape(-1)
+    h = 1
+    while h < a.size:
+        b = a.reshape(-1, 2, h)
+        lo, hi = b[:, 0], b[:, 1]
+        lo += hi
+        hi *= -2
+        hi += lo
+        h *= 2
+    return a
+
+
+def q2_inputs(rng, n):
+    N = 2**n
+    yield rng.integers(0, 2, size=N).astype(bool)
+    yield rng.integers(-128, 128, size=N).astype(np.int8)
+    yield rng.integers(-9, 1, size=N)
+    yield rng.integers(-2**40, 2**40, size=N, dtype=np.int64)
+
+
+# n >= 17 spans more than one transposed block of the kernel.
+@pytest.mark.parametrize("n", list(range(14)) + [17, 18])
+def test_q2_transform_matches_level_loop(n):
+    rng = np.random.default_rng(600 + n)
+    for f in q2_inputs(rng, n):
+        coeffs = character_transform(f, n, 2).coeffs
+        assert np.array_equal(coeffs, level_loop_oracle(f)), f.dtype
+        big = max(-int(f.min()), int(f.max())) << n >= 2**31
+        assert coeffs.dtype == (np.int64 if big else np.int32)
+
+
+@pytest.mark.parametrize("n,top,dtype", [
+    (0, 2**31 - 1, np.int32), (0, -(2**31 - 1), np.int32), (0, -2**31, np.int64),
+    (1, 2**30, np.int64), (4, 2**27 - 1, np.int32), (4, -2**27, np.int64),
+    (4, 2**27, np.int64), (12, 2**19 - 1, np.int32), (12, 2**19, np.int64)])
+def test_q2_accumulator_dtype_at_the_bound(n, top, dtype):
+    # N * max|v| below 2**31 accumulates in int32, from 2**31 on in int64;
+    # all-equal values reach the bound in coefficient 0.
+    for f in (np.full(2**n, top, dtype=np.int64),
+              np.where(np.arange(2**n) % 3 == 0, top, -top // 2)):
+        spec = character_transform(f, n, 2)
+        assert spec.coeffs.dtype == dtype
+        assert np.array_equal(spec.coeffs, level_loop_oracle(f))
+        assert spec.coeffs.astype(object).sum() == 2**n * int(f[0])
+        assert np.array_equal(inverse_transform(spec), f)
 
 
 def test_parseval_exact_q2():
@@ -203,6 +256,90 @@ def test_eigen_decomposition_check():
     corrupted[0] = 1 - corrupted[0]
     bad = Coloring.from_table(corrupted, q=2)
     assert not eigen_decomposition_check(bad, S)
+
+    # an unchecked table with an empty color takes the transforms
+    empty = Coloring.from_table([0, 1, 1, 0], q=2, k=3, validate=False)
+    assert eigen_decomposition_check(empty, compute_quotient(parity(2)))
+    assert not eigen_decomposition_check(empty, QuotientMatrix.of([[1, 1], [1, 1]], 2, 2))
+
+
+def transform_eigen_check(C, S):
+    """The eigenspace check by k character transforms, one per color."""
+    Cm = C.materialize()
+    n, q = Cm.n, Cm.q
+    allowed = set(quotient_spectrum(S, n, q))
+    for i in range(Cm.k):
+        weights = character_transform(Cm.table == i, n, q).support_weights()
+        if any(graph_eigenvalue(n, q, int(w)) not in allowed for w in weights):
+            return False
+    return True
+
+
+def _relabeled(values, q):
+    _, table = np.unique(np.asarray(values).reshape(-1), return_inverse=True)
+    return Coloring.from_table(table, q=q)
+
+
+def _linear_coloring(rng, n, q, w):
+    """x -> sum of w nonzero multiples of digits mod q, moved by a random
+    automorphism of H(n, q); perfect with spectrum {n(q-1), n(q-1) - q*w}
+    when the coefficients are units."""
+    coeffs = np.zeros(n, dtype=np.int64)
+    units = [a for a in range(1, q) if gcd(a, q) == 1]
+    coeffs[rng.choice(n, size=w, replace=False)] = rng.choice(units, size=w)
+    digit = np.arange(q**n) // q ** np.arange(n)[:, None] % q
+    cube = (coeffs @ digit % q).reshape((q,) * n)
+    for axis in range(n):
+        cube = np.take(cube, rng.permutation(q), axis=axis)
+    return _relabeled(cube.transpose(rng.permutation(n)), q)
+
+
+def _eigen_pool(rng, q):
+    """Perfect colorings of one H(n, q) with several spectra."""
+    from pcol.constructions import (construct_bc, hamming_cosets,
+                                    hamming_union_coloring, rm_coloring)
+
+    if q == 2:
+        n = 7
+        pool = [Coloring.syndrome(3), hamming_union_coloring(hamming_cosets(3), 2, 3),
+                construct_bc(5, 3).coloring, Coloring.cylinder(construct_bc(2, 2).coloring, n, 2),
+                Coloring.cylinder(rm_coloring(2, 2), n, 1)]
+    else:
+        n = {3: 4, 4: 4, 5: 5}[q]
+        rm = rm_coloring(q, 1)
+        # rm's colors mod q give the digit sum
+        digit_sum = Coloring.merged(rm, [list(range(a, rm.k, q)) for a in range(q)])
+        pool = [Coloring.cylinder(rm, n, n - rm.n), Coloring.cylinder(digit_sum, n, 0)]
+    pool += [_linear_coloring(rng, n, q, w) for w in range(1, n + 1)]
+    merges = []
+    for C in pool:
+        if C.k >= 3:
+            groups = rng.integers(0, rng.integers(2, C.k), size=C.k)
+            merges.append(Coloring.merged(C, [np.flatnonzero(groups == j).tolist()
+                                              for j in np.unique(groups)]))
+    return pool + merges
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_eigen_check_matches_transform_route(q):
+    rng = np.random.default_rng(800 + q)
+    pool = [C.materialize() for C in _eigen_pool(rng, q)]
+    quotients = [S for S in map(compute_quotient, pool) if isinstance(S, QuotientMatrix)]
+    assert len({frozenset(quotient_spectrum(S)) for S in quotients}) >= 3
+    cases = []
+    for C in pool:
+        cases += [(C, S) for S in quotients]
+        if C.k > 1:
+            perturbed = np.array(C.table)
+            v = int(rng.integers(0, perturbed.size))
+            perturbed[v] = (perturbed[v] + rng.integers(1, C.k)) % C.k
+            cases += [(_relabeled(perturbed, q), S) for S in quotients]
+    seen = set()
+    for C, S in cases:
+        expected = transform_eigen_check(C, S)
+        assert eigen_decomposition_check(C, S) == expected
+        seen.add((isinstance(compute_quotient(C), QuotientMatrix), expected))
+    assert seen == {(p, e) for p in (False, True) for e in (False, True)}
 
 
 def test_merge_two_colors_of_two_eigenvalue_coloring():
