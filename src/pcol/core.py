@@ -27,11 +27,17 @@ _MATERIALIZE_BLOCK = 1 << 20
 
 
 def materialize_guard(override: int | None = None) -> int:
-    """Effective cell guard: explicit override > environment > default."""
+    """Effective cell guard: explicit override > environment (an integer >= 0) > default."""
     if override is not None:
         return int(override)
     env = os.environ.get(GUARD_ENV_VAR)
-    return int(env) if env else DEFAULT_MATERIALIZE_GUARD
+    try:
+        limit = int(env) if env else DEFAULT_MATERIALIZE_GUARD
+    except ValueError:
+        limit = -1
+    if limit < 0:
+        raise OutOfRangeError(f"{GUARD_ENV_VAR} must be a nonnegative integer, got {env!r}")
+    return limit
 
 
 def digits(v: int, n: int, q: int) -> tuple[int, ...]:

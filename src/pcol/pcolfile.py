@@ -4,8 +4,8 @@ Text:   line 1 ``PCOL 1``, line 2 ``q=<q> n=<n> k=<k>``, then q**n
 whitespace-separated color values in vertex-index order.
 Binary: line 1 ``PCOLB1``, the same header line, then one little-endian byte
 per vertex (two when k > 256).  Both round-trip bit-exactly.  The reader
-checks the header against the materialization guard before it reads the
-payload.
+finds and parses the header once, and checks it against the materialization
+guard before it reads the payload.
 
 Text is written, and read when canonical (ASCII digits separated by
 ``\\t\\n\\v\\f\\r`` and space), with numpy byte operations over fixed-size
@@ -14,6 +14,7 @@ the line and column of a bad token.
 """
 from __future__ import annotations
 
+import io
 import os
 import re
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .core import Coloring, color_dtype, materialize_guard
 from .errors import (ColorOutOfRangeError, LengthMismatchError, ParseError,
-                     TooLargeError, UnsupportedError)
+                     TooLargeError)
 
 TEXT_MAGIC = "PCOL 1"
 BINARY_MAGIC = b"PCOLB1"
@@ -63,6 +64,12 @@ def _parse_header(line: str, lineno: int) -> tuple[int, int, int]:
         raise ParseError(f"invalid dimensions q={q} n={n} k={k}", line=lineno)
     color_dtype(k)  # raises UnsupportedError for k > 65536, before any payload is read
     return q, n, k
+
+
+def _above(q: int, n: int, count: int) -> bool:
+    # Past this bound q**n >= 2**(n*floor(log2 q)) exceeds count, and q**n,
+    # which may have millions of digits, need not be computed.
+    return n * (q.bit_length() - 1) > count.bit_length()
 
 
 def _format_block(values: np.ndarray, labels: np.ndarray, widths: np.ndarray,
@@ -108,9 +115,7 @@ def write_pcol(path, C: Coloring, *, binary: bool = False,
 
 
 def _check_payload(arr: np.ndarray, q: int, n: int, k: int) -> Coloring:
-    # q**n >= 2**(n*floor(log2 q)) exceeds the value count past this bound;
-    # q**n is not computed there, since it may have millions of digits.
-    if n * (q.bit_length() - 1) > arr.size.bit_length():
+    if _above(q, n, arr.size):
         raise LengthMismatchError(
             f"header q={q} n={n} asks for more than the {arr.size} values given")
     expected = q**n
@@ -144,28 +149,18 @@ def _parse_block_values(chunk: np.ndarray, digit: np.ndarray) -> np.ndarray | No
     return np.add.reduceat((chunk[pos] - ord("0")) * _POW10[place], starts)
 
 
-def _parse_canonical_text(blob: bytes):
-    """(table, q, n, k) of a canonical text file with exactly q**n values below k.
+def _parse_canonical_text(blob: bytes, offset: int, q: int, n: int, k: int):
+    """(table, q, n, k) of a canonical text payload blob[offset:] with exactly
+    q**n values below k.
 
     None for anything else, which the token loop then reads or rejects.
     """
-    m1 = _LINE_END.search(blob)
-    m2 = m1 and _LINE_END.search(blob, m1.end())
-    if m2 is None:
-        return None
-    try:
-        if blob[:m1.start()].decode("ascii").strip() != TEXT_MAGIC:
-            return None
-        q, n, k = _parse_header(blob[m1.end():m2.start()].decode("ascii").strip(), 2)
-    except (UnicodeDecodeError, ParseError):
-        return None
-    data = np.frombuffer(blob, dtype=np.uint8, offset=m2.end())
-    if n * (q.bit_length() - 1) > data.size.bit_length():
+    data = np.frombuffer(blob, dtype=np.uint8, offset=offset)
+    # Every value but the last takes a digit and a separator.
+    most = (data.size + 1) // 2
+    if _above(q, n, most) or q**n > most:
         return None
     cells = q**n
-    # Every value but the last takes a digit and a separator.
-    if cells > (data.size + 1) // 2:
-        return None
     table = np.empty(cells, dtype=color_dtype(k))
     filled = start = 0
     while start < data.size:
@@ -227,12 +222,13 @@ def _parse_text_tokens(blob: bytes):
     return arr, q, n, k
 
 
-def _check_guard(fh) -> None:
-    """TooLargeError when the header's q**n is above the guard and the payload
-    is long enough to hold that many values.
+def _read_header(fh):
+    """(binary, payload offset, (q, n, k) or None) of a file's two header lines.
 
-    Reads the file no further than one block past the header.  Every other
-    fault is left to the full reader, which reports it in its own order.
+    Reads on in _PARSE_BLOCK steps until the header lines end, and no
+    further than one block past them.  A bad binary header raises; a text
+    header that the canonical parser cannot take gives None, and the token
+    loop then reports the fault.
     """
     buf = bytearray(fh.read(_PARSE_BLOCK))
     binary = buf.startswith(BINARY_MAGIC)
@@ -245,55 +241,55 @@ def _check_guard(fh) -> None:
             ends.append(m)
             pos = m.end()
         elif eof:
-            return
+            if binary:
+                raise ParseError("truncated binary header", line=1)
+            return False, 0, None
         else:
             pos = m.start() if m else len(buf)
             chunk = fh.read(_PARSE_BLOCK)
             eof = not chunk
             buf += chunk
-    if not binary and buf[:ends[0].start()].decode("ascii", "replace").strip() != TEXT_MAGIC:
-        return
+    head = buf[ends[0].end():ends[1].start()]
+    if binary:
+        return True, ends[1].end(), _parse_header(head.decode("ascii", "replace"), 2)
     try:
-        q, n, k = _parse_header(buf[ends[0].end():ends[1].start()].decode("ascii", "replace"), 2)
-    except (ParseError, UnsupportedError):
-        return
-    size = os.fstat(fh.fileno()).st_size - ends[1].end()
-    # One or two bytes a value in binary; in text a digit and a separator
-    # a value, but the last.
-    most = size // (1 if k <= 256 else 2) if binary else (size + 1) // 2
-    # Past this bound q**n >= 2**(n*floor(log2 q)) exceeds most, and
-    # q**n, which may have millions of digits, is not computed.
-    if n * (q.bit_length() - 1) > most.bit_length():
-        return
-    cells, limit = q**n, materialize_guard()
-    if limit < cells <= most:
-        raise TooLargeError(
-            f"header q={q} n={n}: q**n = {cells} exceeds the materialization guard {limit}")
+        if buf[:ends[0].start()].decode("ascii").strip() == TEXT_MAGIC:
+            return False, ends[1].end(), _parse_header(head.decode("ascii").strip(), 2)
+    except (UnicodeDecodeError, ParseError):
+        pass
+    return False, 0, None
 
 
 def read_pcol(path) -> Coloring:
     """Read either format back into an explicit coloring.
 
     A header whose q**n is above the materialization guard raises
-    TooLargeError before the payload is read.
+    TooLargeError before the payload is read, when the payload is long
+    enough to hold q**n values; a shorter one stays a LengthMismatchError.
     """
-    with open(path, "rb") as fh:
-        # A pipe has no size to hold the header against, and cannot be reread.
-        if fh.seekable():
-            _check_guard(fh)
-            fh.seek(0)
+    with open(path, "rb") as raw:
+        # A pipe cannot be reread, so it is read whole and then read as a file.
+        fh = raw if raw.seekable() else io.BytesIO(raw.read())
+        binary, offset, header = _read_header(fh)
+        if header:
+            q, n, k = header
+            size = fh.seek(0, os.SEEK_END) - offset
+            # One or two bytes a value in binary; in text a digit and a
+            # separator a value, but the last.
+            most = size // (1 if k <= 256 else 2) if binary else (size + 1) // 2
+            limit = materialize_guard()
+            if not _above(q, n, most) and limit < q**n <= most:
+                raise TooLargeError(f"header q={q} n={n}: q**n = {q**n} exceeds "
+                                    f"the materialization guard {limit}")
+        fh.seek(0)
         blob = fh.read()
-    if blob.startswith(BINARY_MAGIC):
-        nl1 = blob.find(b"\n")
-        nl2 = blob.find(b"\n", nl1 + 1)
-        if nl1 < 0 or nl2 < 0:
-            raise ParseError("truncated binary header", line=1)
-        q, n, k = _parse_header(blob[nl1 + 1:nl2].decode("ascii", "replace"), 2)
+    if binary:
         itemsize = 1 if k <= 256 else 2
-        size = len(blob) - nl2 - 1
+        size = len(blob) - offset
         if size % itemsize:
             raise LengthMismatchError(
                 f"payload of {size} bytes is not a multiple of {itemsize}")
-        arr = np.frombuffer(blob, dtype="<u1" if itemsize == 1 else "<u2", offset=nl2 + 1)
+        arr = np.frombuffer(blob, dtype="<u1" if itemsize == 1 else "<u2", offset=offset)
         return _check_payload(arr, q, n, k)
-    return _check_payload(*(_parse_canonical_text(blob) or _parse_text_tokens(blob)))
+    parsed = _parse_canonical_text(blob, offset, *header) if header else None
+    return _check_payload(*(parsed or _parse_text_tokens(blob)))

@@ -5,9 +5,9 @@ all vertices, exact rational densities, and fraction-free integer spectra.
 Neighbor counts and the essential mask loop over the digits p of the
 vertex index, on the table viewed as ``(high digits, digit p, low digits)``,
 where the adjacency operator of H(n, q) is a sum of line sums along digit p.
-They run in one thread; ``threads`` is accepted and must be at least 1, but
-has no effect.  Failure witnesses are the first in ascending vertex-index
-order.
+They run in one thread; ``verification_report`` accepts ``threads``, which
+must be at least 1 but has no effect.  Failure witnesses are the first in
+ascending vertex-index order.
 """
 from __future__ import annotations
 
@@ -16,7 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import Coloring, QuotientMatrix, _color_counts, materialize_guard, neighbors
+from .core import (_MATERIALIZE_BLOCK, Coloring, QuotientMatrix, _color_counts,
+                   materialize_guard, neighbors)
 from .errors import (DisconnectedError, InconsistentError, NotSurjectiveError,
                      OutOfRangeError, SpectrumNotInGraphError, TooLargeError)
 
@@ -78,23 +79,17 @@ class VerificationReport:
     degrees: tuple[int, ...] | None = None
 
 
-def _check_threads(threads: int) -> None:
-    if threads < 1:
-        raise OutOfRangeError(f"threads (--threads) must be at least 1, got {threads}")
-
-
 def _profile(table: np.ndarray, v: int, n: int, q: int, k: int) -> tuple[int, ...]:
     return tuple(np.bincount(table[neighbors(v, n, q)], minlength=k).tolist())
 
 
-def compute_quotient(C: Coloring, *, threads: int = 1,
+def compute_quotient(C: Coloring, *,
                      guard: int | None = None) -> QuotientMatrix | NonPerfectWitness:
     """Count neighbor colors at every vertex.
 
     Returns the quotient matrix if the profile of a vertex depends only on
     its color, otherwise the first witness in vertex-index order.
     """
-    _check_threads(threads)
     Cm = C.materialize(guard)
     n, q, k = Cm.n, Cm.q, Cm.k
     table = Cm.table
@@ -137,10 +132,8 @@ def compute_quotient(C: Coloring, *, threads: int = 1,
     return QuotientMatrix.of([row + [degree - sum(row)] for row in rows], n, q)
 
 
-def essential_arguments(C: Coloring, *, threads: int = 1,
-                        guard: int | None = None) -> tuple[bool, ...]:
+def essential_arguments(C: Coloring, *, guard: int | None = None) -> tuple[bool, ...]:
     """mask[p] is True iff the coloring changes along some line in digit p."""
-    _check_threads(threads)
     Cm = C.materialize(guard)
     n, q = Cm.n, Cm.q
     mask = []
@@ -295,9 +288,13 @@ def check_uniform(collection, *, guard: int | None = None, sample: int | None = 
     """Is the per-vertex multiset of member colors vertex-independent?
 
     Exhaustive when the member tables together fit the guard; otherwise request a
-    pseudo-random sample size, which flags the result as non-exhaustive.
-    When the collection carries a common quotient matrix, the multiplicity
-    vector is also compared against rho_i * M from detailed balance.
+    pseudo-random sample size, which flags the result as non-exhaustive.  Both
+    modes evaluate the members one block of vertices at a time, holding one block
+    per member, and compare each vertex's color counts with vertex 0's.  The
+    witness follows the lowest color whose count varies: the first vertex, in
+    index or draw order, where that count differs from vertex 0's.  When the
+    collection carries a common quotient matrix, the multiplicity vector is also
+    compared against rho_i * M from detailed balance.
     """
     members = tuple(getattr(collection, "colorings", collection))
     if not members:
@@ -305,51 +302,47 @@ def check_uniform(collection, *, guard: int | None = None, sample: int | None = 
     n, q, k = members[0].n, members[0].q, members[0].k
     if any(c.n != n or c.q != q or c.k != k for c in members):
         raise OutOfRangeError("collection members must share (n, q, k)")
-    M = len(members)
-    N = q**n
+    M, N = len(members), q**n
     limit = materialize_guard(guard)
-
-    mult = None
     if sample is None:
         if M * N > limit:
             raise TooLargeError(
                 f"{M} tables of {N} cells exceed the guard {limit}; "
                 "pass sample= to spot-check")
-        tables = [c.materialize(guard).table for c in members]
-        mult = []
-        for i in range(k):
-            cnt = np.zeros(N, dtype=np.min_scalar_type(M))
-            for t in tables:
-                cnt += t == i
-            bad = cnt != cnt[0]
-            if bad.any():
-                v = int(np.argmax(bad))
-                at_v, at_0 = (tuple(np.bincount([t[u] for t in tables], minlength=k).tolist())
-                              for u in (v, 0))
-                return UniformityCheck(False, None, True, v, at_v, at_0)
-            mult.append(int(cnt[0]))
-        mult = tuple(mult)
-        exhaustive = True
+        blocks = (np.arange(lo, min(lo + _MATERIALIZE_BLOCK, N), dtype=np.int64)
+                  for lo in range(0, N, _MATERIALIZE_BLOCK))
     else:
         rng = np.random.default_rng(seed)
-        verts = [0] + [int(v) for v in rng.integers(0, N, size=sample)]
-        for v in verts:
-            cnt = [0] * k
-            for c in members:
-                cnt[c.evaluate(v)] += 1
-            cnt = tuple(cnt)
-            if mult is None:
-                mult = cnt
-            elif cnt != mult:
-                return UniformityCheck(False, None, False, v, cnt, mult)
-        exhaustive = False
+        # Past int64, draw exact Python integers; 64 spare bits keep the bias negligible.
+        draws = (rng.integers(0, N, size=sample).tolist() if N <= 2**63 else
+                 [int.from_bytes(rng.bytes(N.bit_length() // 8 + 8), "little") % N
+                  for _ in range(sample)])
+        blocks = [np.array([0] + draws, dtype=object)]
+
+    def multiset(v):
+        return tuple(np.bincount([c.evaluate(v) for c in members], minlength=k).tolist())
+
+    base = multiset(0)
+    first_bad = {}
+    for idx in blocks:
+        vals = [c.body.eval(idx) for c in members]
+        # The counts sum to M, so the last color varies only where a lower one does.
+        for i in range(k - 1):
+            cnt = sum((t == i for t in vals), np.zeros(idx.shape, np.min_scalar_type(M)))
+            bad = np.flatnonzero(cnt != base[i])
+            if bad.size:
+                first_bad.setdefault(i, int(idx[bad[0]]))
+        del idx, vals
+    if first_bad:
+        v = first_bad[min(first_bad)]
+        return UniformityCheck(False, None, sample is None, v, multiset(v), base)
 
     matches = None
     quotient = getattr(collection, "quotient", None)
     if quotient is not None:
         rho = densities_from_quotient(quotient)
-        matches = all(r * M == m for r, m in zip(rho, mult))
-    return UniformityCheck(True, mult, exhaustive, matches_density=matches)
+        matches = all(r * M == m for r, m in zip(rho, base))
+    return UniformityCheck(True, base, sample is None, matches_density=matches)
 
 
 def search_colorings(n: int, q: int, S, require_all_essential: bool = False, *,
@@ -402,12 +395,14 @@ def search_colorings(n: int, q: int, S, require_all_essential: bool = False, *,
 def verification_report(C: Coloring, *, essential: bool = False, threads: int = 1,
                         guard: int | None = None) -> VerificationReport:
     """Bundle quotient, densities, spectrum, and optional essential mask."""
+    if threads < 1:
+        raise OutOfRangeError(f"threads (--threads) must be at least 1, got {threads}")
     Cm = C.materialize(guard)
-    result = compute_quotient(Cm, threads=threads, guard=guard)
+    result = compute_quotient(Cm, guard=guard)
     perfect = isinstance(result, QuotientMatrix)
     dens = densities_by_count(Cm, guard=guard)
     spec = quotient_spectrum(result) if perfect else None
-    mask = essential_arguments(Cm, threads=threads, guard=guard) if essential else None
+    mask = essential_arguments(Cm, guard=guard) if essential else None
     return VerificationReport(
         n=Cm.n, q=Cm.q, k=Cm.k, perfect=perfect,
         quotient=result if perfect else None,

@@ -185,7 +185,9 @@ def test_criterion_6_uniformity_suite(flagship, capsys):
     finally:
         tracemalloc.stop()
     assert flag.uniform and flag.matches_density is True
-    assert peak < 52 * 2**20  # eight 4 MiB tables and one uint8 count, no stacked copy
+    # One 2**20-vertex block of indices (8 MiB) and one of each of the 8
+    # members' colors (8 MiB), not the 8 member tables side by side (44 MiB).
+    assert peak < 24 * 2**20
     report(capsys, 6, "translation, coset-union, and recursion collections all uniform "
               "with counting multiplicities", time.perf_counter() - t0)
 

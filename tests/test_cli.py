@@ -482,15 +482,33 @@ def test_guard_applies_before_the_payload_is_read(tmp_path, capsys, monkeypatch,
         read_pcol(path)
 
 
+@pytest.mark.parametrize("value", ["abc", "-5"])
+def test_malformed_guard_variable_exits_2(tmp_path, capsys, monkeypatch, value):
+    path = tmp_path / "p.pcol"
+    write_pcol(path, parity(3))
+    monkeypatch.setenv(GUARD_ENV_VAR, value)
+    assert main(["info", str(path)]) == 2
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count(GUARD_ENV_VAR) == 2 and "Traceback" not in err
+
+
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
-def test_reader_takes_a_pipe():
-    r, w = os.pipe()
-    try:
-        os.write(w, b"PCOL 1\nq=2 n=2 k=2\n0 1 1 0\n")
-        os.close(w)
-        assert read_pcol(f"/dev/fd/{r}").table.tolist() == [0, 1, 1, 0]
-    finally:
-        os.close(r)
+def test_reader_takes_a_pipe(monkeypatch):
+    # A pipe is read whole, then its header is held against the guard.
+    for guard in ("4", "3"):
+        monkeypatch.setenv(GUARD_ENV_VAR, guard)
+        r, w = os.pipe()
+        try:
+            os.write(w, b"PCOL 1\nq=2 n=2 k=2\n0 1 1 0\n")
+            os.close(w)
+            if guard == "4":
+                assert read_pcol(f"/dev/fd/{r}").table.tolist() == [0, 1, 1, 0]
+            else:
+                with pytest.raises(TooLargeError, match="q=2 n=2"):
+                    read_pcol(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
 
 
 def test_header_check_reads_on_across_blocks(tmp_path, monkeypatch):

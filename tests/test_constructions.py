@@ -399,6 +399,30 @@ def test_deep_symbolic_members_evaluate_exactly_past_int64():
             assert C.evaluate(v) == scalar_color(C, v)
 
 
+def test_sampled_uniformity_past_int64():
+    # Three steps from the flagship's base collection give H(112, 2), where
+    # sampling is the only check; draws are exact Python integers.
+    col = iterate_construction(
+        RecursionSpec(hamming_union_collection(hamming_cosets(3), 3),
+                      rm_coloring(2, 3), 3)).collection
+    assert col.colorings[0].n == 112
+    res = check_uniform(col, sample=20)
+    assert (res.uniform, res.exhaustive) == (True, False)
+    assert res.multiplicities == (3, 5) and res.matches_density is True
+    members = list(col.colorings)
+    members[1] = members[0]
+    res = check_uniform(members, sample=20)
+    assert not res.uniform and res.witness_vertex > 2**63
+    assert res.witness_counts == tuple(np.bincount(
+        [c.evaluate(res.witness_vertex) for c in members], minlength=2).tolist())
+    # Either side of 2**63 vertices, where the draws switch to Python integers.
+    base = Coloring.from_table([0, 1, 1, 0], q=2)
+    for n in (63, 64):
+        members = [Coloring.translation(Coloring.cylinder(base, n, 0), z) for z in range(4)]
+        res = check_uniform(members, sample=20)
+        assert (res.uniform, res.multiplicities) == (True, (2, 2))
+
+
 def _traced_peak(fn) -> int:
     tracemalloc.start()
     try:

@@ -141,6 +141,12 @@ def test_guard_env_override(monkeypatch):
     monkeypatch.setenv("PCOL_MATERIALIZE_GUARD", "123")
     assert materialize_guard() == 123
     assert materialize_guard(7) == 7
+    monkeypatch.setenv("PCOL_MATERIALIZE_GUARD", "1_000")
+    assert materialize_guard() == 1000
+    for bad in ("abc", "-5", "1.5"):
+        monkeypatch.setenv("PCOL_MATERIALIZE_GUARD", bad)
+        with pytest.raises(OutOfRangeError, match="PCOL_MATERIALIZE_GUARD"):
+            materialize_guard()
 
 
 def test_materialize_not_surjective():

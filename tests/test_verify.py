@@ -98,11 +98,10 @@ def test_kernels_match_scalar_oracle_on_random_colorings():
             expected = brute_quotient(C)
             mask = brute_essential(C)
             seen.add((C.q, isinstance(expected, NonPerfectWitness)))
-            for threads in (1, 3, C.n + 2):
-                S = compute_quotient(C, threads=threads)
-                got = S.as_lists() if isinstance(S, QuotientMatrix) else S
-                assert got == expected, (C.table.tolist(), threads)
-                assert essential_arguments(C, threads=threads) == mask
+            S = compute_quotient(C)
+            got = S.as_lists() if isinstance(S, QuotientMatrix) else S
+            assert got == expected, C.table.tolist()
+            assert essential_arguments(C) == mask
     assert seen == {(q, w) for q in (2, 3, 4, 5) for w in (False, True)}
 
 
@@ -112,9 +111,8 @@ def test_kernels_edge_cases():
         for n in (0, 1, 3):
             const = Coloring.from_table([0] * q**n, q=q)
             assert (const.n, const.k) == (n, 1)
-            for threads in (1, 3, n + 2):
-                assert compute_quotient(const, threads=threads).as_lists() == [[n * (q - 1)]]
-                assert essential_arguments(const, threads=threads) == (False,) * n
+            assert compute_quotient(const).as_lists() == [[n * (q - 1)]]
+            assert essential_arguments(const) == (False,) * n
     # Degrees past uint8 and uint16 use the wider count dtypes.
     for n, q, rows in ((2, 300, [[498, 100], [200, 398]]),
                        (1, 65537, [[43691, 21845], [43692, 21844]])):
@@ -138,10 +136,6 @@ def test_library_rejects_nonpositive_threads():
     # k = 1 runs no count loop, so the check must not depend on one
     for C in (parity(3), Coloring.from_table([0] * 8, q=2)):
         for threads in (0, -2):
-            with pytest.raises(OutOfRangeError):
-                compute_quotient(C, threads=threads)
-            with pytest.raises(OutOfRangeError):
-                essential_arguments(C, threads=threads)
             with pytest.raises(OutOfRangeError):
                 verification_report(C, threads=threads)
 
@@ -186,15 +180,6 @@ def test_and_gate_witness():
     assert w.profile_a == (2, 0)
     assert w.profile_b == (1, 1)
     assert w.color == 0
-
-
-def test_quotient_thread_counts_agree():
-    C = hamming_code_characteristic()
-    S1 = compute_quotient(C, threads=1)
-    S4 = compute_quotient(C, threads=4)
-    assert S1 == S4
-    bad = Coloring.from_table([0, 0, 0, 1] * 4, q=2)
-    assert compute_quotient(bad, threads=1) == compute_quotient(bad, threads=3)
 
 
 def test_essential_single_variable():
@@ -416,11 +401,6 @@ def test_check_uniform_density_cross_check():
     assert res.matches_density is None
 
 
-def test_essential_threads_agree():
-    C = Coloring.merged(Coloring.syndrome(3), [[0, 1, 2], [3, 4, 5, 6, 7]])
-    assert essential_arguments(C, threads=1) == essential_arguments(C, threads=5)
-
-
 def test_check_uniform_sampled_witness():
     # two copies of a non-constant coloring: some sampled vertex must expose
     # a multiset differing from vertex 0's
@@ -430,3 +410,62 @@ def test_check_uniform_sampled_witness():
     assert not res.exhaustive
     assert res.witness_vertex is not None
     assert res.witness_counts != res.base_counts
+
+
+def test_check_uniform_witness_is_the_lowest_varying_color():
+    # Vertex 1 already differs from vertex 0 in colors 1 and 2, but the
+    # witness follows color 0, whose count first differs at vertex 2; the
+    # sampled check applies the same rule in draw order.
+    A = Coloring.from_table([0, 0, 1, 2], q=2)
+    B = Coloring.from_table([1, 2, 1, 0], q=2)
+    for sample in (None, 10):
+        res = check_uniform([A, B], sample=sample)
+        assert (res.uniform, res.exhaustive) == (False, sample is None)
+        assert res.witness_vertex == 2
+        assert (res.witness_counts, res.base_counts) == ((0, 2, 0), (1, 1, 0))
+
+
+def _uniform_witness_oracle(members, verts):
+    """By per-vertex evaluate calls: the witness (the first vertex of verts where
+    the lowest varying color's count differs from vertex 0's, its counts and
+    vertex 0's), or None, and the first vertex where any count differs."""
+    k = members[0].k
+    counts = [np.bincount([c.evaluate(v) for c in members], minlength=k) for v in verts]
+    base = np.bincount([c.evaluate(0) for c in members], minlength=k)
+    varies = [v for v, cnt in zip(verts, counts) if (cnt != base).any()]
+    for i in range(k):
+        for v, cnt in zip(verts, counts):
+            if cnt[i] != base[i]:
+                return (v, tuple(cnt.tolist()), tuple(base.tolist())), varies[0]
+    return None, None
+
+
+def test_check_uniform_matches_oracle_across_blocks(monkeypatch):
+    # Color-shifted copies of a random coloring are uniform; changing a few
+    # cells makes colors vary in different blocks, so the witness is not
+    # always the first vertex where some count differs.
+    from pcol import verify
+
+    monkeypatch.setattr(verify, "_MATERIALIZE_BLOCK", 8)
+    rng = np.random.default_rng(0xC0DE)
+    outcomes = set()
+    for q, n, k in ((2, 6, 3), (3, 4, 4), (2, 5, 5), (2, 7, 2)):
+        N = q**n
+        for _ in range(12):
+            base = rng.integers(0, k, N)
+            tables = [(base + j) % k for j in range(k)]
+            for _ in range(rng.integers(0, 5)):
+                tables[rng.integers(k)][rng.integers(1, N)] = rng.integers(k)
+            members = [Coloring.from_table(t, q, k, validate=False) for t in tables]
+            draws = np.random.default_rng(0x5EED).integers(0, N, size=100).tolist()
+            for sample, verts in ((None, range(N)), (100, [0] + draws)):
+                expect, first_varying = _uniform_witness_oracle(members, verts)
+                res = check_uniform(members, sample=sample)
+                got = (res.witness_vertex, res.witness_counts, res.base_counts)
+                assert res.uniform == (expect is None)
+                assert got == (expect or (None, None, None))
+                if expect is None:
+                    assert res.multiplicities == (1,) * k
+                outcomes.add((sample, expect is None, got[0] == first_varying))
+    assert {(s, False, False) for s in (None, 100)} <= outcomes
+    assert {(s, u, True) for s in (None, 100) for u in (False, True)} <= outcomes
