@@ -2,10 +2,21 @@
 
 Everything here is a certificate-grade computation: neighbor counting over
 all vertices, exact rational densities, and fraction-free integer spectra.
-Neighbor counts and the essential mask loop over the digits p of the
-vertex index, on the table viewed as ``(high digits, digit p, low digits)``,
-where the adjacency operator of H(n, q) is a sum of line sums along digit p.
-They run in one thread; ``verification_report`` accepts ``threads``, which
+Neighbor counts and the essential mask pick their kernel by q alone:
+
+- q = 2 is bit-sliced.  Color indicators, and for the essential mask the
+  bits of the color values, are packed into little-endian uint64 words, 64
+  vertices per word, one block of the table at a time.
+  Changing digit p of every vertex is a shift and mask inside each word for
+  p < 6 and a swap of word halves for p >= 6.  The n flipped bitmaps of a
+  color are summed into n.bit_length() bit planes of counts by ripple-carry
+  adds (Knuth, TAOCP 4A, 7.1.3).  Working memory is one block and a few
+  bitmaps of q**n / 8 bytes each, whatever k is.
+- q > 2 loops over the digits p of the vertex index, on the table viewed as
+  ``(high digits, digit p, low digits)``, where the adjacency operator of
+  H(n, q) is a sum of line sums along digit p.
+
+Both run in one thread; ``verification_report`` accepts ``threads``, which
 must be at least 1 but has no effect.  Failure witnesses are the first in
 ascending vertex-index order.
 """
@@ -83,28 +94,110 @@ def _profile(table: np.ndarray, v: int, n: int, q: int, k: int) -> tuple[int, ..
     return tuple(np.bincount(table[neighbors(v, n, q)], minlength=k).tolist())
 
 
-def compute_quotient(C: Coloring, *,
-                     guard: int | None = None) -> QuotientMatrix | NonPerfectWitness:
-    """Count neighbor colors at every vertex.
+def _first_vertices(table: np.ndarray, k: int) -> np.ndarray:
+    """The first vertex of each color, scanning the table block by block."""
+    first = np.full(k, -1, dtype=np.intp)
+    for lo in range(0, table.size, _MATERIALIZE_BLOCK):
+        blk = table[lo:lo + _MATERIALIZE_BLOCK]
+        for c in np.flatnonzero((np.bincount(blk, minlength=k) > 0) & (first < 0)):
+            first[c] = lo + np.argmax(blk == c)
+        if (first >= 0).all():
+            return first
+    raise NotSurjectiveError(int(np.argmax(first < 0)))
 
-    Returns the quotient matrix if the profile of a vertex depends only on
-    its color, otherwise the first witness in vertex-index order.
+
+# The q = 2 kernel works on bitmaps over the vertices: bit v of a packed array
+# is bit v % 64 of its little-endian uint64 word v // 64.  _LOW_BITS[p] holds
+# the bits of a word whose in-word index has bit p clear.
+_LOW_BITS = tuple(np.uint64(sum(1 << i for i in range(64) if not i >> p & 1))
+                  for p in range(6))
+
+
+def _pack(table: np.ndarray, select, out: np.ndarray) -> np.ndarray:
+    """Set bit v of out to select(table block)[v], one block of cells at a time."""
+    raw = out.view(np.uint8)
+    for lo in range(0, table.size, _MATERIALIZE_BLOCK):
+        bits = np.packbits(select(table[lo:lo + _MATERIALIZE_BLOCK]), bitorder="little")
+        raw[lo // 8:lo // 8 + bits.size] = bits
+    return out
+
+
+def _flip(w: np.ndarray, p: int, out: np.ndarray) -> np.ndarray:
+    """Write to out the bitmap w with digit p of every vertex changed."""
+    if p < 6:
+        # Inside each word: swap the bit pairs 2**p apart.
+        s, low = np.uint64(1 << p), _LOW_BITS[p]
+        np.bitwise_and(w, low, out=out)
+        out <<= s
+        out |= (w >> s) & low
+    else:
+        # Swap the halves of each aligned run of 2**(p-5) words.
+        out.reshape(-1, 2, 1 << (p - 6))[:] = w.reshape(-1, 2, 1 << (p - 6))[:, ::-1]
+    return out
+
+
+def _bitsliced_columns(table, n, q, k, first):
+    """Columns j < k-1 of the quotient for q = 2, and the first vertex whose
+    counts differ from its color's first vertex (None if there is none).
+
+    The j-neighbors of every vertex are counted in n.bit_length() bit planes:
+    plane i holds bit i of each count, and the n flipped bitmaps of color j
+    are added into them with ripple-carry adds.  Working memory is the planes
+    and a few bitmaps, whatever k is.
     """
-    Cm = C.materialize(guard)
-    n, q, k = Cm.n, Cm.q, Cm.k
-    table = Cm.table
-    # argmax finds the first True; a color that is absent reads vertex 0.
-    first_idx = np.array([np.argmax(table == c) for c in range(k)], dtype=np.intp)
-    missing = np.flatnonzero(table[first_idx] != np.arange(k))
-    if missing.size:
-        raise NotSurjectiveError(int(missing[0]))
+    w, member, seen, buf, spare, bad, *planes = np.zeros(
+        (6 + n.bit_length(), -(-table.size // 64)), "<u8")
+    f = first.astype(np.uint64)
+    columns = []
+    for j in range(k - 1):
+        _pack(table, lambda blk: blk == j, w)
+        for plane in planes:
+            plane.fill(0)
+        for p in range(n):
+            carry, tmp = _flip(w, p, buf), spare
+            # After p + 1 adds, a count fits in (p + 1).bit_length() bits.
+            for plane in planes[:(p + 1).bit_length()]:
+                np.bitwise_and(plane, carry, out=tmp)
+                plane ^= carry
+                carry, tmp = tmp, carry
+        # Row c of the quotient is read at color c's first vertex.
+        col = np.zeros(k, np.uint64)
+        for i, plane in enumerate(planes):
+            col |= (plane[f >> 6] >> (f & 63) & 1) << i
+        values = col.tolist()
+        columns.append(values)
+        # Colors expecting the same count s share one comparison: a vertex
+        # mismatches where some plane differs from the matching bit of s.  The
+        # class of the last color is every vertex the other classes leave.
+        last = values[-1]
+        seen.fill(0)
+        for s in sorted(set(values) - {last}) + [last]:
+            buf.fill(0)
+            for i, plane in enumerate(planes):
+                buf |= ~plane if s >> i & 1 else plane
+            if s == last:
+                buf &= ~seen
+            else:
+                lut = col == s
+                cls = w if lut.sum() == 1 and lut[j] else _pack(
+                    table, lambda blk: lut[blk], member)
+                buf &= cls
+                seen |= cls
+            bad |= buf
+    if table.size < 64:
+        bad &= np.uint64((1 << table.size) - 1)
+    hit = int(np.argmax(bad != 0))
+    word = int(bad[hit])
+    return columns, 64 * hit + (word & -word).bit_length() - 1 if word else None
+
+
+def _digit_axis_columns(table, n, q, k, first):
+    """As _bitsliced_columns, for any q, by line sums along each digit."""
     degree = n * (q - 1)
     # Sums wrap in this dtype on the way, but each final count is at most
     # the degree, so it comes out exact.
     count_t = np.min_scalar_type(degree)
     line = np.empty(table.size // q, dtype=count_t)
-    # Every row sums to the degree, so the last color's column follows from
-    # the others and a vertex mismatches in it only if it mismatches earlier.
     columns = []
     bad = np.zeros(table.size, dtype=bool)
     for j in range(k - 1):
@@ -118,16 +211,33 @@ def compute_quotient(C: Coloring, *,
             cnt3 += lines[:, None, :]
         # Each line through v holds v itself once per digit.
         cnt -= n * ind
-        ref = cnt[first_idx]
+        ref = cnt[first]
         bad |= cnt != ref[table]
         columns.append(ref.tolist())
+    return columns, int(np.argmax(bad)) if bad.any() else None
 
-    if bad.any():
-        v = int(np.argmax(bad))
+
+def compute_quotient(C: Coloring, *,
+                     guard: int | None = None) -> QuotientMatrix | NonPerfectWitness:
+    """Count neighbor colors at every vertex.
+
+    Returns the quotient matrix if the profile of a vertex depends only on
+    its color, otherwise the first witness in vertex-index order.
+    """
+    Cm = C.materialize(guard)
+    n, q, k = Cm.n, Cm.q, Cm.k
+    table = Cm.table
+    first = _first_vertices(table, k)
+    # Every row sums to the degree, so the last color's column follows from
+    # the others and a vertex mismatches in it only if it mismatches earlier.
+    kernel = _bitsliced_columns if q == 2 else _digit_axis_columns
+    columns, v = kernel(table, n, q, k, first)
+    if v is not None:
         color = int(table[v])
-        a = int(first_idx[color])
+        a = int(first[color])
         return NonPerfectWitness(color, a, v, _profile(table, a, n, q, k),
                                  _profile(table, v, n, q, k))
+    degree = n * (q - 1)
     rows = [[col[i] for col in columns] for i in range(k)]
     return QuotientMatrix.of([row + [degree - sum(row)] for row in rows], n, q)
 
@@ -135,11 +245,24 @@ def compute_quotient(C: Coloring, *,
 def essential_arguments(C: Coloring, *, guard: int | None = None) -> tuple[bool, ...]:
     """mask[p] is True iff the coloring changes along some line in digit p."""
     Cm = C.materialize(guard)
-    n, q = Cm.n, Cm.q
-    mask = []
-    for p in range(n):
-        t = Cm.table.reshape(-1, q, q**p)
-        mask.append(bool((t[:, 1:] != t[:, :1]).any()))
+    n, q, k, table = Cm.n, Cm.q, Cm.k, Cm.table
+    if q > 2:
+        mask = []
+        for p in range(n):
+            t = table.reshape(-1, q, q**p)
+            mask.append(bool((t[:, 1:] != t[:, :1]).any()))
+        return tuple(mask)
+    # Two colors differ iff some bit of their values does: compare each bit
+    # plane of the colors with itself flipped, until every digit has a hit.
+    mask = [False] * n
+    words = -(-table.size // 64)
+    w, buf = np.zeros(words, "<u8"), np.empty(words, "<u8")
+    for b in range((k - 1).bit_length()):
+        if all(mask):
+            break
+        _pack(table, lambda blk: blk >> b & 1, w)
+        for p in range(n):
+            mask[p] = mask[p] or not np.array_equal(_flip(w, p, buf), w)
     return tuple(mask)
 
 

@@ -446,17 +446,26 @@ def test_guard_edge_materialize_memory_is_blocked():
 def test_flagship_spectral_and_density_memory():
     # One 16 MiB int32 transform buffer per color at a time, next to the
     # 4 MiB indicator and nonzero mask; colors counted in blocks, not with
-    # the table cast to np.intp.  Neighbor counts hold a few uint8 arrays of
-    # the table's 4 MiB size, and the essential mask one bool array of half
-    # of it.  The eigenspace check of a perfect coloring is one quotient.
+    # the table cast to np.intp.  Neighbor counts hold eleven packed bitmaps
+    # of 512 KiB (five of them count planes) and a few of their temporaries:
+    # 8.0 MiB traced.  The essential mask holds two bitmaps and one block of
+    # color bits: 3.1 MiB.  The eigenspace check of a perfect coloring is one
+    # quotient.
     built = construct_bc(10, 6)
     C = built.coloring.materialize()
     S = built.predicted_quotient
-    assert _traced_peak(lambda: compute_quotient(C)) < 28 * 2**20
-    assert _traced_peak(lambda: essential_arguments(C)) < 4 * 2**20
+    assert _traced_peak(lambda: compute_quotient(C)) < 9 * 2**20
+    assert _traced_peak(lambda: essential_arguments(C)) < 3.5 * 2**20
     assert _traced_peak(lambda: coloring_degree(C)) < 32 * 2**20
     assert _traced_peak(lambda: eigen_decomposition_check(C, S)) < 26 * 2**20
     assert _traced_peak(lambda: densities_by_count(C)) < 16 * 2**20
+
+
+def test_guard_edge_quotient_memory():
+    # bc(9, 3) on H(24, 2): neighbor counts on 2 MiB bitmaps (24.0 MiB
+    # traced), within twice the 16 MiB table.
+    C = construct_bc(9, 3).coloring.materialize()
+    assert _traced_peak(lambda: compute_quotient(C)) < 2 * C.table.nbytes
 
 
 def test_guard_edge_coloring_degree_memory():

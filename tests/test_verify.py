@@ -65,23 +65,26 @@ def _relabeled(values, q):
 def random_colorings(rng):
     """Random, perfect and perturbed-perfect colorings for q = 2..5, n from 0.
 
-    Perfect ones are Z_q-linear functionals (zero coefficients give dummy
-    positions) moved by a random automorphism of H(n, q): an axis permutation
-    and an alphabet permutation per axis.
+    Perfect ones are Z_q-linear maps to Z_q**m (zero columns give dummy
+    positions; m = 2 gives q = 2 up to four colors) moved by a random
+    automorphism of H(n, q): an axis permutation and an alphabet permutation
+    per axis.  q = 2 runs to n = 9, so the bit-sliced kernel sees partial
+    words (n < 6), digit swaps inside a word and swaps of whole words.
     """
-    for q, n_max in ((2, 6), (3, 4), (4, 3), (5, 3)):
+    for q, n_max, k_max in ((2, 9, 5), (3, 4, 4), (4, 3, 4), (5, 3, 4)):
         for n in range(n_max + 1):
             N = q**n
-            k = int(rng.integers(min(N, 2), min(N, 4) + 1))
+            k = int(rng.integers(min(N, 2), min(N, k_max) + 1))
             yield _relabeled(rng.permutation(np.arange(N) % k), q)
 
-            coeffs = rng.integers(0, q, size=n)
+            m = 1 if q > 2 else int(rng.integers(1, 3))
+            coeffs = rng.integers(0, q, size=(m, n))
             digit = np.arange(N) // q ** np.arange(n)[:, None] % q  # (n, N)
-            cube = (coeffs @ digit % q).reshape((q,) * n)
+            cube = (q ** np.arange(m) @ (coeffs @ digit % q)).reshape((q,) * n)
             for axis in range(n):
                 cube = np.take(cube, rng.permutation(q), axis=axis)
             cube = cube.transpose(rng.permutation(n))
-            labels = rng.permutation(q)
+            labels = rng.permutation(q**m)
             perfect = _relabeled(labels[cube], q)
             yield perfect
 
@@ -93,16 +96,62 @@ def random_colorings(rng):
 def test_kernels_match_scalar_oracle_on_random_colorings():
     rng = np.random.default_rng(20241204)
     seen = set()
+    binary = set()
     for _ in range(2):
         for C in random_colorings(rng):
             expected = brute_quotient(C)
             mask = brute_essential(C)
-            seen.add((C.q, isinstance(expected, NonPerfectWitness)))
+            witness = isinstance(expected, NonPerfectWitness)
+            seen.add((C.q, witness))
+            if C.q == 2:
+                binary.add((C.k, C.n > 6, witness))
             S = compute_quotient(C)
             got = S.as_lists() if isinstance(S, QuotientMatrix) else S
             assert got == expected, C.table.tolist()
             assert essential_arguments(C) == mask
     assert seen == {(q, w) for q in (2, 3, 4, 5) for w in (False, True)}
+    # q = 2 reaches five colors, and tables of several words give both outcomes
+    # with more than two colors.
+    assert max(k for k, _, _ in binary) == 5
+    assert {(True, w) for w in (False, True)} <= {(big, w) for k, big, w in binary if k > 2}
+
+
+def scalar_first_witness(table, n, rows, perturbed):
+    """First witness after one vertex of a perfect 2-coloring with quotient rows
+    changed color.  Only that vertex and its neighbors can have a profile other
+    than rows[color], so only theirs are counted, with core.neighbors."""
+    def profile(v):
+        prof = [0] * len(rows)
+        for u in neighbors(v, n, 2):
+            prof[int(table[u])] += 1
+        return tuple(prof)
+
+    affected = {perturbed, *neighbors(perturbed, n, 2)}
+    first = {}
+    for v, color in enumerate(table.tolist()):
+        prof = profile(v) if v in affected else tuple(rows[color])
+        if color not in first:
+            first[color] = (v, prof)
+        elif prof != first[color][1]:
+            a = first[color][0]
+            return NonPerfectWitness(color, a, v, profile(a), profile(v))
+    return None
+
+
+def test_full_size_witness_matches_scalar_oracle():
+    from pcol.constructions import construct_bc
+
+    built = construct_bc(10, 6)
+    table = built.coloring.materialize().table
+    rows = built.predicted_quotient.as_lists()
+    # A vertex in word 0, the last vertex, and vertex 2**11, the first of
+    # the word halves that a change of digit 11 swaps.
+    for v in (5, table.size - 1, 2**11):
+        recolored = table.copy()
+        recolored[v] ^= 1
+        witness = compute_quotient(Coloring.from_table(recolored, q=2))
+        assert isinstance(witness, NonPerfectWitness)
+        assert witness == scalar_first_witness(recolored, 22, rows, v)
 
 
 def test_kernels_edge_cases():
