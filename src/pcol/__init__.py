@@ -12,8 +12,7 @@ from .constructions import (ConstructedColoring, HammingCosetPartition,
                             union_quotient)
 from .core import (Coloring, QuotientMatrix, digits, materialize_guard,
                    neighbors, vertex_index)
-from .gf import (FieldTable, check_axioms, factor_prime_power, frobenius_fixed,
-                 tuple_rank, tuple_unrank)
+from .gf import FieldTable, check_axioms, factor_prime_power, frobenius_fixed
 from .pcolfile import read_pcol, write_pcol
 from .spectral import (CharacterSpectrum, DegreeReport, character_transform,
                        coloring_degree, cyclotomic_polynomial, degree,
@@ -30,8 +29,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Coloring", "QuotientMatrix", "digits", "vertex_index", "neighbors",
     "materialize_guard",
-    "FieldTable", "factor_prime_power", "tuple_rank", "tuple_unrank",
-    "check_axioms", "frobenius_fixed",
+    "FieldTable", "factor_prime_power", "check_axioms", "frobenius_fixed",
     "NonPerfectWitness", "QuotientDiagnostics", "UniformityCheck",
     "VerificationReport", "compute_quotient", "essential_arguments",
     "densities_by_count", "densities_from_quotient", "quotient_spectrum",

@@ -20,7 +20,7 @@ from .core import (Coloring, QuotientMatrix, _shifted_index, digits,
 from .errors import (BadDensityError, BadOuterColoringError, InconsistentError,
                      NotEssentialError, NotPowerOfTwoError, OutOfRangeError,
                      SizeMismatchError, TooLargeError)
-from .gf import FieldTable, tuple_unrank
+from .gf import FieldTable
 from .spectral import DegreeReport, coloring_degree
 from .verify import (compute_quotient, densities_by_count,
                      densities_from_quotient, essential_arguments)
@@ -39,12 +39,6 @@ class UniformCollection:
     def size(self) -> int:
         return len(self.colorings)
 
-    def __len__(self) -> int:
-        return len(self.colorings)
-
-    def __getitem__(self, i: int) -> Coloring:
-        return self.colorings[i]
-
 
 # -- RM-like partitions (perfect Mq-colorings of H(M, q)) ---------------
 
@@ -57,7 +51,7 @@ class _RMBody:
     def __init__(self, field: FieldTable, s: int):
         self.field = field
         self.s = s
-        self.alphas = tuple(tuple_unrank(field.q, s, i) for i in range(field.q**s))
+        self.alphas = tuple(digits(i, s, field.q) for i in range(field.q**s))
 
     def eval(self, idx):
         q = self.field.q
@@ -179,10 +173,6 @@ class HammingCosetPartition:
     @property
     def size(self) -> int:
         return 1 << self.m
-
-    @property
-    def length(self) -> int:
-        return (1 << self.m) - 1
 
     def parity_check_matrix(self) -> np.ndarray:
         cols = np.arange(1, self.size, dtype=np.int64)

@@ -140,6 +140,8 @@ class Coloring:
     def from_table(values, q: int, k: int | None = None, *, validate: bool = True,
                    provenance: str | None = None) -> "Coloring":
         arr = np.asarray(values).reshape(-1)
+        if arr.dtype.kind not in "biu":
+            raise OutOfRangeError(f"color table must hold integers, got dtype {arr.dtype}")
         size = arr.size
         n = 0
         cells = 1
@@ -394,13 +396,6 @@ class QuotientMatrix:
     @property
     def k(self) -> int:
         return len(self.entries)
-
-    @property
-    def degree(self) -> int:
-        return self.n * (self.q - 1)
-
-    def row_sums(self) -> tuple[int, ...]:
-        return tuple(sum(row) for row in self.entries)
 
     def as_lists(self) -> list[list[int]]:
         return [list(row) for row in self.entries]

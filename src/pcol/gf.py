@@ -43,17 +43,6 @@ def _poly_trim(a: tuple[int, ...]) -> tuple[int, ...]:
     return a[:i]
 
 
-def _poly_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(tuple(out))
-
-
 def _poly_mod(a: tuple[int, ...], m: tuple[int, ...], p: int) -> tuple[int, ...]:
     # m must be monic
     a = list(a)
@@ -211,29 +200,6 @@ class FieldTable:
 
     def __repr__(self) -> str:
         return f"FieldTable(q={self.q}, p={self.p}, k={self.k}, poly={self.irreducible_poly})"
-
-
-def tuple_rank(q: int, s: int, beta) -> int:
-    """Rank of a length-s label tuple: sum(beta[i] * q**i)."""
-    if len(beta) != s:
-        raise OutOfRangeError(f"expected a tuple of length {s}, got {len(beta)}")
-    r = 0
-    for i, b in enumerate(beta):
-        if not 0 <= b < q:
-            raise OutOfRangeError(f"label {b} not in [0, {q})")
-        r += b * q**i
-    return r
-
-
-def tuple_unrank(q: int, s: int, r: int) -> tuple[int, ...]:
-    """Inverse of tuple_rank: base-q digits of r, least significant first."""
-    if not 0 <= r < q**s:
-        raise OutOfRangeError(f"rank {r} not in [0, {q**s})")
-    out = []
-    for _ in range(s):
-        out.append(r % q)
-        r //= q
-    return tuple(out)
 
 
 def check_axioms(F: FieldTable) -> list[str]:

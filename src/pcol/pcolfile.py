@@ -136,12 +136,12 @@ def _parse_block_values(chunk: np.ndarray, digit: np.ndarray) -> np.ndarray | No
 
     None when a token is longer than _MAX_DIGITS.
     """
+    if not (digit[1:] & digit[:-1]).any():
+        return chunk[digit] - ord("0")
     first = digit.copy()
     first[1:] &= ~digit[:-1]
     pos = np.flatnonzero(digit)
     starts = np.flatnonzero(first[pos])
-    if starts.size == pos.size:
-        return chunk[pos] - ord("0")
     lens = np.diff(starts, append=pos.size)
     if lens.max() > _MAX_DIGITS:
         return None

@@ -78,8 +78,6 @@ _FWHT_LOW_SPAN = 1 << 7
 _FWHT_BLOCK = 1 << 16
 
 
-# Each entry is up to q**n bytes, 64 MiB at the default guard.
-@lru_cache(maxsize=4)
 def hamming_weights(n: int, q: int) -> np.ndarray:
     """Number of nonzero base-q digits of every index in [0, q**n)."""
     w = np.zeros(1, dtype=np.uint8)
@@ -181,11 +179,15 @@ def character_transform(values, n: int, q: int, *, guard: int | None = None) -> 
     arr = np.asarray(values).reshape(-1)
     if arr.size != N:
         raise OutOfRangeError(f"expected {N} values, got {arr.size}")
+    # Every stored coordinate is a sum of N values times entries of R (+-1
+    # for q = 2), so it is at most N * max|v| * max|R| in magnitude; int64
+    # arithmetic wraps mod 2**64, so a result below 2**63 is exact.  Python
+    # ints, as np.abs wraps at the int64 minimum.
+    top = max(-int(arr.min()), int(arr.max()))
+    if N * top * int(np.abs(_reduction_matrix(q)).max()) >= 2**63:
+        raise OutOfRangeError(f"values up to {top} on {N} cells overflow the int64 transform")
     if q == 2:
-        # Every partial sum is at most N * max|v| in magnitude, so an owned
-        # int32 copy is exact below 2**31.  Python ints, as np.abs wraps at
-        # the int64 minimum.
-        top = max(-int(arr.min()), int(arr.max()))
+        # The same bound makes an owned int32 copy exact below 2**31.
         buf = arr.astype(np.int32 if N * top < 2**31 else np.int64)
         return CharacterSpectrum(n, q, _fwht(buf))
     return CharacterSpectrum(n, q, _cyclotomic_transform(arr, n, q, sign=1))

@@ -435,6 +435,8 @@ def check_uniform(collection, *, guard: int | None = None, sample: int | None = 
         blocks = (np.arange(lo, min(lo + _MATERIALIZE_BLOCK, N), dtype=np.int64)
                   for lo in range(0, N, _MATERIALIZE_BLOCK))
     else:
+        if sample < 0:
+            raise OutOfRangeError(f"sample must be nonnegative, got {sample}")
         rng = np.random.default_rng(seed)
         # Past int64, draw exact Python integers; 64 spare bits keep the bias negligible.
         draws = (rng.integers(0, N, size=sample).tolist() if N <= 2**63 else

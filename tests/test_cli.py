@@ -110,6 +110,15 @@ def test_verify_roundtrip(tmp_path, capsys):
     assert rep["witness"] is None
 
 
+def test_verify_text_report_prints_witness_and_degrees(tmp_path, capsys):
+    path = tmp_path / "star.pcol"
+    path.write_text("PCOL 1\nq=2 n=2 k=2\n0 1 1 1\n")
+    assert main(["verify", str(path), "--degree", "--essential"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "witness: vertices 1 and 3 share color 1 but see (1, 1) vs (0, 2)" in lines
+    assert "degrees: 2 2" in lines
+
+
 def test_verify_detects_corruption(tmp_path, capsys):
     C = parity(3)
     table = C.table.tolist()

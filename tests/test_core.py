@@ -54,6 +54,10 @@ def test_from_table_validation():
     assert ei.value.missing_color == 1
     with pytest.raises(OutOfRangeError):
         Coloring.from_table([0, 1, 2], q=2)  # size 3 not a power of 2
+    # Colors are integers: floats would truncate and strings break numpy.
+    for table in ([0.5, 1.7], ["0", "1"]):
+        with pytest.raises(OutOfRangeError):
+            Coloring.from_table(table, q=2)
 
 
 def test_from_table_copies_only_writable_arrays():

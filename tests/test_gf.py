@@ -3,7 +3,7 @@ import pytest
 
 from pcol.errors import NotPrimePowerError, OutOfRangeError, UnsupportedError
 from pcol.gf import (FieldTable, check_axioms, factor_prime_power,
-                     frobenius_fixed, tuple_rank, tuple_unrank)
+                     frobenius_fixed)
 
 
 def test_factor_prime_power():
@@ -78,25 +78,6 @@ def test_identities_by_labeling():
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49, 64, 81, 121, 125, 128, 169, 243, 256])
 def test_frobenius_fixed_points(q):
     assert frobenius_fixed(FieldTable(q))
-
-
-def test_tuple_rank_examples():
-    assert tuple_unrank(2, 3, 5) == (1, 0, 1)
-    assert tuple_rank(3, 2, (2, 1)) == 5
-    with pytest.raises(OutOfRangeError):
-        tuple_unrank(2, 3, 8)
-    with pytest.raises(OutOfRangeError):
-        tuple_rank(2, 2, (0, 2))
-
-
-@pytest.mark.parametrize("q,s", [(2, 3), (3, 2), (4, 2)])
-def test_tuple_rank_roundtrip(q, s):
-    seen = set()
-    for r in range(q**s):
-        beta = tuple_unrank(q, s, r)
-        assert tuple_rank(q, s, beta) == r
-        seen.add(beta)
-    assert len(seen) == q**s
 
 
 def test_tables_immutable():

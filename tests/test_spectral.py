@@ -1,9 +1,11 @@
+import tracemalloc
 from math import gcd
 
 import numpy as np
 import pytest
 
 from pcol.core import Coloring, QuotientMatrix, digits
+from pcol.errors import OutOfRangeError
 from pcol.spectral import (CharacterSpectrum, character_transform,
                            coloring_degree, cyclotomic_polynomial, degree,
                            eigen_decomposition_check, hamming_weights,
@@ -156,6 +158,15 @@ def test_q2_accumulator_dtype_at_the_bound(n, top, dtype):
         assert np.array_equal(spec.coeffs, level_loop_oracle(f))
         assert spec.coeffs.astype(object).sum() == 2**n * int(f[0])
         assert np.array_equal(inverse_transform(spec), f)
+
+
+def test_transform_rejects_int64_overflow():
+    # Coefficient 0 would be 2**63, which wraps to -2**63 in int64.
+    for values, n, q in [([2**62, 2**62, 0, 0], 2, 2), ([2**62, 2**62, 0], 1, 3)]:
+        with pytest.raises(OutOfRangeError):
+            character_transform(np.array(values), n, q)
+    f = np.array([2**61 - 1, -(2**61 - 1), 0, 2**61 - 1])
+    assert np.array_equal(inverse_transform(character_transform(f, 2, 2)), f)
 
 
 def test_parseval_exact_q2():
@@ -364,6 +375,26 @@ def test_hamming_weights_table():
         w = hamming_weights(n, q)
         assert w.dtype == np.uint8 and not w.flags.writeable
         assert w.tolist() == [sum(1 for d in digits(v, n, q) if d) for v in range(q**n)]
+
+
+def test_coloring_degree_keeps_no_table():
+    # H(21, 2) is transformed by no other test, so nothing of its size is
+    # cached before the call; after it, nothing of its size may stay.
+    n = 21
+    idx = np.arange(2**n)
+    table = np.zeros(2**n, dtype=np.int64)
+    for p in range(n):
+        table ^= (idx >> p) & 1
+    C = Coloring.from_table(table, q=2)
+    del idx, table
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert coloring_degree(C).per_color == (n, n)
+        kept = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert kept < 2**19
 
 
 def test_two_coloring_degree_matches_second_eigenvalue_index():

@@ -458,6 +458,8 @@ def test_check_uniform_sampled_witness():
     assert not res.uniform
     assert not res.exhaustive
     assert res.witness_vertex is not None
+    with pytest.raises(OutOfRangeError):
+        check_uniform([C, C], sample=-1)
     assert res.witness_counts != res.base_counts
 
 
