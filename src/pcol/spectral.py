@@ -4,15 +4,25 @@ Frequencies are indexed like vertices; the weight-w characters span the
 eigenspace of H(n, q) for eigenvalue n(q-1) - q*w, so degree questions reduce
 to the support of the transform.  Coefficients are exact: plain integers for
 q = 2 (the Walsh-Hadamard spectrum, stored unnormalized, i.e. scaled by q**n)
-and integer coordinate vectors in Z[x]/Phi_q(x) otherwise.  For q = 2 they
-come from an in-place Walsh-Hadamard transform of one copy of the input, in
-int32 when q**n * max|value| < 2**31 (every color indicator up to 2**30
-cells) and in int64 otherwise; the low digits run on transposed blocks.  For
-q > 2 they are int64, from n digit-rotating steps of one integer matrix on
-the power-basis coordinates.  The alphabet is treated as Z_q here even when
-a coloring was built from GF(q); the eigenspaces do not depend on that
-choice.  The eigenspace check of a perfect coloring needs no transform: its
-own quotient's spectrum is the union of the colors' supports.
+and integer coordinate vectors in Z[x]/Phi_q(x) otherwise.
+
+For q = 2 one tiled kernel serves the forward and the inverse transform.  It
+writes into one new output array, int32 when q**n * max|value| < 2**31
+(every color indicator up to 2**30 cells) and int64 otherwise.  Each
+contiguous 2**16-cell tile takes all of its own digits, the lowest 7 on the
+transposed tile; its first levels run in int16 for as long as no partial sum
+can leave int16, then the tile widens and lands in the output.  The digits
+above a tile follow in groups of at most 8, one pass over the output per
+group, on column tiles that are gathered, transformed and scattered back.
+Each pair of levels is one radix-4 step: eight additions or subtractions per
+four cells.  The tile buffers are allocated once per call.
+
+For q > 2 the coefficients are int64, from n digit-rotating steps of one
+integer matrix on the power-basis coordinates.  The alphabet is treated as
+Z_q here even when a coloring was built from GF(q); the eigenspaces do not
+depend on that choice.  Degrees are read from the coefficients one block of
+frequencies at a time.  The eigenspace check of a perfect coloring needs no
+transform: its own quotient's spectrum is the union of the colors' supports.
 """
 from __future__ import annotations
 
@@ -73,9 +83,12 @@ def _reduction_matrix(q: int) -> np.ndarray:
     return rows
 
 
-# Spans of the q = 2 transform that run on transposed blocks, and the cells per block.
-_FWHT_LOW_SPAN = 1 << 7
-_FWHT_BLOCK = 1 << 16
+# The q = 2 kernel's tile of 2**_TILE_BITS cells (also the most cells of one
+# degree block), the digits of a tile that run transposed, and the most
+# higher digits one pass over the output takes.
+_TILE_BITS = 16
+_LOW_BITS = 7
+_GROUP_BITS = 8
 
 
 def hamming_weights(n: int, q: int) -> np.ndarray:
@@ -120,34 +133,89 @@ class DegreeReport:
         return max(self.per_color)
 
 
-def _butterflies(a: np.ndarray, h: int) -> None:
-    """Walsh-Hadamard levels of spans h, 2h, ... below a.size; flat a, in place."""
-    while h < a.size:
-        b = a.reshape(-1, 2, h)
-        lo, hi = b[:, 0], b[:, 1]
-        lo += hi
-        hi *= -2
-        hi += lo
-        h *= 2
+def _levels(steps: list, x: np.ndarray, y: np.ndarray, h: int, count: int):
+    """Append the calls of `count` Walsh-Hadamard levels of spans h, 2h, ... on x.
 
-
-def _fwht(a: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform of a flat integer array, in place.
-
-    A level of span h works on runs of h contiguous cells, so the spans below
-    _FWHT_LOW_SPAN run on transposed blocks, where those digits are the high
-    ones; the block is the only temporary.  Wider spans run in place.
+    Each call is ``(function, u, v, o)``, built once so that the kernel makes
+    no array view per tile.  Each pair of levels is one radix-4 step from x
+    through the scratch y (same size and dtype) and back: eight additions or
+    subtractions per four cells.  An odd last level goes from x to y.
+    Returns the pair with the result first.
     """
-    low = min(a.size, _FWHT_LOW_SPAN)
-    rows = a.reshape(-1, low)
-    step = max(1, _FWHT_BLOCK // low)
-    for r0 in range(0, rows.shape[0], step):
-        block = rows[r0:r0 + step]
-        t = np.ascontiguousarray(block.T)
-        _butterflies(t.reshape(-1), t.shape[1])
-        block[...] = t.T
-    _butterflies(a, low)
-    return a
+    for _ in range(count // 2):
+        a, b = x.reshape(-1, 2, 2, h), y.reshape(-1, 2, 2, h)
+        steps += [(np.add, a[:, :, 0], a[:, :, 1], b[:, :, 0]),
+                  (np.subtract, a[:, :, 0], a[:, :, 1], b[:, :, 1]),
+                  (np.add, b[:, 0], b[:, 1], a[:, 0]),
+                  (np.subtract, b[:, 0], b[:, 1], a[:, 1])]
+        h *= 4
+    if count % 2:
+        a, b = x.reshape(-1, 2, h), y.reshape(-1, 2, h)
+        steps += [(np.add, a[:, 0], a[:, 1], b[:, 0]), (np.subtract, a[:, 0], a[:, 1], b[:, 1])]
+        x, y = y, x
+    return x, y
+
+
+def _walsh_hadamard(arr: np.ndarray, dtype, top: int) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform of a flat 2**n-cell array into a new dtype array.
+
+    Exact when every coefficient fits dtype; top bounds |arr|.  Levels run in
+    int16 while top * 2**L < 2**15 after L of them, so no partial sum wraps.
+    """
+    N = arr.size
+    n = N.bit_length() - 1
+    out = np.empty(N, dtype)
+    tile_bits = min(n, _TILE_BITS)
+    T = 1 << tile_bits
+    low = min(tile_bits, _LOW_BITS)
+    cols = T >> low
+    front = 0
+    while front < tile_bits and top << (front + 1) < 2**15:
+        front += 1
+    wide = np.empty(T, dtype), np.empty(T, dtype)
+    narrow = (np.empty(T, np.int16), np.empty(T, np.int16)) if front else wide
+    # One tile: its lowest digits on the transposed tile, where a level's span
+    # is a run of contiguous cells, then the rest in natural order.
+    steps = []
+    x, y = _levels(steps, *narrow, cols, min(low, front))
+    if front < low:
+        if front:
+            steps.append((np.copyto, wide[0], x, "same_kind"))
+            x, y = wide
+        x, y = _levels(steps, x, y, cols << front, low - front)
+    steps.append((np.copyto, y.reshape(cols, 1 << low), x.reshape(1 << low, cols).T,
+                  "same_kind"))
+    x, y = _levels(steps, y, x, 1 << low, max(0, front - low))
+    if x.dtype != out.dtype:
+        steps.append((np.copyto, wide[0], x, "same_kind"))
+        x, y = wide
+    done = max(low, front)
+    x, y = _levels(steps, x, y, 1 << done, tile_bits - done)
+    load = narrow[0].reshape(1 << low, cols)
+    tiles = arr.reshape(-1, cols, 1 << low).transpose(0, 2, 1)
+    for i, tile in enumerate(out.reshape(-1, T)):
+        np.copyto(load, tiles[i], casting="unsafe")
+        for f, u, v, o in steps:
+            f(u, v, o)
+        np.copyto(tile, x)
+    # The digits above a tile: one pass over the output per group of g, on
+    # (2**g, w) column tiles that are gathered, transformed and scattered back.
+    a = tile_bits
+    while a < n:
+        g = min(_GROUP_BITS, n - a)
+        w = T >> g
+        column = wide[0].reshape(1 << g, w)
+        steps = []
+        x, y = _levels(steps, column, wide[1].reshape(1 << g, w), w, g)
+        for block in out.reshape(-1, 1 << g, (1 << a) // w, w):
+            for c in range(block.shape[1]):
+                view = block[:, c]
+                np.copyto(column, view)
+                for f, u, v, o in steps:
+                    f(u, v, o)
+                np.copyto(view, x)
+        a += g
+    return out
 
 
 def _cyclotomic_transform(values: np.ndarray, n: int, q: int, sign: int) -> np.ndarray:
@@ -187,9 +255,9 @@ def character_transform(values, n: int, q: int, *, guard: int | None = None) -> 
     if N * top * int(np.abs(_reduction_matrix(q)).max()) >= 2**63:
         raise OutOfRangeError(f"values up to {top} on {N} cells overflow the int64 transform")
     if q == 2:
-        # The same bound makes an owned int32 copy exact below 2**31.
-        buf = arr.astype(np.int32 if N * top < 2**31 else np.int64)
-        return CharacterSpectrum(n, q, _fwht(buf))
+        # The same bound makes int32 coefficients exact below 2**31.
+        dtype = np.int32 if N * top < 2**31 else np.int64
+        return CharacterSpectrum(n, q, _walsh_hadamard(arr, dtype, top))
     return CharacterSpectrum(n, q, _cyclotomic_transform(arr, n, q, sign=1))
 
 
@@ -198,7 +266,8 @@ def inverse_transform(spectrum: CharacterSpectrum) -> np.ndarray:
     n, q = spectrum.n, spectrum.q
     N = q**n
     if q == 2:
-        back = _fwht(np.array(spectrum.coeffs, dtype=np.int64))
+        c = spectrum.coeffs
+        back = _walsh_hadamard(c, np.int64, max(-int(c.min()), int(c.max())))
         if (back % N).any():
             raise AssertionError("inverse transform is not integral")
         return back // N
@@ -209,9 +278,28 @@ def inverse_transform(spectrum: CharacterSpectrum) -> np.ndarray:
 
 
 def degree(values, n: int, q: int, *, guard: int | None = None) -> int:
-    """Largest frequency weight with a nonzero coefficient; 0 for constants."""
-    mask = character_transform(values, n, q, guard=guard).nonzero_mask()
-    return int(hamming_weights(n, q)[mask].max(initial=0))
+    """Largest frequency weight with a nonzero coefficient; 0 for constants.
+
+    The coefficients are scanned in blocks of the q**d <= 2**_TILE_BITS
+    frequencies that share their high digits: a frequency's weight is its
+    block's high-digit weight plus the weight of its d low digits.
+    """
+    coeffs = character_transform(values, n, q, guard=guard).coeffs
+    d = 0
+    while d < n and q ** (d + 1) <= 1 << _TILE_BITS:
+        d += 1
+    B = q**d
+    low = hamming_weights(d, q)
+    best = 0
+    for b, high in enumerate(hamming_weights(n - d, q).tolist()):
+        if high + d <= best:
+            continue
+        nonzero = coeffs[b * B:(b + 1) * B] != 0
+        if q > 2:
+            nonzero = nonzero.any(axis=1)
+        if nonzero.any():
+            best = max(best, high + int(low[nonzero].max()))
+    return best
 
 
 def coloring_degree(C: Coloring, *, guard: int | None = None) -> DegreeReport:

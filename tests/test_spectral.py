@@ -133,8 +133,10 @@ def q2_inputs(rng, n):
     yield rng.integers(-2**40, 2**40, size=N, dtype=np.int64)
 
 
-# n >= 17 spans more than one transposed block of the kernel.
-@pytest.mark.parametrize("n", list(range(14)) + [17, 18])
+# The kernel's tiles hold 2**16 cells and the digits above them go in groups
+# of up to 8: n = 15 is a partial tile, 16 exactly one, 17 and 18 add one
+# short group, 20 a group of 4, 23 one of 7.
+@pytest.mark.parametrize("n", list(range(14)) + [15, 16, 17, 18, 20, 23])
 def test_q2_transform_matches_level_loop(n):
     rng = np.random.default_rng(600 + n)
     for f in q2_inputs(rng, n):
@@ -158,6 +160,37 @@ def test_q2_accumulator_dtype_at_the_bound(n, top, dtype):
         assert np.array_equal(spec.coeffs, level_loop_oracle(f))
         assert spec.coeffs.astype(object).sum() == 2**n * int(f[0])
         assert np.array_equal(inverse_transform(spec), f)
+
+
+@pytest.mark.parametrize("n,e", [(n, e) for n in (3, 8, 12, 16) for e in (14, 15, 16)]
+                         + [(20, 28), (20, 30)])
+def test_q2_int16_front_at_the_bound(n, e):
+    # Levels run in int16 while top * 2**L < 2**15 after L of them; with top
+    # * 2**n at or just below 2**e, coefficient 0 (all-equal values) or 1
+    # (alternating signs) reaches top * 2**n.  The tile's int16 levels end
+    # inside its transposed digits for (20, 28) and (20, 30).
+    N = 2**n
+    for top in (2**e >> n, (2**e >> n) - 1):
+        for f in (np.full(N, top), np.where(np.arange(N) % 2 == 0, top, -top)):
+            spec = character_transform(f, n, 2)
+            assert spec.coeffs.dtype == np.int32
+            assert np.array_equal(spec.coeffs, level_loop_oracle(f))
+            assert np.array_equal(inverse_transform(spec), f)
+
+
+def test_q2_transform_holds_one_output_and_tile_buffers():
+    # A 2**20-cell indicator: the 4 MiB int32 output plus a few 2**16-cell
+    # tile buffers, allocated once per call.
+    f = np.arange(2**20) % 3 == 0
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        spec = character_transform(f, 20, 2)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert spec.coeffs.nbytes == 4 * 2**20
+    assert peak <= 5 * 2**20
 
 
 def test_transform_rejects_int64_overflow():
@@ -216,6 +249,48 @@ def test_degree_examples():
     assert degree([0] * 27, 3, 3) == 0
     # x0 * x1 has algebraic degree 2
     assert degree([0, 0, 0, 1], 2, 2) == 2
+
+
+def weight_oracle_degree(values, n, q):
+    """The degree from a whole-table nonzero mask and weight table."""
+    mask = character_transform(values, n, q).nonzero_mask()
+    return int(hamming_weights(n, q)[mask].max(initial=0))
+
+
+def test_degree_matches_whole_table_weights():
+    from pcol.constructions import rm_coloring
+
+    # q = 2, n = 18: four blocks of 2**16 frequencies.  Tables with a few
+    # random frequencies (inverse transforms of sparse spectra), so the
+    # degree can sit in any block.
+    rng = np.random.default_rng(900)
+    n = 18
+    cases = [np.zeros(2**n, dtype=np.int64)]
+    for count in (1, 2, 5, 40):
+        spectrum = np.zeros(2**n, dtype=np.int64)
+        spectrum[rng.integers(0, 2**n, size=count)] = rng.integers(1, 4, size=count)
+        cases.append(level_loop_oracle(spectrum))
+    # All weight in block 0; then weight 17 in block 1 and 18 in block 3,
+    # one more than the best before it.
+    for support in ([3, 2**16 - 1], [2**17 - 1, 2**18 - 1]):
+        spectrum = np.zeros(2**n, dtype=np.int64)
+        spectrum[support] = 1
+        cases.append(level_loop_oracle(spectrum))
+    degrees = set()
+    for f in cases:
+        d = degree(f, n, 2)
+        assert d == weight_oracle_degree(f, n, 2)
+        degrees.add(d)
+    assert len(degrees) >= 4
+    # q > 2: every color of rm(3, 1) and rm(3, 2), and two of rm(5, 1) on
+    # digits 2..6 of H(7, 5), five blocks of 5**6 frequencies, whose block
+    # index is digit 6.
+    wide = Coloring.cylinder(rm_coloring(5, 1), 7, 2)
+    for C, colors in [(rm_coloring(3, 1), range(9)), (rm_coloring(3, 2), range(27)),
+                      (wide, (0, 24))]:
+        table = C.materialize().table
+        for i in colors:
+            assert degree(table == i, C.n, C.q) == weight_oracle_degree(table == i, C.n, C.q)
 
 
 @pytest.mark.parametrize("n,q", [(4, 2), (3, 3), (2, 5)])
