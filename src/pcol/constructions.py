@@ -5,7 +5,9 @@ and their period reduction, Hamming-coset union colorings, the recursive
 lengthening step (which multiplies the word length by q and adds M
 positions while keeping every argument essential), and the two parameterized
 front ends: an unbalanced 2-coloring from its off-diagonal pair (b, c) and a
-low-degree unbalanced Boolean function from its density r/s.
+low-degree unbalanced Boolean function from its density r/s.  A builder
+materializes each coloring it checks once, under the caller's guard; past it
+(TooLargeError from that call) the checks are skipped and flagged.
 """
 from __future__ import annotations
 
@@ -15,8 +17,7 @@ from math import gcd
 
 import numpy as np
 
-from .core import (Coloring, QuotientMatrix, _shifted_index, digits,
-                   materialize_guard, vertex_index)
+from .core import Coloring, QuotientMatrix, _shifted_index, digits
 from .errors import (BadDensityError, BadOuterColoringError, InconsistentError,
                      NotEssentialError, NotPowerOfTwoError, OutOfRangeError,
                      SizeMismatchError, TooLargeError)
@@ -109,43 +110,23 @@ def translations_collection(C: Coloring, *, guard: int | None = None) -> Uniform
     return UniformCollection(members, "translations", quotient)
 
 
-def coloring_periods(C: Coloring, *, candidates=None, guard: int | None = None) -> list[int]:
-    """All v with C(x + v) == C(x) for every x (a subgroup of Z_q**n)."""
+def coloring_periods(C: Coloring, *, guard: int | None = None) -> list[int]:
+    """All v with C(x + v) == C(x) for every x (a subgroup of Z_q**n), ascending."""
     Cm = C.materialize(guard)
     n, q = Cm.n, Cm.q
     tab = Cm.table
     idx = np.arange(q**n, dtype=np.int64)
-    pool = range(q**n) if candidates is None else candidates
-    found = []
-    for v in pool:
-        if np.array_equal(tab[_shifted_index(idx, q, digits(v, n, q), +1)], tab):
-            found.append(v)
-    if candidates is None:
-        return sorted(found)
-    # restricted search: close under the group operation
-    closure = {0}
-    frontier = set(found)
-    while frontier:
-        nxt = set()
-        for a in frontier | closure:
-            for b in found:
-                wa, wb = digits(a, n, q), digits(b, n, q)
-                c = vertex_index(tuple((x + y) % q for x, y in zip(wa, wb)), q)
-                if c not in closure and c not in frontier:
-                    nxt.add(c)
-        closure |= frontier
-        frontier = nxt
-    return sorted(closure)
+    return [v for v in range(q**n)
+            if np.array_equal(tab[_shifted_index(idx, q, digits(v, n, q), +1)], tab)]
 
 
-def reduce_by_periods(col: UniformCollection, *, candidates=None,
-                      guard: int | None = None) -> UniformCollection:
+def reduce_by_periods(col: UniformCollection, *, guard: int | None = None) -> UniformCollection:
     """Keep one translate per coset of the base coloring's period subgroup."""
     if col.provenance != "translations":
         raise OutOfRangeError("period reduction applies to translation collections")
     base = col.colorings[0]
     n, q = base.n, base.q
-    periods = coloring_periods(base, candidates=candidates, guard=guard)
+    periods = coloring_periods(base, guard=guard)
     idx = np.arange(q**n, dtype=np.int64)
     rep = idx.copy()
     for p in periods:
@@ -246,44 +227,45 @@ def recursive_step(col: UniformCollection, E: Coloring, *,
     the members are the cyclic rotations of the input collection, which keeps
     the output collection uniform.  Requires E to be an Mq-coloring of
     H(M, q) with quotient rm_quotient(M, q) and member 0 of the input to be
-    essential in every argument; the essentiality check is skipped (and
-    flagged) when member 0 exceeds the materialization guard.
+    essential in every argument; each check is skipped (the essentiality
+    check flagged) when its coloring exceeds the materialization guard.
     """
     M = len(col.colorings)
     member0 = col.colorings[0]
-    q, n = member0.q, member0.n
+    q = member0.q
     if E.n != M or E.q != q:
         raise SizeMismatchError(
             f"outer coloring lives on H({E.n},{E.q}), expected H({M},{q})")
     if E.k != M * q:
         raise SizeMismatchError(f"outer coloring has {E.k} colors, expected {M * q}")
 
-    expected_T = rm_quotient(M, q)
     try:
-        got = compute_quotient(E, guard=guard)
+        E = E.materialize(guard)
     except TooLargeError:
-        got = None
-    if got is not None and got != expected_T:
-        raise BadOuterColoringError(
-            "outer coloring quotient does not have the 0/1 mod-q pattern")
+        pass  # Coloring.outer materializes it under its own guard
+    else:
+        if compute_quotient(E, guard=guard) != rm_quotient(M, q):
+            raise BadOuterColoringError(
+                "outer coloring quotient does not have the 0/1 mod-q pattern")
+    try:
+        table0 = member0.materialize(guard)
+    except TooLargeError:
+        table0 = None
 
     S = col.quotient
     if S is None:
-        result = compute_quotient(member0, guard=guard)
+        result = compute_quotient(member0 if table0 is None else table0, guard=guard)
         if not isinstance(result, QuotientMatrix):
             raise InconsistentError("collection member 0 is not a perfect coloring")
         S = result
 
-    checked = col.hypotheses_checked
-    cells = q**n
-    if cells <= materialize_guard(guard):
-        mask = essential_arguments(member0, guard=guard)
+    checked = col.hypotheses_checked and table0 is not None
+    if table0 is not None:
+        mask = essential_arguments(table0, guard=guard)
         if not all(mask):
             raise NotEssentialError(
                 f"member 0 has inessential arguments at positions "
                 f"{[i for i, b in enumerate(mask) if not b]}")
-    else:
-        checked = False
 
     predicted = predicted_step_quotient(S, M)
     members = tuple(
@@ -410,21 +392,20 @@ def construct_unbalanced_boolean(r: int, s: int, e: int, *,
     density = Fraction(r, s)
     expected_degree = e * s // 2
 
-    degree_report = None
-    essential = None
-    verified = False
-    if coloring.q**coloring.n <= materialize_guard(guard):
-        dens = densities_by_count(coloring, guard=guard)
-        if dens[0] != density:
-            raise InconsistentError(f"measured density {dens[0]} != {density}")
-        degree_report = coloring_degree(coloring, guard=guard)
-        if degree_report.degree != expected_degree:
-            raise InconsistentError(
-                f"measured degree {degree_report.degree} != {expected_degree}")
-        essential = essential_arguments(coloring, guard=guard)
-        if not all(essential):
-            raise InconsistentError("constructed coloring has an inessential argument")
-        verified = True
+    try:
+        table = coloring.materialize(guard)
+    except TooLargeError:
+        return UnbalancedBoolean(coloring, density, expected_degree,
+                                 built.predicted_quotient, None, None, False)
+    dens = densities_by_count(table, guard=guard)
+    if dens[0] != density:
+        raise InconsistentError(f"measured density {dens[0]} != {density}")
+    degree_report = coloring_degree(table, guard=guard)
+    if degree_report.degree != expected_degree:
+        raise InconsistentError(
+            f"measured degree {degree_report.degree} != {expected_degree}")
+    essential = essential_arguments(table, guard=guard)
+    if not all(essential):
+        raise InconsistentError("constructed coloring has an inessential argument")
     return UnbalancedBoolean(coloring, density, expected_degree,
-                             built.predicted_quotient, degree_report,
-                             essential, verified)
+                             built.predicted_quotient, degree_report, essential, True)

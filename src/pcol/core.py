@@ -157,9 +157,12 @@ class Coloring:
             k = top + 1
         if top >= k:
             raise OutOfRangeError(f"color {top} not below k={k}")
-        # A read-only array of the right dtype is taken as it is; any array
-        # the caller can still write to is copied.
-        arr = arr.astype(color_dtype(k), copy=arr.flags.writeable)
+        # Taken as it is only if nothing can write to its memory: read-only
+        # down the .base chain to None or bytes.  Anything else is copied.
+        base = arr
+        while isinstance(base, np.ndarray) and not base.flags.writeable:
+            base = base.base
+        arr = arr.astype(color_dtype(k), copy=base is not None and not isinstance(base, bytes))
         if validate:
             _require_surjective(arr, k)
         arr.setflags(write=False)

@@ -20,9 +20,11 @@ four cells.  The tile buffers are allocated once per call.
 For q > 2 the coefficients are int64, from n digit-rotating steps of one
 integer matrix on the power-basis coordinates.  The alphabet is treated as
 Z_q here even when a coloring was built from GF(q); the eigenspaces do not
-depend on that choice.  Degrees are read from the coefficients one block of
-frequencies at a time.  The eigenspace check of a perfect coloring needs no
-transform: its own quotient's spectrum is the union of the colors' supports.
+depend on that choice.  ``CharacterSpectrum.support_weights`` is the one
+reader of a spectrum, one block of frequencies at a time; ``degree`` is its
+maximum.  The eigenspace check of a perfect coloring needs no transform: its
+own quotient's spectrum is the union of the colors' supports.  Past int64
+both directions raise OutOfRangeError rather than wrap.
 """
 from __future__ import annotations
 
@@ -89,6 +91,8 @@ def _reduction_matrix(q: int) -> np.ndarray:
 _TILE_BITS = 16
 _LOW_BITS = 7
 _GROUP_BITS = 8
+# The odd modulus of the inverse transform's overflow check.
+_CHECK_MODULUS = 2**31 - 1
 
 
 def hamming_weights(n: int, q: int) -> np.ndarray:
@@ -115,13 +119,30 @@ class CharacterSpectrum:
     q: int
     coeffs: np.ndarray
 
-    def nonzero_mask(self) -> np.ndarray:
-        if self.q == 2:
-            return self.coeffs != 0
-        return (self.coeffs != 0).any(axis=1)
-
     def support_weights(self) -> np.ndarray:
-        return np.unique(hamming_weights(self.n, self.q)[self.nonzero_mask()])
+        """Ascending frequency weights that carry a nonzero coefficient.
+
+        Scans blocks of the q**d <= 2**_TILE_BITS frequencies that share their
+        high digits: a frequency's weight is its block's high-digit weight
+        plus the weight of its d low digits.  A block is skipped once every
+        weight it could add has been found.
+        """
+        n, q = self.n, self.q
+        d = 0
+        while d < n and q ** (d + 1) <= 1 << _TILE_BITS:
+            d += 1
+        B = q**d
+        low = hamming_weights(d, q)
+        found = np.zeros(n + 1, dtype=bool)
+        for b, high in enumerate(hamming_weights(n - d, q).tolist()):
+            if found[high:high + d + 1].all():
+                continue
+            nonzero = self.coeffs[b * B:(b + 1) * B] != 0
+            if q > 2:
+                nonzero = nonzero.any(axis=1)
+            if nonzero.any():
+                found[high + low[nonzero]] = True
+        return np.flatnonzero(found)
 
 
 @dataclass(frozen=True)
@@ -262,44 +283,37 @@ def character_transform(values, n: int, q: int, *, guard: int | None = None) -> 
 
 
 def inverse_transform(spectrum: CharacterSpectrum) -> np.ndarray:
-    """Exact inverse; recovers the original integer table."""
+    """Exact inverse; recovers the original integer table.
+
+    int64 wraps mod 2**64, and each output N*f(x) is at most sum|c| * max|R|
+    <= m * 2**63 with m = coeffs.size * max|R| < 2**31, so the int64 result
+    is exact iff it agrees mod the odd P = _CHECK_MODULUS with an exact
+    transform of c mod P (Chinese remainders); else OutOfRangeError.
+    """
     n, q = spectrum.n, spectrum.q
     N = q**n
-    if q == 2:
-        c = spectrum.coeffs
-        back = _walsh_hadamard(c, np.int64, max(-int(c.min()), int(c.max())))
-        if (back % N).any():
-            raise AssertionError("inverse transform is not integral")
-        return back // N
-    back = _cyclotomic_transform(spectrum.coeffs, n, q, sign=-1)
+    c = spectrum.coeffs
+    if c.size * int(np.abs(_reduction_matrix(q)).max()) >= 2**31:
+        raise TooLargeError(f"{c.size} coefficients are too many for the exact inverse")
+
+    def transform(values, top):
+        if q == 2:
+            return _walsh_hadamard(values, np.int64, top).reshape(N, 1)
+        return _cyclotomic_transform(values, n, q, sign=-1)
+
+    P = _CHECK_MODULUS
+    back = transform(c, max(-int(c.min()), int(c.max())))
+    if (back % P != transform(c % P, P - 1) % P).any():
+        raise OutOfRangeError("the inverse transform overflows int64")
     if back[:, 1:].any() or (back[:, 0] % N).any():
         raise AssertionError("inverse transform is not integral")
     return back[:, 0] // N
 
 
 def degree(values, n: int, q: int, *, guard: int | None = None) -> int:
-    """Largest frequency weight with a nonzero coefficient; 0 for constants.
-
-    The coefficients are scanned in blocks of the q**d <= 2**_TILE_BITS
-    frequencies that share their high digits: a frequency's weight is its
-    block's high-digit weight plus the weight of its d low digits.
-    """
-    coeffs = character_transform(values, n, q, guard=guard).coeffs
-    d = 0
-    while d < n and q ** (d + 1) <= 1 << _TILE_BITS:
-        d += 1
-    B = q**d
-    low = hamming_weights(d, q)
-    best = 0
-    for b, high in enumerate(hamming_weights(n - d, q).tolist()):
-        if high + d <= best:
-            continue
-        nonzero = coeffs[b * B:(b + 1) * B] != 0
-        if q > 2:
-            nonzero = nonzero.any(axis=1)
-        if nonzero.any():
-            best = max(best, high + int(low[nonzero].max()))
-    return best
+    """Largest frequency weight with a nonzero coefficient; 0 for constants."""
+    weights = character_transform(values, n, q, guard=guard).support_weights()
+    return int(weights.max(initial=0))
 
 
 def coloring_degree(C: Coloring, *, guard: int | None = None) -> DegreeReport:

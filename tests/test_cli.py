@@ -40,6 +40,19 @@ def test_binary_roundtrip_byte_exact(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_readers_keep_their_tables_without_a_copy(tmp_path):
+    # from_table takes a reader's read-only table as it is: a view of the
+    # parsed array (text) or of the file's bytes (binary), not a copy.
+    wide = Coloring.from_table(list(range(300)) + [0] * 212, q=2)
+    for C in (parity(5), wide):
+        for binary in (False, True):
+            path = tmp_path / ("c.pcolb" if binary else "c.pcol")
+            write_pcol(path, C, binary=binary)
+            table = read_pcol(path).table
+            assert table.base is not None and not table.flags.owndata
+            assert np.array_equal(table, C.table)
+
+
 def test_wide_colors_use_two_bytes(tmp_path):
     table = list(range(300)) + [0] * (512 - 300)
     C = Coloring.from_table(table, q=2)

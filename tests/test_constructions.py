@@ -258,6 +258,11 @@ def test_construct_boolean_instances():
     assert res.degree_report.degree == 2
     assert res.essential == (True,) * 4
 
+    # Past the caller's guard the coloring is built but left unverified.
+    res = construct_unbalanced_boolean(1, 4, 1, guard=4)
+    assert res.coloring.n == 3 and not res.coloring.is_explicit
+    assert (res.verified, res.degree_report, res.essential) == (False, None, None)
+
 
 def test_construct_boolean_rejects_bad_params():
     with pytest.raises(BadDensityError):
@@ -477,6 +482,21 @@ def test_guard_edge_coloring_degree_memory():
     assert _traced_peak(lambda: coloring_degree(C)) < 88 * 2**20
 
 
+def test_guard_edge_non_perfect_eigen_check_memory():
+    # bc(9, 3) on H(24, 2) with one vertex recolored takes the transforms:
+    # per color the indicator and its int32 transform, whose support is
+    # scanned one block at a time (80.9 MiB traced), with no whole-table
+    # nonzero mask or weight table.
+    built = construct_bc(9, 3)
+    table = np.array(built.coloring.materialize().table)
+    table[12345] ^= 1
+    C = Coloring.from_table(table, q=2)
+    del table
+    S = built.predicted_quotient
+    assert not eigen_decomposition_check(C, S)
+    assert _traced_peak(lambda: eigen_decomposition_check(C, S)) <= 88 * 2**20
+
+
 def test_flagship_text_io_memory(tmp_path):
     # Text I/O holds the file's bytes, the table and one block, not a list of
     # Python ints or strings per value.
@@ -519,25 +539,26 @@ def test_recursive_instances_match_predictions():
             assert compute_quotient(member) == trace.quotients[-1]
 
 
-def test_boolean_parameterization_matches_bc_at_scale():
-    # rho = 3/8 with e = 2 is the (b, c) = (10, 6) instance on H(22, 2)
+def test_boolean_parameterization_matches_bc_at_scale(monkeypatch):
+    # rho = 3/8 with e = 2 is the (b, c) = (10, 6) instance on H(22, 2).
+    # Density, degree and essential mask are read from one materialized table.
+    symbolic = []
+    materialize = Coloring.materialize
+
+    def counting(self, guard=None):
+        if not self.is_explicit:
+            symbolic.append(self.n)
+        return materialize(self, guard)
+
+    monkeypatch.setattr(Coloring, "materialize", counting)
     res = construct_unbalanced_boolean(3, 8, 2)
+    assert symbolic.count(22) == 1
     assert res.coloring.n == 22
     assert res.verified
     assert res.density == Fraction(3, 8)
     assert res.degree_report.per_color == (8, 8)
     assert res.essential == (True,) * 22
     assert res.predicted_quotient.as_lists() == [[12, 10], [6, 16]]
-
-
-def test_period_search_with_candidate_set():
-    C = parity(2)
-    # restricted candidate pool still finds the period and closes the subgroup
-    assert coloring_periods(C, candidates=[3]) == [0, 3]
-    assert coloring_periods(C, candidates=[1, 2]) == [0]
-    col = translations_collection(C)
-    reduced = reduce_by_periods(col, candidates=[3])
-    assert reduced.size == 2
 
 
 def test_union_start_offset_keeps_quotient():

@@ -68,10 +68,20 @@ def test_from_table_copies_only_writable_arrays():
         values[:] = 1
         assert C.table.tolist() == [0, 1, 1, 0]
         assert not C.table.flags.writeable
-    # A read-only array of the color dtype is taken as it is.
+    # A read-only view of a writable array is copied too.
+    values = np.array([0, 1, 1, 0], dtype=np.uint8)
+    view = values.view()
+    view.setflags(write=False)
+    C = Coloring.from_table(view, q=2)
+    values[0] = 1
+    assert C.table.tolist() == [0, 1, 1, 0]
+    # A read-only array of the color dtype that owns its memory, or views
+    # bytes, is taken as it is.
     frozen = np.array([0, 1, 1, 0], dtype=np.uint8)
     frozen.setflags(write=False)
     assert np.shares_memory(Coloring.from_table(frozen, q=2).table, frozen)
+    blob = np.frombuffer(bytes([0, 1, 1, 0]), dtype=np.uint8)
+    assert np.shares_memory(Coloring.from_table(blob, q=2).table, blob)
 
 
 def test_evaluate_explicit():

@@ -67,7 +67,7 @@ def test_all_ones_transform():
 def test_two_point_support():
     f = [1 if v in (0, 7) else 0 for v in range(8)]
     spec = character_transform(f, 3, 2)
-    assert sorted(np.nonzero(spec.nonzero_mask())[0].tolist()) == [0, 3, 5, 6]
+    assert np.flatnonzero(spec.coeffs != 0).tolist() == [0, 3, 5, 6]
     assert degree(f, 3, 2) == 2
 
 
@@ -200,6 +200,12 @@ def test_transform_rejects_int64_overflow():
             character_transform(np.array(values), n, q)
     f = np.array([2**61 - 1, -(2**61 - 1), 0, 2**61 - 1])
     assert np.array_equal(inverse_transform(character_transform(f, 2, 2)), f)
+    f = np.array([2**61, -(2**61), 2**61])
+    assert np.array_equal(inverse_transform(character_transform(f, 1, 3)), f)
+    # The inverse's outputs q**n * f(x) would be 2**63 and 3 * 2**62.
+    for coeffs, n, q in [([2**62, 2**62], 1, 2), ([[2**62, 0]] * 3, 1, 3)]:
+        with pytest.raises(OutOfRangeError):
+            inverse_transform(CharacterSpectrum(n, q, np.array(coeffs)))
 
 
 def test_parseval_exact_q2():
@@ -251,10 +257,16 @@ def test_degree_examples():
     assert degree([0, 0, 0, 1], 2, 2) == 2
 
 
+def whole_table_weights(values, n, q):
+    """The support weights from a whole-table nonzero mask and weight table."""
+    coeffs = character_transform(values, n, q).coeffs
+    nonzero = coeffs != 0 if q == 2 else (coeffs != 0).any(axis=1)
+    return np.unique(hamming_weights(n, q)[nonzero]).tolist()
+
+
 def weight_oracle_degree(values, n, q):
     """The degree from a whole-table nonzero mask and weight table."""
-    mask = character_transform(values, n, q).nonzero_mask()
-    return int(hamming_weights(n, q)[mask].max(initial=0))
+    return max(whole_table_weights(values, n, q), default=0)
 
 
 def test_degree_matches_whole_table_weights():
@@ -276,10 +288,18 @@ def test_degree_matches_whole_table_weights():
         spectrum = np.zeros(2**n, dtype=np.int64)
         spectrum[support] = 1
         cases.append(level_loop_oracle(spectrum))
+    # Every weight up to 16 in block 0 and weight 17 only in block 1: block 1
+    # (weights 1..17) must be scanned, block 2 may be skipped.
+    spectrum = np.zeros(2**n, dtype=np.int64)
+    spectrum[:2**16] = rng.integers(1, 4, size=2**16)
+    spectrum[2**17 - 1] = 1
+    cases.append(level_loop_oracle(spectrum))
     degrees = set()
     for f in cases:
         d = degree(f, n, 2)
         assert d == weight_oracle_degree(f, n, 2)
+        weights = character_transform(f, n, 2).support_weights().tolist()
+        assert weights == whole_table_weights(f, n, 2)
         degrees.add(d)
     assert len(degrees) >= 4
     # q > 2: every color of rm(3, 1) and rm(3, 2), and two of rm(5, 1) on
@@ -291,6 +311,30 @@ def test_degree_matches_whole_table_weights():
         table = C.materialize().table
         for i in colors:
             assert degree(table == i, C.n, C.q) == weight_oracle_degree(table == i, C.n, C.q)
+            spec = character_transform(table == i, C.n, C.q)
+            assert spec.support_weights().tolist() == whole_table_weights(table == i, C.n, C.q)
+
+
+def test_support_weights_scan_blocks():
+    # H(20, 2), sixteen blocks of 2**16 frequencies: every weight from 2 to
+    # 16 in block 0, weight 17 in block 1, and weight 1 only at the first
+    # frequency of block 4, which must still be scanned.  No 2**20-cell
+    # nonzero mask or weight table is built.
+    spectrum = np.zeros(2**20, dtype=np.int64)
+    spectrum[:2**16] = hamming_weights(16, 2) >= 2
+    spectrum[[2**17 - 1, 2**18]] = 1
+    f = level_loop_oracle(spectrum)
+    spec = character_transform(f, 20, 2)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        weights = spec.support_weights()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert weights.tolist() == whole_table_weights(f, 20, 2) == list(range(1, 18))
+    assert peak < 0.5 * 2**20
+    assert character_transform(np.zeros(8, np.int64), 3, 2).support_weights().size == 0
 
 
 @pytest.mark.parametrize("n,q", [(4, 2), (3, 3), (2, 5)])
@@ -355,8 +399,8 @@ def transform_eigen_check(C, S):
     n, q = Cm.n, Cm.q
     allowed = set(quotient_spectrum(S, n, q))
     for i in range(Cm.k):
-        weights = character_transform(Cm.table == i, n, q).support_weights()
-        if any(graph_eigenvalue(n, q, int(w)) not in allowed for w in weights):
+        weights = whole_table_weights(Cm.table == i, n, q)
+        if any(graph_eigenvalue(n, q, w) not in allowed for w in weights):
             return False
     return True
 
