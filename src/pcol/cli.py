@@ -36,7 +36,7 @@ def _spectrum_json(rep: VerificationReport):
     return sorted(out, key=lambda e: e["index"])
 
 
-def report_json(rep: VerificationReport, *, provenance: str | None = None) -> dict:
+def report_json(rep: VerificationReport) -> dict:
     witness = None
     if rep.witness is not None:
         witness = {
@@ -58,7 +58,7 @@ def report_json(rep: VerificationReport, *, provenance: str | None = None) -> di
         "essential": list(rep.essential) if rep.essential is not None else None,
         "degrees": list(rep.degrees) if rep.degrees is not None else None,
         "witness": witness,
-        "provenance": provenance,
+        "provenance": None,  # schema v1 keeps the key; manifests record provenance
     }
 
 

@@ -17,7 +17,7 @@ from math import gcd
 
 import numpy as np
 
-from .core import Coloring, QuotientMatrix, _shifted_index, digits
+from .core import Coloring, QuotientMatrix, _shifted_index, color_dtype, digits
 from .errors import (BadDensityError, BadOuterColoringError, InconsistentError,
                      NotEssentialError, NotPowerOfTwoError, OutOfRangeError,
                      SizeMismatchError, TooLargeError)
@@ -87,7 +87,8 @@ def rm_coloring(q: int, s: int) -> Coloring:
         raise OutOfRangeError(f"s must be >= 1, got {s}")
     F = FieldTable(q)
     M = q**s
-    return Coloring(M, q, M * q, _RMBody(F, s), provenance=f"rm(q={q},s={s})")
+    color_dtype(M * q)  # before _RMBody lists all M alphas
+    return Coloring(M, q, M * q, _RMBody(F, s))
 
 
 # -- translation collections --------------------------------------------
@@ -174,9 +175,8 @@ def hamming_union_coloring(part: HammingCosetPartition, start: int = 0,
     if not 1 <= count < M:
         raise OutOfRangeError(f"count must be in [1, {M}), got {count}")
     inside = [(start + t) % M for t in range(count)]
-    rest = [c for c in range(M) if c not in inside]
-    return Coloring.merged(part.coloring, [inside, rest]).with_provenance(
-        f"hamming-union(m={part.m},count={count},start={start % M})")
+    rest = [(start + t) % M for t in range(count, M)]
+    return Coloring.merged(part.coloring, [inside, rest])
 
 
 def union_quotient(M: int, count: int) -> QuotientMatrix:
@@ -354,8 +354,8 @@ def construct_bc(b: int, c: int, *, guard: int | None = None) -> ConstructedColo
     if predicted != trace.quotients[-1]:
         raise InconsistentError(
             f"step-by-step quotient {trace.quotients[-1]} != closed form {predicted}")
-    coloring = trace.collection.colorings[0].with_provenance(f"bc(b={b},c={c})")
-    return ConstructedColoring(coloring, trace.collection, predicted, trace)
+    return ConstructedColoring(trace.collection.colorings[0], trace.collection,
+                               predicted, trace)
 
 
 @dataclass(frozen=True)
@@ -388,7 +388,7 @@ def construct_unbalanced_boolean(r: int, s: int, e: int, *,
         raise BadDensityError(f"e = {e} must be >= 1")
 
     built = construct_bc((s - r) * e, r * e, guard=guard)
-    coloring = built.coloring.with_provenance(f"boolean(rho={r}/{s},e={e})")
+    coloring = built.coloring
     density = Fraction(r, s)
     expected_degree = e * s // 2
 

@@ -9,6 +9,11 @@ so symbolic colorings stay exact past the materialization guard and past
 int64, and ``materialize`` fills the table in blocks of indices, so its
 memory is the table plus one block.  The guard bounds every table handed
 out, explicit ones included.
+
+A coloring has at most 65536 colors.  ``from_table`` and ``materialize``
+check that a table attains all k colors with one scan, ``_first_vertices``,
+whose first vertices ``compute_quotient`` reads its rows at.  Provenance
+lives in a collection's manifest, not on a coloring.
 """
 from __future__ import annotations
 
@@ -99,14 +104,24 @@ def _color_counts(arr: np.ndarray, k: int) -> np.ndarray:
     return counts
 
 
-def _require_surjective(arr: np.ndarray, k: int) -> None:
-    """Raise for the lowest color missing from arr; stop once every color has been seen."""
-    seen = np.zeros(k, dtype=bool)
-    for lo in range(0, arr.size, _MATERIALIZE_BLOCK):
-        seen |= np.bincount(arr[lo:lo + _MATERIALIZE_BLOCK], minlength=k) > 0
-        if seen.all():
-            return
-    raise NotSurjectiveError(int(np.argmin(seen)))
+def _first_vertices(arr: np.ndarray, k: int) -> np.ndarray:
+    """The first cell of each color; raises for the lowest color arr misses.
+
+    Slices double from 2**12 cells up to _MATERIALIZE_BLOCK, and a color is
+    located inside the slice where it first appears, so each color costs
+    about as many cells as were scanned before it.
+    """
+    first = np.full(k, -1, dtype=np.intp)
+    lo, step = 0, 1 << 12
+    while lo < arr.size:
+        blk = arr[lo:lo + step]
+        for c in np.flatnonzero((np.bincount(blk, minlength=k) > 0) & (first < 0)).tolist():
+            first[c] = lo + np.argmax(blk == c)
+        if (first >= 0).all():
+            return first
+        lo += step
+        step = min(2 * step, _MATERIALIZE_BLOCK)
+    raise NotSurjectiveError(int(np.argmax(first < 0)))
 
 
 def color_dtype(k: int):
@@ -125,20 +140,20 @@ class Coloring:
     are immutable after construction and safe to share across threads.
     """
 
-    __slots__ = ("n", "q", "k", "body", "provenance")
+    __slots__ = ("n", "q", "k", "body")
 
-    def __init__(self, n: int, q: int, k: int, body, provenance: str | None = None):
+    def __init__(self, n: int, q: int, k: int, body):
+        color_dtype(k)  # refuse more colors than a table can hold
         self.n = n
         self.q = q
         self.k = k
         self.body = body
-        self.provenance = provenance
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def from_table(values, q: int, k: int | None = None, *, validate: bool = True,
-                   provenance: str | None = None) -> "Coloring":
+    def from_table(values, q: int, k: int | None = None) -> "Coloring":
+        """Explicit coloring from a table of q**n colors; every color below k must occur."""
         arr = np.asarray(values).reshape(-1)
         if arr.dtype.kind not in "biu":
             raise OutOfRangeError(f"color table must hold integers, got dtype {arr.dtype}")
@@ -163,10 +178,9 @@ class Coloring:
         while isinstance(base, np.ndarray) and not base.flags.writeable:
             base = base.base
         arr = arr.astype(color_dtype(k), copy=base is not None and not isinstance(base, bytes))
-        if validate:
-            _require_surjective(arr, k)
+        _first_vertices(arr, k)
         arr.setflags(write=False)
-        return Coloring(n, q, k, _TableBody(arr), provenance)
+        return Coloring(n, q, k, _TableBody(arr))
 
     @staticmethod
     def translation(base: "Coloring", shift) -> "Coloring":
@@ -207,10 +221,10 @@ class Coloring:
 
     @staticmethod
     def merged(base: "Coloring", grouping) -> "Coloring":
-        """Recolor by group index; grouping must partition {0..base.k-1}."""
+        """Recolor by group index; grouping must partition {0..base.k-1} into nonempty groups."""
         groups = [tuple(int(c) for c in g) for g in grouping]
         seen = [c for g in groups for c in g]
-        if sorted(seen) != list(range(base.k)):
+        if sorted(seen) != list(range(base.k)) or not all(groups):
             raise InvalidPartitionError(
                 f"grouping {groups} is not a partition of 0..{base.k - 1}")
         k_new = len(groups)
@@ -263,12 +277,9 @@ class Coloring:
         for lo in range(0, cells, _MATERIALIZE_BLOCK):
             hi = min(lo + _MATERIALIZE_BLOCK, cells)
             arr[lo:hi] = self.body.eval(np.arange(lo, hi, dtype=np.int64))
-        _require_surjective(arr, self.k)
+        _first_vertices(arr, self.k)
         arr.setflags(write=False)
-        return Coloring(self.n, self.q, self.k, _TableBody(arr), self.provenance)
-
-    def with_provenance(self, provenance: str) -> "Coloring":
-        return Coloring(self.n, self.q, self.k, self.body, provenance)
+        return Coloring(self.n, self.q, self.k, _TableBody(arr))
 
     def __repr__(self) -> str:
         kind = "explicit" if self.is_explicit else type(self.body).__name__.strip("_")

@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import Coloring, QuotientMatrix, materialize_guard
-from .errors import NotSurjectiveError, OutOfRangeError, TooLargeError
+from .errors import OutOfRangeError, TooLargeError
 from .verify import compute_quotient, graph_eigenvalue, quotient_spectrum
 
 
@@ -332,16 +332,13 @@ def eigen_decomposition_check(C: Coloring, S, *, guard: int | None = None) -> bo
     supported on weights w with n(q-1) - q*w an eigenvalue of S.  For a
     perfect C with quotient T and indicator matrix F, A F = F T gives
     P_lam F = F Pi_lam(T) for each spectral projector, and F has full column
-    rank, so the colors' supports together are exactly spec T: one quotient
+    rank (every color is attained), so the colors' supports together are exactly spec T: one quotient
     replaces the k transforms.  Any other C takes the transforms.
     """
     Cm = C.materialize(guard)
     n, q = Cm.n, Cm.q
     allowed = set(quotient_spectrum(S, n, q))
-    try:
-        own = compute_quotient(Cm, guard=guard)
-    except NotSurjectiveError:
-        own = None  # an empty color leaves F short of full rank
+    own = compute_quotient(Cm, guard=guard)
     if isinstance(own, QuotientMatrix):
         return set(quotient_spectrum(own)) <= allowed
     table = Cm.table

@@ -18,7 +18,9 @@ Neighbor counts and the essential mask pick their kernel by q alone:
 
 Both run in one thread; ``verification_report`` accepts ``threads``, which
 must be at least 1 but has no effect.  Failure witnesses are the first in
-ascending vertex-index order.
+ascending vertex-index order.  Quotient rows are read at the first vertices
+from ``core._first_vertices``, the scan that checks every table is onto.
+Reports keep ``"provenance": null``; collection manifests record provenance.
 """
 from __future__ import annotations
 
@@ -28,9 +30,9 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (_MATERIALIZE_BLOCK, Coloring, QuotientMatrix, _color_counts,
-                   materialize_guard, neighbors)
-from .errors import (DisconnectedError, InconsistentError, NotSurjectiveError,
-                     OutOfRangeError, SpectrumNotInGraphError, TooLargeError)
+                   _first_vertices, materialize_guard, neighbors)
+from .errors import (DisconnectedError, InconsistentError, OutOfRangeError,
+                     SpectrumNotInGraphError, TooLargeError)
 
 DEFAULT_ASSIGNMENT_GUARD = 1 << 24
 _SEARCH_CHUNK_CELLS = 1 << 22
@@ -92,18 +94,6 @@ class VerificationReport:
 
 def _profile(table: np.ndarray, v: int, n: int, q: int, k: int) -> tuple[int, ...]:
     return tuple(np.bincount(table[neighbors(v, n, q)], minlength=k).tolist())
-
-
-def _first_vertices(table: np.ndarray, k: int) -> np.ndarray:
-    """The first vertex of each color, scanning the table block by block."""
-    first = np.full(k, -1, dtype=np.intp)
-    for lo in range(0, table.size, _MATERIALIZE_BLOCK):
-        blk = table[lo:lo + _MATERIALIZE_BLOCK]
-        for c in np.flatnonzero((np.bincount(blk, minlength=k) > 0) & (first < 0)):
-            first[c] = lo + np.argmax(blk == c)
-        if (first >= 0).all():
-            return first
-    raise NotSurjectiveError(int(np.argmax(first < 0)))
 
 
 # The q = 2 kernel works on bitmaps over the vertices: bit v of a packed array

@@ -194,6 +194,11 @@ def test_construct_boolean_cli(tmp_path, capsys):
                  "-o", str(out)]) == 0
     C = read_pcol(out)
     assert (C.n, C.q, C.k) == (3, 2, 2)
+    assert main(["construct", "boolean", "--rho", "1/4", "--e", "1",
+                 "--collection-out", str(tmp_path / "members")]) == 2
+    err = capsys.readouterr().err
+    assert "no collection to write" in err and "Traceback" not in err
+    assert not (tmp_path / "members").exists()
 
 
 def test_construct_hamming_union_with_collection(tmp_path, capsys):
@@ -220,6 +225,38 @@ def test_construct_recursive_cli(tmp_path, capsys):
     assert "[[3, 3], [3, 3]]" in text
     assert main(["verify", str(out), "--expect-quotient", "[[3,3],[3,3]]",
                  "--essential"]) == 0
+    capsys.readouterr()
+    assert main(["construct", "recursive", "--base", str(base),
+                 "--collection-size", "3", "--steps", "1"]) == 2
+    # Period 2 on H(1, 4): two translates, and 2 is not a power of q = 4.
+    write_pcol(base, Coloring.from_table([0, 1, 0, 1], q=4))
+    assert main(["construct", "recursive", "--base", str(base), "--steps", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "has 2 members, not 3" in err and "not a power of q=4" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["rm", "--q", "2", "--s", "22"],
+                                  ["hamming-union", "--m", "26", "--cprime", "1"],
+                                  ["boolean", "--rho", "1/16777216", "--e", "1"],
+                                  ["bc", "--b", "1", "--c", "8388607"]])
+def test_too_many_colors_exit_2_before_building(argv):
+    # Each asks for more than 65536 colors.  Refused up front, none of them
+    # comes near the 1.5 GB address-space cap or the 10 s timeout.
+    resource = pytest.importorskip("resource")
+    cap = 1_500_000 * 1024
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pcol.cli", "construct", *argv],
+        capture_output=True, text=True, env=env, timeout=10,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert proc.returncode == 2
+    assert "more than 65536 colors" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_console_entry_point(tmp_path):

@@ -13,9 +13,9 @@ from pcol.constructions import (RecursionSpec, closed_form_length, coloring_peri
                                 translations_collection, union_quotient)
 from pcol.core import Coloring, QuotientMatrix
 from pcol.errors import (BadDensityError, BadOuterColoringError,
-                         NotEssentialError, NotPowerOfTwoError,
-                         NotPrimePowerError, OutOfRangeError,
-                         SizeMismatchError)
+                         InconsistentError, NotEssentialError,
+                         NotPowerOfTwoError, NotPrimePowerError,
+                         OutOfRangeError, SizeMismatchError, UnsupportedError)
 from pcol.pcolfile import read_pcol, write_pcol
 from pcol.spectral import coloring_degree, eigen_decomposition_check
 from pcol.verify import (check_uniform, compute_quotient, densities_by_count,
@@ -178,6 +178,11 @@ def test_recursive_step_small():
     assert S.as_lists() == [[2, 2], [2, 2]]
     assert essential_arguments(member) == (True,) * 4
     assert check_uniform(out).uniform
+    # Without a quotient on the collection, member 0's is computed.
+    from pcol.constructions import UniformCollection
+    bare = recursive_step(UniformCollection(col.colorings, "cyclic-coset-shift"),
+                          rm_coloring(2, 1))
+    assert bare.quotient == out.quotient and bare.hypotheses_checked
 
 
 def test_recursive_step_errors():
@@ -196,6 +201,32 @@ def test_recursive_step_errors():
                                QuotientMatrix.of([[1, 1], [1, 1]], 2, 2))
     with pytest.raises(NotEssentialError):
         recursive_step(padded, rm_coloring(2, 1))
+    # no quotient given, and member 0 is not perfect: nothing to predict from
+    skew = UniformCollection(tuple(Coloring.from_table(t, q=2)
+                                   for t in ([0, 0, 0, 1], [1, 1, 1, 0])), "skew")
+    with pytest.raises(InconsistentError, match="not a perfect coloring"):
+        recursive_step(skew, rm_coloring(2, 1))
+
+
+def test_union_complement_matches_the_membership_scan():
+    # Oracle: the complement by membership scan; merged ignores order in a group.
+    for m in range(1, 5):
+        part = hamming_cosets(m)
+        M = part.size
+        for start in range(-M, 2 * M):
+            for count in range(1, M):
+                inside = [(start + t) % M for t in range(count)]
+                rest = [c for c in range(M) if c not in inside]
+                old = Coloring.merged(part.coloring, [inside, rest]).body.mapping
+                new = hamming_union_coloring(part, start, count).body.mapping
+                assert new.tolist() == old.tolist()
+
+
+def test_rm_coloring_refuses_too_many_colors_before_building():
+    # 2 * 2**16 colors: refused before the 2**16 alphas are listed.
+    with pytest.raises(UnsupportedError):
+        rm_coloring(2, 16)
+    assert rm_coloring(2, 15).k == 65536
 
 
 def test_closed_form_lengths():

@@ -1,10 +1,12 @@
+import time
+
 import numpy as np
 import pytest
 
-from pcol.core import (Coloring, digits, materialize_guard, neighbors,
-                       vertex_index)
+from pcol.core import (Coloring, _first_vertices, color_dtype, digits,
+                       materialize_guard, neighbors, vertex_index)
 from pcol.errors import (InvalidPartitionError, NotSurjectiveError,
-                         OutOfRangeError, TooLargeError)
+                         OutOfRangeError, TooLargeError, UnsupportedError)
 from scalar_oracle import scalar_color
 
 
@@ -128,6 +130,9 @@ def test_merge_partition_checked():
         Coloring.merged(C, [[0], [1]])
     with pytest.raises(InvalidPartitionError):
         Coloring.merged(C, [[0, 1], [1, 2]])
+    # An empty group would be a color no vertex takes.
+    with pytest.raises(InvalidPartitionError):
+        Coloring.merged(C, [[0], [1, 2], []])
 
 
 def test_merge_all_colors():
@@ -163,12 +168,70 @@ def test_guard_env_override(monkeypatch):
             materialize_guard()
 
 
+class _ParityBody:
+    """Parity of a vertex of H(2, 2): two colors, whatever k claims."""
+
+    def eval(self, idx):
+        return (idx ^ (idx >> 1)) & 1
+
+
 def test_materialize_not_surjective():
-    base = Coloring.from_table([0, 1, 1, 0], q=2, k=3, validate=False)
+    base = Coloring(2, 2, 3, _ParityBody())
     T = Coloring.translation(base, (0, 0))
     with pytest.raises(NotSurjectiveError) as ei:
         T.materialize()
     assert ei.value.missing_color == 2
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 256, 257, 8192])
+def test_first_vertices_match_unique(k):
+    rng = np.random.default_rng(0xF125 + k)
+    arr = rng.integers(0, k, 2**17)
+    # Every color somewhere, most of them past the first slices.
+    arr[rng.choice(arr.size, k, replace=False)] = np.arange(k)
+    arr = arr.astype(color_dtype(k))
+    colors, first = np.unique(arr, return_index=True)
+    assert colors.tolist() == list(range(k))
+    assert _first_vertices(arr, k).tolist() == first.tolist()
+
+
+@pytest.mark.parametrize("cell", [4095, 4096, 8191, 8192, 2**20 - 1, 2**20, 2**21 - 1])
+def test_first_vertices_find_a_late_color(cell):
+    # Color 2 first appears at cell (on a slice edge, or in the last cell of
+    # an H(21, 2) table) and a few times after it.
+    rng = np.random.default_rng(cell)
+    arr = rng.integers(0, 2, 2**21).astype(np.uint8)
+    arr[cell] = 2
+    arr[rng.integers(cell, arr.size, 5)] = 2
+    assert _first_vertices(arr, 3).tolist() == np.unique(arr, return_index=True)[1].tolist()
+    C = Coloring.from_table(arr, q=2)
+    assert (C.n, C.k) == (21, 3)
+
+
+@pytest.mark.parametrize("k,missing", [(3, [0]), (3, [2]), (257, [5, 256]),
+                                       (8192, [17, 4000, 8191]), (8192, list(range(100, 8192)))])
+def test_first_vertices_report_the_lowest_missing_color(k, missing):
+    rng = np.random.default_rng(k + len(missing))
+    present = np.setdiff1d(np.arange(k), missing)
+    arr = present[rng.integers(0, present.size, 2**17)].astype(color_dtype(k))
+    with pytest.raises(NotSurjectiveError) as ei:
+        _first_vertices(arr, k)
+    assert ei.value.missing_color == min(missing)
+    with pytest.raises(NotSurjectiveError) as ei:
+        Coloring.from_table(arr, q=2, k=k)
+    assert ei.value.missing_color == min(missing)
+
+
+def test_first_vertex_scan_of_many_colors_is_fast():
+    # A random 8192-coloring of H(20, 2): the check in from_table plus the
+    # scan that compute_quotient repeats.  Comparing every color with a whole
+    # 2**20-cell block instead takes about 4 s.
+    k = 8192
+    arr = np.random.default_rng(0xF1125).integers(0, k, 2**20)
+    t0 = time.perf_counter()
+    C = Coloring.from_table(arr, q=2, k=k)
+    _first_vertices(C.table, k)
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_color_dtype_choice():
@@ -178,6 +241,10 @@ def test_color_dtype_choice():
     big = Coloring.from_table(table, q=2)
     assert big.table.dtype == np.uint16
     assert big.k == 300
+    # No table holds more than 65536 colors, so no symbolic coloring may.
+    assert Coloring.syndrome(16).k == 65536
+    with pytest.raises(UnsupportedError):
+        Coloring.syndrome(17)
 
 
 def test_outer_node_shape_checks():

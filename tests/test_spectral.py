@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pcol.core import Coloring, QuotientMatrix, digits
-from pcol.errors import OutOfRangeError
+from pcol.errors import OutOfRangeError, TooLargeError
 from pcol.spectral import (CharacterSpectrum, character_transform,
                            coloring_degree, cyclotomic_polynomial, degree,
                            eigen_decomposition_check, hamming_weights,
@@ -372,6 +372,13 @@ def test_union_coloring_degree():
     assert coloring_degree(union).per_color == (4, 4)
 
 
+def test_character_transform_checks_guard_and_length():
+    with pytest.raises(TooLargeError):
+        character_transform([0] * 16, 4, 2, guard=8)
+    with pytest.raises(OutOfRangeError, match="expected 16 values, got 8"):
+        character_transform([0] * 8, 4, 2)
+
+
 def test_eigen_decomposition_check():
     p = parity(3)
     S = compute_quotient(p)
@@ -386,11 +393,6 @@ def test_eigen_decomposition_check():
     corrupted[0] = 1 - corrupted[0]
     bad = Coloring.from_table(corrupted, q=2)
     assert not eigen_decomposition_check(bad, S)
-
-    # an unchecked table with an empty color takes the transforms
-    empty = Coloring.from_table([0, 1, 1, 0], q=2, k=3, validate=False)
-    assert eigen_decomposition_check(empty, compute_quotient(parity(2)))
-    assert not eigen_decomposition_check(empty, QuotientMatrix.of([[1, 1], [1, 1]], 2, 2))
 
 
 def transform_eigen_check(C, S):

@@ -190,12 +190,12 @@ def test_library_rejects_nonpositive_threads():
 
 
 def test_quotient_reports_first_missing_color():
-    # absent colors, with vertex 0 holding color 0 or not
+    # absent colors, with vertex 0 holding color 0 or not: no table that
+    # misses one is ever built, so no quotient can be asked of it
     for values, k, missing in (([1, 1, 3, 1], 4, 0), ([0, 0, 0, 2], 3, 1),
                                ([0, 1, 1, 0, 1, 0, 0, 1], 4, 2)):
-        C = Coloring.from_table(values, q=2, k=k, validate=False)
         with pytest.raises(NotSurjectiveError) as ei:
-            compute_quotient(C)
+            Coloring.from_table(values, q=2, k=k)
         assert ei.value.missing_color == missing
 
 
@@ -330,6 +330,13 @@ def test_validate_quotient():
     # the same matrix is structurally fine for H(8, 3)
     assert validate_quotient(rows, 8, 3).ok
 
+    # Row sums and sign pattern are fine, but the ratios around the triangle
+    # 0 -> 1 -> 2 -> 0 multiply to 8, not 1.
+    d = validate_quotient([[0, 2, 1], [1, 0, 2], [2, 1, 0]], 3, 2)
+    assert d.row_sums_ok and not d.balance_ok and not d.ok
+    assert d.densities is None
+    assert "detailed balance fails" in d.balance_message
+
 
 def test_check_uniform_translations_of_parity():
     C = parity(2)
@@ -437,6 +444,8 @@ def test_check_uniform_shape_mismatch():
     b = parity(3)
     with pytest.raises(OutOfRangeError):
         check_uniform([a, b])
+    with pytest.raises(OutOfRangeError, match="empty collection"):
+        check_uniform([])
 
 
 def test_check_uniform_density_cross_check():
@@ -507,7 +516,7 @@ def test_check_uniform_matches_oracle_across_blocks(monkeypatch):
             tables = [(base + j) % k for j in range(k)]
             for _ in range(rng.integers(0, 5)):
                 tables[rng.integers(k)][rng.integers(1, N)] = rng.integers(k)
-            members = [Coloring.from_table(t, q, k, validate=False) for t in tables]
+            members = [Coloring.from_table(t, q, k) for t in tables]
             draws = np.random.default_rng(0x5EED).integers(0, N, size=100).tolist()
             for sample, verts in ((None, range(N)), (100, [0] + draws)):
                 expect, first_varying = _uniform_witness_oracle(members, verts)
