@@ -174,9 +174,8 @@ def hamming_union_coloring(part: HammingCosetPartition, start: int = 0,
     M = part.size
     if not 1 <= count < M:
         raise OutOfRangeError(f"count must be in [1, {M}), got {count}")
-    inside = [(start + t) % M for t in range(count)]
-    rest = [(start + t) % M for t in range(count, M)]
-    return Coloring.merged(part.coloring, [inside, rest])
+    order = (start + np.arange(M)) % M
+    return Coloring.merged(part.coloring, [order[:count], order[count:]])
 
 
 def union_quotient(M: int, count: int) -> QuotientMatrix:

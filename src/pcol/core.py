@@ -222,18 +222,17 @@ class Coloring:
     @staticmethod
     def merged(base: "Coloring", grouping) -> "Coloring":
         """Recolor by group index; grouping must partition {0..base.k-1} into nonempty groups."""
-        groups = [tuple(int(c) for c in g) for g in grouping]
-        seen = [c for g in groups for c in g]
-        if sorted(seen) != list(range(base.k)) or not all(groups):
+        groups = [np.asarray(g, dtype=np.int64) for g in grouping]
+        sizes = [g.size for g in groups]
+        seen = np.concatenate(groups or [np.zeros(0, np.int64)])
+        if (seen.size != base.k or not all(sizes) or seen.min() < 0
+                or not (np.bincount(seen, minlength=base.k) == 1).all()):
             raise InvalidPartitionError(
-                f"grouping {groups} is not a partition of 0..{base.k - 1}")
-        k_new = len(groups)
-        mapping = np.zeros(base.k, dtype=color_dtype(k_new))
-        for gi, g in enumerate(groups):
-            for c in g:
-                mapping[c] = gi
+                f"grouping {[g.tolist() for g in groups]} is not a partition of 0..{base.k - 1}")
+        mapping = np.zeros(base.k, dtype=color_dtype(len(groups)))
+        mapping[seen] = np.repeat(np.arange(len(groups)), sizes)
         mapping.setflags(write=False)
-        return Coloring(base.n, base.q, k_new, _MergeBody(base, mapping))
+        return Coloring(base.n, base.q, len(groups), _MergeBody(base, mapping))
 
     @staticmethod
     def syndrome(m: int) -> "Coloring":

@@ -17,14 +17,18 @@ group, on column tiles that are gathered, transformed and scattered back.
 Each pair of levels is one radix-4 step: eight additions or subtractions per
 four cells.  The tile buffers are allocated once per call.
 
-For q > 2 the coefficients are int64, from n digit-rotating steps of one
-integer matrix on the power-basis coordinates.  The alphabet is treated as
-Z_q here even when a coloring was built from GF(q); the eigenspaces do not
-depend on that choice.  ``CharacterSpectrum.support_weights`` is the one
-reader of a spectrum, one block of frequencies at a time; ``degree`` is its
-maximum.  The eigenspace check of a perfect coloring needs no transform: its
-own quotient's spectrum is the union of the colors' supports.  Past int64
-both directions raise OutOfRangeError rather than wrap.
+For q > 2 one group-ring kernel serves both directions.  In Z[x]/(x**q - 1)
+a product with x**m only moves the q coordinates round m places, so a digit
+step adds between two (q, q**n) buffers, int32 under the q = 2 bound and
+int64 otherwise; the lowest digits, whose runs are short, go rotated to the
+top.  x -> zeta is a ring homomorphism onto Z[x]/Phi_q, so one product with
+the reduction matrix gives the int64 power-basis coefficients.  The alphabet
+is treated as Z_q here even when a coloring was built from GF(q); the
+eigenspaces do not depend on that choice.  ``CharacterSpectrum.support_weights``
+is the one reader of a spectrum, one block of frequencies at a time;
+``degree`` is its maximum.  The eigenspace check of a perfect coloring needs
+no transform: its own quotient's spectrum is the union of the colors'
+supports.  Past int64 both directions raise OutOfRangeError rather than wrap.
 """
 from __future__ import annotations
 
@@ -87,10 +91,12 @@ def _reduction_matrix(q: int) -> np.ndarray:
 
 # The q = 2 kernel's tile of 2**_TILE_BITS cells (also the most cells of one
 # degree block), the digits of a tile that run transposed, and the most
-# higher digits one pass over the output takes.
+# higher digits one pass over the output takes; the q > 2 kernel's shortest
+# run of contiguous cells in a digit step.
 _TILE_BITS = 16
 _LOW_BITS = 7
 _GROUP_BITS = 8
+_RUN = 64
 # The odd modulus of the inverse transform's overflow check.
 _CHECK_MODULUS = 2**31 - 1
 
@@ -137,9 +143,11 @@ class CharacterSpectrum:
         for b, high in enumerate(hamming_weights(n - d, q).tolist()):
             if found[high:high + d + 1].all():
                 continue
-            nonzero = self.coeffs[b * B:(b + 1) * B] != 0
-            if q > 2:
-                nonzero = nonzero.any(axis=1)
+            # Column by column: for q > 2, any(axis=1) over rows of D is slow.
+            block = self.coeffs[b * B:(b + 1) * B].reshape(B, -1)
+            nonzero = block[:, 0] != 0
+            for column in block.T[1:]:
+                nonzero |= column != 0
             if nonzero.any():
                 found[high + low[nonzero]] = True
         return np.flatnonzero(found)
@@ -239,24 +247,42 @@ def _walsh_hadamard(arr: np.ndarray, dtype, top: int) -> np.ndarray:
     return out
 
 
-def _cyclotomic_transform(values: np.ndarray, n: int, q: int, sign: int) -> np.ndarray:
-    """Transform of (q**n, D) coordinates in Z[x]/Phi_q; a flat table is coordinate 0.
+def _group_ring_step(a: np.ndarray, b: np.ndarray, sign: int) -> None:
+    """b[:, :, t] = sum over s of x**(sign*s*t) * a[:, :, s], on (q, A, q, B) views."""
+    q = a.shape[0]
+    for t in range(q):
+        o = b[:, :, t]
+        np.copyto(o, a[:, :, 0])
+        for s in range(1, q):
+            m = sign * s * t % q
+            np.add(o[m:], a[:q - m, :, s], out=o[m:])
+            np.add(o[:m], a[q - m:, :, s], out=o[:m])
 
-    Block (s, t) of K multiplies by zeta**(sign*s*t).  Reduction is a ring
-    homomorphism, so every step holds the reduced partial transform.
+
+def _group_ring_transform(values: np.ndarray, n: int, q: int, sign: int, dtype) -> np.ndarray:
+    """Transform of (q**n, D) coordinates in Z[x]/Phi_q (a flat table is coordinate 0).
+
+    Exact when every coordinate in the group ring Z[x]/(x**q - 1) fits dtype;
+    x -> zeta maps it onto Z[x]/Phi_q, taking x**j to row j of R.
     """
-    R = _reduction_matrix(q)
-    N, D = values.shape[0], R.shape[1]
-    K = np.block([[R[(np.arange(D) + sign * s * t) % q] for t in range(q)] for s in range(q)])
-    vals = values
-    if values.ndim == 1:
-        vals = np.zeros((N, D), dtype=np.int64)
-        vals[:, 0] = values
-    # Transform the most significant digit and move it to the least
-    # significant place: after n steps the digits are back in order.
-    for _ in range(n):
-        vals = vals.reshape(q, N // q, D).transpose(1, 0, 2).reshape(N // q, q * D) @ K
-    return vals.reshape(N, D)
+    N, R = q**n, _reduction_matrix(q)
+    D = R.shape[1]
+    x, y = np.zeros((q, N), dtype), np.empty((q, N), dtype)
+    np.copyto(x[:D] if values.ndim == 2 else x[0], values.T, casting="unsafe")
+    # Digits low.. first, then the low ones, whose runs of q**p cells are
+    # short, rotated to the top; the second rotation restores the order.
+    low = next(d for d in range(n + 1) if d == n or q**d >= _RUN)
+    for k in (low, n - low):
+        for p in range(k, n):
+            _group_ring_step(x.reshape(q, -1, q, q**p), y.reshape(q, -1, q, q**p), sign)
+            x, y = y, x
+        np.copyto(y.reshape(q, q**k, -1), x.reshape(q, -1, q**k).transpose(0, 2, 1))
+        x, y = y, x
+    del y  # before the output; the product with R widens one slice at a time
+    out = np.empty((N, D), np.int64)
+    for i in range(0, N, 1 << _TILE_BITS):
+        np.matmul(x[:, i:i + (1 << _TILE_BITS)].T, R, out=out[i:i + (1 << _TILE_BITS)])
+    return out
 
 
 def character_transform(values, n: int, q: int, *, guard: int | None = None) -> CharacterSpectrum:
@@ -275,11 +301,11 @@ def character_transform(values, n: int, q: int, *, guard: int | None = None) -> 
     top = max(-int(arr.min()), int(arr.max()))
     if N * top * int(np.abs(_reduction_matrix(q)).max()) >= 2**63:
         raise OutOfRangeError(f"values up to {top} on {N} cells overflow the int64 transform")
+    # Either kernel sums +-values of disjoint cells, so int32 is exact below 2**31.
+    dtype = np.int32 if N * top < 2**31 else np.int64
     if q == 2:
-        # The same bound makes int32 coefficients exact below 2**31.
-        dtype = np.int32 if N * top < 2**31 else np.int64
         return CharacterSpectrum(n, q, _walsh_hadamard(arr, dtype, top))
-    return CharacterSpectrum(n, q, _cyclotomic_transform(arr, n, q, sign=1))
+    return CharacterSpectrum(n, q, _group_ring_transform(arr, n, q, 1, dtype))
 
 
 def inverse_transform(spectrum: CharacterSpectrum) -> np.ndarray:
@@ -299,7 +325,7 @@ def inverse_transform(spectrum: CharacterSpectrum) -> np.ndarray:
     def transform(values, top):
         if q == 2:
             return _walsh_hadamard(values, np.int64, top).reshape(N, 1)
-        return _cyclotomic_transform(values, n, q, sign=-1)
+        return _group_ring_transform(values, n, q, -1, np.int64)
 
     P = _CHECK_MODULUS
     back = transform(c, max(-int(c.min()), int(c.max())))

@@ -4,7 +4,13 @@
 with Python integers only, following the meaning of each body node as the
 construction defines it.  The vectorized ``eval`` of every node is checked
 against it, through both ``Coloring.evaluate`` and ``Coloring.materialize``.
+
+``cyclotomic_transform`` is the plain matrix-step q > 2 character transform
+that the group-ring kernel is checked against.
 """
+import numpy as np
+
+from pcol.spectral import cyclotomic_polynomial
 
 BODY_KINDS = ("_TableBody", "_TranslationBody", "_CylinderBody", "_OuterBody",
               "_MergeBody", "_SyndromeBody", "_RMBody")
@@ -69,3 +75,33 @@ def scalar_color(C, v: int) -> int:
                         beta[t] = F.add(beta[t], F.mul(d, at))
         return q * sum(b * q**t for t, b in enumerate(beta)) + a
     raise TypeError(f"no scalar oracle for {kind}")
+
+
+def cyclotomic_transform(values, n: int, q: int, sign: int) -> np.ndarray:
+    """The matrix-step q > 2 transform: (q**n, D) int64 coordinates in Z[x]/Phi_q.
+
+    A flat table is coordinate 0.  Block (s, t) of K multiplies by
+    zeta**(sign*s*t) in the power basis; reduction is a ring homomorphism,
+    so every step holds the reduced partial transform.  It builds its own
+    reduction rows and shares no code with the group-ring kernel.
+    """
+    phi = cyclotomic_polynomial(q)
+    D = len(phi) - 1
+    # Row j holds x**j mod Phi_q: multiply by x, then take the carry times Phi_q off.
+    R = np.zeros((q, D), dtype=np.int64)
+    row = [1] + [0] * (D - 1)
+    for j in range(q):
+        R[j] = row
+        carry, row = row[-1], [0] + row[:-1]
+        row = [r - carry * c for r, c in zip(row, phi)]
+    N = q**n
+    K = np.block([[R[(np.arange(D) + sign * s * t) % q] for t in range(q)] for s in range(q)])
+    vals = np.asarray(values)
+    if vals.ndim == 1:
+        vals = np.zeros((N, D), dtype=np.int64)
+        vals[:, 0] = values
+    # Transform the most significant digit and move it to the least
+    # significant place: after n steps the digits are back in order.
+    for _ in range(n):
+        vals = vals.reshape(q, N // q, D).transpose(1, 0, 2).reshape(N // q, q * D) @ K
+    return vals.reshape(N, D)

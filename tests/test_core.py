@@ -133,6 +133,10 @@ def test_merge_partition_checked():
     # An empty group would be a color no vertex takes.
     with pytest.raises(InvalidPartitionError):
         Coloring.merged(C, [[0], [1, 2], []])
+    # A color twice, out of range or negative, or no group at all.
+    for grouping in ([[0, 0], [2]], [[0, 3], [1]], [[-1, 0], [1]], []):
+        with pytest.raises(InvalidPartitionError):
+            Coloring.merged(C, grouping)
 
 
 def test_merge_all_colors():

@@ -4,13 +4,16 @@ from math import gcd
 import numpy as np
 import pytest
 
+from pcol import spectral
 from pcol.core import Coloring, QuotientMatrix, digits
 from pcol.errors import OutOfRangeError, TooLargeError
-from pcol.spectral import (CharacterSpectrum, character_transform,
-                           coloring_degree, cyclotomic_polynomial, degree,
+from pcol.spectral import (_RUN, CharacterSpectrum, _group_ring_transform,
+                           character_transform, coloring_degree,
+                           cyclotomic_polynomial, degree,
                            eigen_decomposition_check, hamming_weights,
                            inverse_transform)
 from pcol.verify import compute_quotient, graph_eigenvalue, quotient_spectrum
+from scalar_oracle import cyclotomic_transform
 
 
 def parity(n):
@@ -191,6 +194,82 @@ def test_q2_transform_holds_one_output_and_tile_buffers():
         tracemalloc.stop()
     assert spec.coeffs.nbytes == 4 * 2**20
     assert peak <= 5 * 2**20
+
+
+def rotated_digits(q):
+    """The group-ring kernel's count of low digits rotated to the top."""
+    low = 0
+    while q**low < _RUN:
+        low += 1
+    return low
+
+
+# n runs from 0 past twice the rotated digit count: every digit rotated
+# (n <= low), rotated digits landing on places the others used
+# (low < n < 2 * low), and apart from them.
+@pytest.mark.parametrize("n,q", [(n, q) for q in range(3, 11)
+                                 for n in range(2 * rotated_digits(q) + 2)])
+def test_group_ring_kernel_matches_matrix_step_oracle(n, q):
+    rng = np.random.default_rng(700 + 10 * q + n)
+    N = q**n
+    inputs = [rng.integers(-9, 10, size=N)]
+    if N <= 2**16:
+        inputs += [rng.integers(0, 2, size=N).astype(bool), rng.integers(-2**40, 2**40, size=N)]
+    for f in inputs:
+        spec = character_transform(f, n, q)
+        expected = cyclotomic_transform(f, n, q, 1)
+        assert spec.coeffs.dtype == expected.dtype and spec.coeffs.shape == expected.shape
+        assert np.array_equal(spec.coeffs, expected), f.dtype
+        back = _group_ring_transform(spec.coeffs, n, q, -1, np.int64)
+        expected = cyclotomic_transform(spec.coeffs, n, q, -1)
+        assert back.dtype == expected.dtype and back.shape == expected.shape
+        assert np.array_equal(back, expected)
+    assert np.array_equal(inverse_transform(spec), f)
+
+
+@pytest.mark.parametrize("n,top,dtype", [
+    (0, 2**31 - 1, np.int32), (0, 2**31, np.int64), (0, -(2**31 - 1), np.int32),
+    (0, -2**31, np.int64), (5, (2**31 - 1) // 3**5, np.int32),
+    (5, (2**31 - 1) // 3**5 + 1, np.int64), (12, (2**31 - 1) // 3**12, np.int32),
+    (12, -((2**31 - 1) // 3**12 + 1), np.int64)])
+def test_q3_accumulator_dtype_at_the_bound(n, top, dtype, monkeypatch):
+    # N * max|v| below 2**31 accumulates in int32, from 2**31 on in int64;
+    # all-equal values put N * top in group-ring coordinate 0 of frequency 0.
+    chosen = []
+
+    def kernel(values, n, q, sign, dtype):
+        chosen.append(dtype)
+        return _group_ring_transform(values, n, q, sign, dtype)
+
+    monkeypatch.setattr(spectral, "_group_ring_transform", kernel)
+    equal = np.full(3**n, top, dtype=np.int64)
+    for f in (equal, np.where(np.arange(3**n) % 4 == 0, top, -top // 2)):
+        chosen.clear()
+        spec = character_transform(f, n, 3)
+        assert chosen == [dtype] and spec.coeffs.dtype == np.int64
+        assert np.array_equal(spec.coeffs, cyclotomic_transform(f, n, 3, 1))
+        assert spec.coeffs[0, 0] == sum(f.tolist())
+        assert np.array_equal(inverse_transform(spec), f)
+    # The bound is tight: from N * top = 2**31 on, int32 coordinates would wrap.
+    equal = np.full(3**n, abs(top), dtype=np.int64)
+    in_int32 = _group_ring_transform(equal, n, 3, 1, np.int32)
+    assert np.array_equal(in_int32, cyclotomic_transform(equal, n, 3, 1)) == (dtype == np.int32)
+
+
+@pytest.mark.parametrize("n,q,limit", [(12, 3, 44), (7, 7, 112)])
+def test_group_ring_transform_peak_per_cell(n, q, limit):
+    # Two (q, q**n) int32 buffers, then one of them and the (q**n, D) int64
+    # output; the indicator exists before the call.
+    f = np.arange(q**n) % 5 == 0
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        spec = character_transform(f, n, q)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(spec.coeffs, cyclotomic_transform(f, n, q, 1))
+    assert peak <= limit * q**n
 
 
 def test_transform_rejects_int64_overflow():
