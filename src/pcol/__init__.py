@@ -15,9 +15,8 @@ from .core import (Coloring, QuotientMatrix, digits, materialize_guard,
 from .gf import FieldTable, check_axioms, factor_prime_power, frobenius_fixed
 from .pcolfile import read_pcol, write_pcol
 from .spectral import (CharacterSpectrum, DegreeReport, character_transform,
-                       coloring_degree, cyclotomic_polynomial, degree,
-                       eigen_decomposition_check, hamming_weights,
-                       inverse_transform)
+                       coloring_degree, degree, eigen_decomposition_check,
+                       hamming_weights, inverse_transform)
 from .verify import (NonPerfectWitness, QuotientDiagnostics, UniformityCheck,
                      VerificationReport, check_uniform, compute_quotient,
                      densities_by_count, densities_from_quotient,
@@ -37,7 +36,7 @@ __all__ = [
     "search_colorings", "verification_report",
     "CharacterSpectrum", "DegreeReport", "character_transform",
     "inverse_transform", "degree", "coloring_degree", "hamming_weights",
-    "cyclotomic_polynomial", "eigen_decomposition_check",
+    "eigen_decomposition_check",
     "UniformCollection", "HammingCosetPartition", "RecursionSpec",
     "RecursionTrace", "ConstructedColoring", "UnbalancedBoolean",
     "rm_coloring", "rm_quotient", "translations_collection",

@@ -45,10 +45,17 @@ def materialize_guard(override: int | None = None) -> int:
     return limit
 
 
+def _check_vertex(v: int, n: int, q: int) -> None:
+    """OutOfRangeError unless 0 <= v < q**n, in one short line whatever v and n."""
+    if not 0 <= v < q**n:
+        bits = int(v).bit_length()
+        shown = v if bits <= 64 else f"{'-' * (v < 0)}<{bits} bits>"
+        raise OutOfRangeError(f"vertex {shown} not in [0, {q}**{n})")
+
+
 def digits(v: int, n: int, q: int) -> tuple[int, ...]:
     """Base-q digits of a vertex index, least significant first."""
-    if not 0 <= v < q**n:
-        raise OutOfRangeError(f"vertex {v} not in [0, {q**n})")
+    _check_vertex(v, n, q)
     out = []
     for _ in range(n):
         out.append(v % q)
@@ -68,8 +75,7 @@ def vertex_index(word, q: int) -> int:
 
 def neighbors(v: int, n: int, q: int) -> list[int]:
     """The n*(q-1) neighbors of v: position-major, replacement digit ascending."""
-    if not 0 <= v < q**n:
-        raise OutOfRangeError(f"vertex {v} not in [0, {q**n})")
+    _check_vertex(v, n, q)
     out = []
     place = 1
     rest = v
@@ -245,8 +251,7 @@ class Coloring:
     # -- evaluation ----------------------------------------------------
 
     def evaluate(self, v: int) -> int:
-        if not 0 <= v < self.q**self.n:
-            raise OutOfRangeError(f"vertex {v} not in [0, {self.q**self.n})")
+        _check_vertex(v, self.n, self.q)
         # Object dtype keeps Python integers, exact for vertices past int64.
         return int(self.body.eval(np.array([int(v)], dtype=object))[0])
 
@@ -269,7 +274,7 @@ class Coloring:
         limit = materialize_guard(guard)
         if cells > limit:
             raise TooLargeError(
-                f"q**n = {cells} exceeds the materialization guard {limit}")
+                f"q**n = {self.q}**{self.n} exceeds the materialization guard {limit}")
         if self.is_explicit:
             return self
         arr = np.empty(cells, dtype=color_dtype(self.k))

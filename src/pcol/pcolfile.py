@@ -279,7 +279,7 @@ def read_pcol(path) -> Coloring:
             most = size // (1 if k <= 256 else 2) if binary else (size + 1) // 2
             limit = materialize_guard()
             if not _above(q, n, most) and limit < q**n <= most:
-                raise TooLargeError(f"header q={q} n={n}: q**n = {q**n} exceeds "
+                raise TooLargeError(f"header q={q} n={n}: q**n = {q}**{n} exceeds "
                                     f"the materialization guard {limit}")
         fh.seek(0)
         blob = fh.read()

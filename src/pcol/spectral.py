@@ -2,9 +2,13 @@
 
 Frequencies are indexed like vertices; the weight-w characters span the
 eigenspace of H(n, q) for eigenvalue n(q-1) - q*w, so degree questions reduce
-to the support of the transform.  Coefficients are exact: plain integers for
-q = 2 (the Walsh-Hadamard spectrum, stored unnormalized, i.e. scaled by q**n)
-and integer coordinate vectors in Z[x]/Phi_q(x) otherwise.
+to the support of the transform.  For q = 2 it is the exact Walsh-Hadamard
+spectrum, unnormalized (scaled by q**n).  For q > 2 each coefficient alpha(u)
+in Z[zeta_q] is kept as its residue at zeta -> omega mod p, (p, omega) =
+_split_prime(q) (Pollard, Math. Comp. 1971).  While 2 * q**n * max|f| < p the
+norm of a nonzero alpha(u) is below p**phi(q), and p splits completely
+(Washington, Cyclotomic Fields, Thm 2.13), so not every residue at the j*u,
+j a unit mod q, vanishes; j*u has the weight of u: the weights are exact.
 
 For q = 2 one tiled kernel serves the forward and the inverse transform.  It
 writes into one new output array, int32 when q**n * max|value| < 2**31
@@ -19,16 +23,16 @@ four cells.  The tile buffers are allocated once per call.
 
 For q > 2 one group-ring kernel serves both directions.  In Z[x]/(x**q - 1)
 a product with x**m only moves the q coordinates round m places, so a digit
-step adds between two (q, q**n) buffers, int32 under the q = 2 bound and
-int64 otherwise; the lowest digits, whose runs are short, go rotated to the
-top.  x -> zeta is a ring homomorphism onto Z[x]/Phi_q, so one product with
-the reduction matrix gives the int64 power-basis coefficients.  The alphabet
-is treated as Z_q here even when a coloring was built from GF(q); the
-eigenspaces do not depend on that choice.  ``CharacterSpectrum.support_weights``
-is the one reader of a spectrum, one block of frequencies at a time;
-``degree`` is its maximum.  The eigenspace check of a perfect coloring needs
-no transform: its own quotient's spectrum is the union of the colors'
-supports.  Past int64 both directions raise OutOfRangeError rather than wrap.
+step adds between two (q, q**n) buffers, int32 forward (below p/2 < 2**30)
+and int64 in the inverse; the lowest digits, whose runs are short, go rotated
+to the top.  x -> omega is a ring homomorphism onto Z/p, so one Horner
+evaluation of the q coordinates mod p gives the int64 residues.  The alphabet
+is treated as Z_q even when a coloring was built from GF(q); the eigenspaces
+do not depend on that choice.  ``CharacterSpectrum.support_weights`` is the
+one reader of a spectrum, one block of frequencies at a time; ``degree`` is
+its maximum.  The eigenspace check of a perfect coloring needs no transform:
+its own quotient's spectrum is the union of the colors' supports.  Tables
+past these bounds raise OutOfRangeError rather than wrap.
 """
 from __future__ import annotations
 
@@ -42,51 +46,29 @@ from .errors import OutOfRangeError, TooLargeError
 from .verify import compute_quotient, graph_eigenvalue, quotient_spectrum
 
 
-def _polydiv_exact(num: list[int], den: list[int]) -> list[int]:
-    # den must be monic; remainder must vanish
-    num = num[:]
-    dd = len(den) - 1
-    out = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        out[i - dd] = c
-        if c:
-            for j in range(dd + 1):
-                num[i - dd + j] -= c * den[j]
-    if any(num[:dd]):
-        raise AssertionError("non-zero remainder in cyclotomic division")
-    return out
+def _is_prime(m: int) -> bool:
+    """Deterministic Miller-Rabin test, exact below 4,759,123,141 (bases 2, 7, 61)."""
+    if m < 2 or m in (2, 7, 61):
+        return m >= 2
+    s = ((m - 1) & (1 - m)).bit_length() - 1  # m - 1 = d * 2**s with d odd
+    d = (m - 1) >> s
+    return all(pow(b, d, m) == 1 or m - 1 in [pow(b, d << r, m) for r in range(s)]
+               for b in (2, 7, 61))
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(q: int) -> tuple[int, ...]:
-    """Ascending integer coefficients of Phi_q."""
-    if q < 1:
-        raise OutOfRangeError(f"q must be positive, got {q}")
-    poly = [-1] + [0] * (q - 1) + [1]
-    for d in range(1, q):
-        if q % d == 0:
-            poly = _polydiv_exact(poly, list(cyclotomic_polynomial(d)))
-    return tuple(poly)
-
-
-@lru_cache(maxsize=None)
-def _reduction_matrix(q: int) -> np.ndarray:
-    """(q, D) integer matrix; row j holds the coordinates of x**j in Z[x]/Phi_q."""
-    phi = cyclotomic_polynomial(q)
-    D = len(phi) - 1
-    rows = np.zeros((q, D), dtype=np.int64)
-    row = [0] * D
-    row[0] = 1
-    for j in range(q):
-        rows[j] = row
-        carry = row[D - 1]
-        row = [0] + row[:-1]
-        if carry:
-            for i in range(D):
-                row[i] -= carry * phi[i]
-    rows.setflags(write=False)
-    return rows
+def _split_prime(q: int) -> tuple[int, int]:
+    """(p, omega): the largest prime p < 2**31 with p = 1 (mod q), and omega of order q mod p."""
+    p = (2**31 - 2) // q * q + 1
+    while p > q and not _is_prime(p):
+        p -= q
+    if p <= q:
+        raise OutOfRangeError(f"no prime below 2**31 is 1 mod q = {q}")
+    for g in range(2, p):
+        # The order of w divides q, and it is no proper divisor q/r of q.
+        w = pow(g, (p - 1) // q, p)
+        if all(pow(w, q // r, p) != 1 for r in range(2, q + 1) if q % r == 0):
+            return p, w
 
 
 # The q = 2 kernel's tile of 2**_TILE_BITS cells (also the most cells of one
@@ -97,8 +79,6 @@ _TILE_BITS = 16
 _LOW_BITS = 7
 _GROUP_BITS = 8
 _RUN = 64
-# The odd modulus of the inverse transform's overflow check.
-_CHECK_MODULUS = 2**31 - 1
 
 
 def hamming_weights(n: int, q: int) -> np.ndarray:
@@ -113,12 +93,13 @@ def hamming_weights(n: int, q: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CharacterSpectrum:
-    """Exact transform coefficients, indexed by frequency word.
+    """Transform coefficients, indexed by frequency word; shape (q**n,).
 
-    For q = 2 ``coeffs`` has shape (q**n,) and dtype int32 when every
-    coefficient fits, i.e. q**n * max|value| < 2**31, else int64; otherwise
-    shape (q**n, D), int64, holding coordinates in the power basis of
-    Z[x]/Phi_q(x).  Values carry the implicit 1/q**n normalization.
+    For q = 2 the exact coefficients, int32 when every one fits, i.e. q**n *
+    max|value| < 2**31, else int64.  For q > 2 int64 residues in [0, p) at
+    zeta -> omega, (p, omega) = _split_prime(q).  A residue can vanish where
+    the exact coefficient does not, but the set of support weights is exact.
+    Values carry the implicit 1/q**n normalization.
     """
 
     n: int
@@ -143,11 +124,7 @@ class CharacterSpectrum:
         for b, high in enumerate(hamming_weights(n - d, q).tolist()):
             if found[high:high + d + 1].all():
                 continue
-            # Column by column: for q > 2, any(axis=1) over rows of D is slow.
-            block = self.coeffs[b * B:(b + 1) * B].reshape(B, -1)
-            nonzero = block[:, 0] != 0
-            for column in block.T[1:]:
-                nonzero |= column != 0
+            nonzero = self.coeffs[b * B:(b + 1) * B] != 0
             if nonzero.any():
                 found[high + low[nonzero]] = True
         return np.flatnonzero(found)
@@ -260,80 +237,85 @@ def _group_ring_step(a: np.ndarray, b: np.ndarray, sign: int) -> None:
 
 
 def _group_ring_transform(values: np.ndarray, n: int, q: int, sign: int, dtype) -> np.ndarray:
-    """Transform of (q**n, D) coordinates in Z[x]/Phi_q (a flat table is coordinate 0).
-
-    Exact when every coordinate in the group ring Z[x]/(x**q - 1) fits dtype;
-    x -> zeta maps it onto Z[x]/Phi_q, taking x**j to row j of R.
-    """
-    N, R = q**n, _reduction_matrix(q)
-    D = R.shape[1]
-    x, y = np.zeros((q, N), dtype), np.empty((q, N), dtype)
-    np.copyto(x[:D] if values.ndim == 2 else x[0], values.T, casting="unsafe")
-    # Digits low.. first, then the low ones, whose runs of q**p cells are
+    """Residues at x -> omega mod p of a flat table's transform in Z[x]/(x**q - 1),
+    (p, omega) = _split_prime(q); exact while every coordinate fits dtype and
+    stays below 2**63 - (p - 1)**2, as the Horner steps add one to (p - 1)**2."""
+    p, w = _split_prime(q)
+    x, y = np.zeros((q, q**n), dtype), np.empty((q, q**n), dtype)
+    np.copyto(x[0], values, casting="unsafe")
+    # Digits low.. first, then the low ones, whose runs of q**i cells are
     # short, rotated to the top; the second rotation restores the order.
     low = next(d for d in range(n + 1) if d == n or q**d >= _RUN)
     for k in (low, n - low):
-        for p in range(k, n):
-            _group_ring_step(x.reshape(q, -1, q, q**p), y.reshape(q, -1, q, q**p), sign)
+        for i in range(k, n):
+            _group_ring_step(x.reshape(q, -1, q, q**i), y.reshape(q, -1, q, q**i), sign)
             x, y = y, x
         np.copyto(y.reshape(q, q**k, -1), x.reshape(q, -1, q**k).transpose(0, 2, 1))
         x, y = y, x
-    del y  # before the output; the product with R widens one slice at a time
-    out = np.empty((N, D), np.int64)
-    for i in range(0, N, 1 << _TILE_BITS):
-        np.matmul(x[:, i:i + (1 << _TILE_BITS)].T, R, out=out[i:i + (1 << _TILE_BITS)])
+    del y  # before the output
+    out = np.remainder(x[q - 1], p, dtype=np.int64)
+    for row in x[q - 2::-1]:
+        out *= w
+        out += row
+        out %= p
     return out
 
 
 def character_transform(values, n: int, q: int, *, guard: int | None = None) -> CharacterSpectrum:
-    """Exact character transform of an integer-valued table over H(n, q)."""
+    """Character transform of an integer-valued table over H(n, q): exact for
+    q = 2, residues mod p for q > 2 while 2 * q**n * max|value| < p."""
     N = q**n
     limit = materialize_guard(guard)
     if N > limit:
-        raise TooLargeError(f"q**n = {N} exceeds the guard {limit}")
+        raise TooLargeError(f"q**n = {q}**{n} exceeds the guard {limit}")
     arr = np.asarray(values).reshape(-1)
     if arr.size != N:
         raise OutOfRangeError(f"expected {N} values, got {arr.size}")
-    # Every stored coordinate is a sum of N values times entries of R (+-1
-    # for q = 2), so it is at most N * max|v| * max|R| in magnitude; int64
-    # arithmetic wraps mod 2**64, so a result below 2**63 is exact.  Python
-    # ints, as np.abs wraps at the int64 minimum.
+    # Every coefficient, and for q > 2 every group-ring coordinate, sums
+    # +-values of disjoint cells, so it is at most N * max|v| in magnitude.
+    # Python ints, as np.abs wraps at the int64 minimum.
     top = max(-int(arr.min()), int(arr.max()))
-    if N * top * int(np.abs(_reduction_matrix(q)).max()) >= 2**63:
-        raise OutOfRangeError(f"values up to {top} on {N} cells overflow the int64 transform")
-    # Either kernel sums +-values of disjoint cells, so int32 is exact below 2**31.
+    if q > 2:
+        p = _split_prime(q)[0]
+        if 2 * N * top >= p:
+            raise OutOfRangeError(f"values up to {top} on {q}**{n} cells reach the prime {p}")
+        return CharacterSpectrum(n, q, _group_ring_transform(arr, n, q, 1, np.int32))
+    # int64 arithmetic wraps mod 2**64, so a result below 2**63 is exact.
+    if N * top >= 2**63:
+        raise OutOfRangeError(f"values up to {top} on {q}**{n} cells overflow the int64 transform")
     dtype = np.int32 if N * top < 2**31 else np.int64
-    if q == 2:
-        return CharacterSpectrum(n, q, _walsh_hadamard(arr, dtype, top))
-    return CharacterSpectrum(n, q, _group_ring_transform(arr, n, q, 1, dtype))
+    return CharacterSpectrum(n, q, _walsh_hadamard(arr, dtype, top))
 
 
 def inverse_transform(spectrum: CharacterSpectrum) -> np.ndarray:
-    """Exact inverse; recovers the original integer table.
+    """Inverse transform; recovers every table character_transform takes.
 
-    int64 wraps mod 2**64, and each output N*f(x) is at most sum|c| * max|R|
-    <= m * 2**63 with m = coeffs.size * max|R| < 2**31, so the int64 result
-    is exact iff it agrees mod the odd P = _CHECK_MODULUS with an exact
-    transform of c mod P (Chinese remainders); else OutOfRangeError.
+    For q = 2 int64 wraps mod 2**64, and each output N*f(x) is at most sum|c|
+    <= m * 2**63 with m = coeffs.size < 2**31, so the int64 result is exact iff
+    it agrees mod the odd P = 2**31 - 1 with a transform of c mod P (Chinese
+    remainders); else OutOfRangeError.  For q > 2 it lifts f(x) mod p to (-p/2, p/2].
     """
     n, q = spectrum.n, spectrum.q
     N = q**n
     c = spectrum.coeffs
-    if c.size * int(np.abs(_reduction_matrix(q)).max()) >= 2**31:
+    if q > 2:
+        p = _split_prime(q)[0]
+        # A coordinate sums N residues below p.
+        if (N + p - 1) * (p - 1) >= 2**63:
+            raise TooLargeError(f"{q}**{n} coefficients are too many for the inverse mod {p}")
+        scaled = np.asarray(c, np.int64) % p * pow(N, -1, p) % p
+        back = _group_ring_transform(scaled, n, q, -1, np.int64)
+        back[back > p // 2] -= p
+        return back
+    if c.size >= 2**31:
         raise TooLargeError(f"{c.size} coefficients are too many for the exact inverse")
-
-    def transform(values, top):
-        if q == 2:
-            return _walsh_hadamard(values, np.int64, top).reshape(N, 1)
-        return _group_ring_transform(values, n, q, -1, np.int64)
-
-    P = _CHECK_MODULUS
-    back = transform(c, max(-int(c.min()), int(c.max())))
-    if (back % P != transform(c % P, P - 1) % P).any():
+    P = 2**31 - 1
+    back = _walsh_hadamard(c, np.int64, max(-int(c.min()), int(c.max())))
+    if (back % P != _walsh_hadamard(c % P, np.int64, P - 1) % P).any():
         raise OutOfRangeError("the inverse transform overflows int64")
-    if back[:, 1:].any() or (back[:, 0] % N).any():
+    if (back % N).any():
         raise AssertionError("inverse transform is not integral")
-    return back[:, 0] // N
+    return back // N
 
 
 def degree(values, n: int, q: int, *, guard: int | None = None) -> int:

@@ -420,7 +420,7 @@ def check_uniform(collection, *, guard: int | None = None, sample: int | None = 
     if sample is None:
         if M * N > limit:
             raise TooLargeError(
-                f"{M} tables of {N} cells exceed the guard {limit}; "
+                f"{M} tables of {q}**{n} cells exceed the guard {limit}; "
                 "pass sample= to spot-check")
         blocks = (np.arange(lo, min(lo + _MATERIALIZE_BLOCK, N), dtype=np.int64)
                   for lo in range(0, N, _MATERIALIZE_BLOCK))
@@ -474,7 +474,7 @@ def search_colorings(n: int, q: int, S, require_all_essential: bool = False, *,
     total = k**N
     limit = DEFAULT_ASSIGNMENT_GUARD if assignment_guard is None else assignment_guard
     if total > limit:
-        raise TooLargeError(f"{k}**{N} = {total} assignments exceed the guard {limit}")
+        raise TooLargeError(f"{k}**({q}**{n}) assignments exceed the guard {limit}")
 
     d = n * (q - 1)
     nbr = np.array([neighbors(v, n, q) for v in range(N)], dtype=np.int64)

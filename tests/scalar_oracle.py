@@ -5,12 +5,10 @@ with Python integers only, following the meaning of each body node as the
 construction defines it.  The vectorized ``eval`` of every node is checked
 against it, through both ``Coloring.evaluate`` and ``Coloring.materialize``.
 
-``cyclotomic_transform`` is the plain matrix-step q > 2 character transform
-that the group-ring kernel is checked against.
+``ntt_transform`` is the plain matrix-step q > 2 character transform mod a
+prime that the group-ring kernel is checked against.
 """
 import numpy as np
-
-from pcol.spectral import cyclotomic_polynomial
 
 BODY_KINDS = ("_TableBody", "_TranslationBody", "_CylinderBody", "_OuterBody",
               "_MergeBody", "_SyndromeBody", "_RMBody")
@@ -77,31 +75,20 @@ def scalar_color(C, v: int) -> int:
     raise TypeError(f"no scalar oracle for {kind}")
 
 
-def cyclotomic_transform(values, n: int, q: int, sign: int) -> np.ndarray:
-    """The matrix-step q > 2 transform: (q**n, D) int64 coordinates in Z[x]/Phi_q.
+def ntt_transform(values, n: int, q: int, p: int, w: int) -> np.ndarray:
+    """The matrix-step transform mod p at zeta -> w: int64 residues in [0, p).
 
-    A flat table is coordinate 0.  Block (s, t) of K multiplies by
-    zeta**(sign*s*t) in the power basis; reduction is a ring homomorphism,
-    so every step holds the reduced partial transform.  It builds its own
-    reduction rows and shares no code with the group-ring kernel.
+    Each step transforms the most significant digit by (N/q, q) @ W % p with
+    W[s][t] = w**(s*t) mod p and moves it to the least significant place:
+    after n steps the digits are back in order.  W goes in 16-bit halves, so
+    no int64 sum of q < 2**10 products of residues below 2**31 wraps.  It
+    shares no code with the group-ring kernel.
     """
-    phi = cyclotomic_polynomial(q)
-    D = len(phi) - 1
-    # Row j holds x**j mod Phi_q: multiply by x, then take the carry times Phi_q off.
-    R = np.zeros((q, D), dtype=np.int64)
-    row = [1] + [0] * (D - 1)
-    for j in range(q):
-        R[j] = row
-        carry, row = row[-1], [0] + row[:-1]
-        row = [r - carry * c for r, c in zip(row, phi)]
     N = q**n
-    K = np.block([[R[(np.arange(D) + sign * s * t) % q] for t in range(q)] for s in range(q)])
-    vals = np.asarray(values)
-    if vals.ndim == 1:
-        vals = np.zeros((N, D), dtype=np.int64)
-        vals[:, 0] = values
-    # Transform the most significant digit and move it to the least
-    # significant place: after n steps the digits are back in order.
+    W = np.array([[pow(w, s * t, p) for t in range(q)] for s in range(q)], dtype=np.int64)
+    low, high = W & 0xFFFF, W >> 16
+    vals = np.asarray(values, dtype=np.int64) % p
     for _ in range(n):
-        vals = vals.reshape(q, N // q, D).transpose(1, 0, 2).reshape(N // q, q * D) @ K
-    return vals.reshape(N, D)
+        v = vals.reshape(q, N // q).T
+        vals = (v @ low % p + ((v @ high % p) << 16)) % p
+    return vals.reshape(N)

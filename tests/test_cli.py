@@ -259,6 +259,35 @@ def test_too_many_colors_exit_2_before_building(argv):
     assert "Traceback" not in proc.stderr
 
 
+def test_sizes_past_the_guard_print_on_one_short_line(tmp_path):
+    # The coset-union member of bc(1, 4095) lives on H(4095, 2): its 2**4095
+    # cells, and a vertex of that size, print as powers, not as 1,233 digits.
+    from pcol.core import digits, neighbors
+    from pcol.spectral import character_transform
+    from pcol.verify import check_uniform, search_colorings
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pcol.cli", "construct", "bc", "--b", "1", "--c", "4095",
+         "-o", str(tmp_path / "f.pcolb"), "--binary"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1 and len(proc.stderr.encode()) < 200
+    assert "2**4095" in proc.stderr
+    huge = Coloring.syndrome(12)
+    calls = [lambda: huge.evaluate(2**4095), lambda: huge.materialize(),
+             lambda: digits(-2**4095, 4095, 2), lambda: neighbors(2**5000, 4095, 2),
+             lambda: character_transform([0], 4095, 2), lambda: check_uniform([huge]),
+             lambda: search_colorings(16, 2, [[0, 16], [16, 0]])]
+    for call in calls:
+        with pytest.raises(PcolError) as info:
+            call()
+        message = str(info.value)
+        assert "\n" not in message and len(message.encode()) < 200, message
+
+
 def test_console_entry_point(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")

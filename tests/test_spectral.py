@@ -4,16 +4,14 @@ from math import gcd
 import numpy as np
 import pytest
 
-from pcol import spectral
-from pcol.core import Coloring, QuotientMatrix, digits
+from pcol.core import Coloring, QuotientMatrix, digits, vertex_index
 from pcol.errors import OutOfRangeError, TooLargeError
 from pcol.spectral import (_RUN, CharacterSpectrum, _group_ring_transform,
-                           character_transform, coloring_degree,
-                           cyclotomic_polynomial, degree,
-                           eigen_decomposition_check, hamming_weights,
-                           inverse_transform)
+                           _is_prime, _split_prime, character_transform,
+                           coloring_degree, degree, eigen_decomposition_check,
+                           hamming_weights, inverse_transform)
 from pcol.verify import compute_quotient, graph_eigenvalue, quotient_spectrum
-from scalar_oracle import cyclotomic_transform
+from scalar_oracle import ntt_transform
 
 
 def parity(n):
@@ -21,44 +19,22 @@ def parity(n):
 
 
 def dft_oracle(values, n, q):
-    """Slow complex-valued transform: hat f(z) = sum_x w**<x,z> f(x)."""
+    """Complex-valued transform: hat f(z) = sum_x w**<x,z> f(x), one N x N matrix."""
     N = q**n
-    w = np.exp(2j * np.pi / q)
-    out = np.zeros(N, dtype=complex)
-    for z in range(N):
-        zd = digits(z, n, q)
-        for x in range(N):
-            xd = digits(x, n, q)
-            dot = sum(a * b for a, b in zip(xd, zd)) % q
-            out[z] += values[x] * w**dot
-    return out
+    word = np.array([digits(v, n, q) for v in range(N)], dtype=np.int64).reshape(N, n)
+    return np.exp(2j * np.pi * (word @ word.T % q) / q) @ np.asarray(values, dtype=complex)
 
 
-def spectrum_as_complex(spec: CharacterSpectrum) -> np.ndarray:
-    if spec.q == 2:
-        return spec.coeffs.astype(complex)
-    w = np.exp(2j * np.pi / spec.q)
-    powers = w ** np.arange(spec.coeffs.shape[1])
-    return spec.coeffs @ powers
+def dft_support_weights(values, n, q):
+    """Weights of the frequencies where the complex transform is nonzero."""
+    nonzero = np.abs(dft_oracle(values, n, q)) > 1e-6
+    return np.unique(hamming_weights(n, q)[nonzero]).tolist()
 
 
-def mobius(m):
-    out, d = 1, 2
-    while d * d <= m:
-        if m % d == 0:
-            m //= d
-            if m % d == 0:
-                return 0
-            out = -out
-        d += 1
-    if m > 1:
-        out = -out
-    return out
-
-
-def ramanujan(q, t):
-    g = gcd(t % q, q) or q
-    return sum(mobius(q // d) * d for d in range(1, g + 1) if g % d == 0)
+def inverse_ntt(values, n, q):
+    """The inverse kernel's residues by the matrix-step oracle, at omega**-1."""
+    p, w = _split_prime(q)
+    return ntt_transform(values, n, q, p, pow(w, -1, p))
 
 
 def test_all_ones_transform():
@@ -84,10 +60,16 @@ def test_double_transform_is_scaling():
 @pytest.mark.parametrize("n,q", [(6, 2), (4, 3), (3, 4), (3, 5), (2, 6), (0, 3), (1, 2),
                                  (3, 7), (2, 8), (2, 9), (2, 10), (8, 2), (9, 2)])
 def test_matches_slow_dft(n, q):
+    # q = 2: the exact coefficients; q > 2: the residues of the complex ones
+    # mod the split prime, and the same support weights.
     rng = np.random.default_rng(100 + q)
     f = rng.integers(-3, 4, size=q**n)
     spec = character_transform(f, n, q)
-    assert np.allclose(spectrum_as_complex(spec), dft_oracle(f, n, q), atol=1e-8)
+    if q == 2:
+        assert np.allclose(spec.coeffs, dft_oracle(f, n, q), atol=1e-8)
+    else:
+        assert np.array_equal(spec.coeffs, ntt_transform(f, n, q, *_split_prime(q)))
+    assert spec.support_weights().tolist() == dft_support_weights(f, n, q)
 
 
 @pytest.mark.parametrize("n,q", [(8, 2), (5, 3), (4, 4), (3, 5), (1, 3), (2, 7), (2, 9),
@@ -96,7 +78,8 @@ def test_inverse_roundtrip(n, q):
     rng = np.random.default_rng(200 + q)
     f = rng.integers(-9, 10, size=q**n)
     spec = character_transform(f, n, q)
-    # q = 2 coefficients of these values fit int32; the inverse is int64.
+    # q = 2 coefficients of these values fit int32; q > 2 residues and the
+    # inverse are int64.
     assert spec.coeffs.dtype == (np.int32 if q == 2 else np.int64)
     back = inverse_transform(spec)
     assert back.dtype == np.int64 and np.array_equal(back, f)
@@ -212,54 +195,44 @@ def rotated_digits(q):
 def test_group_ring_kernel_matches_matrix_step_oracle(n, q):
     rng = np.random.default_rng(700 + 10 * q + n)
     N = q**n
-    inputs = [rng.integers(-9, 10, size=N)]
-    if N <= 2**16:
-        inputs += [rng.integers(0, 2, size=N).astype(bool), rng.integers(-2**40, 2**40, size=N)]
+    p, w = _split_prime(q)
+    # Random values, an indicator, and values at the bound 2 * N * top < p.
+    top = (p - 1) // (2 * N)
+    inputs = [rng.integers(-9, 10, size=N), rng.integers(0, 2, size=N).astype(bool),
+              rng.choice([-top, top], size=N)]
     for f in inputs:
         spec = character_transform(f, n, q)
-        expected = cyclotomic_transform(f, n, q, 1)
-        assert spec.coeffs.dtype == expected.dtype and spec.coeffs.shape == expected.shape
-        assert np.array_equal(spec.coeffs, expected), f.dtype
+        assert spec.coeffs.dtype == np.int64 and spec.coeffs.shape == (N,)
+        assert np.array_equal(spec.coeffs, ntt_transform(f, n, q, p, w)), f.dtype
         back = _group_ring_transform(spec.coeffs, n, q, -1, np.int64)
-        expected = cyclotomic_transform(spec.coeffs, n, q, -1)
-        assert back.dtype == expected.dtype and back.shape == expected.shape
-        assert np.array_equal(back, expected)
-    assert np.array_equal(inverse_transform(spec), f)
-
-
-@pytest.mark.parametrize("n,top,dtype", [
-    (0, 2**31 - 1, np.int32), (0, 2**31, np.int64), (0, -(2**31 - 1), np.int32),
-    (0, -2**31, np.int64), (5, (2**31 - 1) // 3**5, np.int32),
-    (5, (2**31 - 1) // 3**5 + 1, np.int64), (12, (2**31 - 1) // 3**12, np.int32),
-    (12, -((2**31 - 1) // 3**12 + 1), np.int64)])
-def test_q3_accumulator_dtype_at_the_bound(n, top, dtype, monkeypatch):
-    # N * max|v| below 2**31 accumulates in int32, from 2**31 on in int64;
-    # all-equal values put N * top in group-ring coordinate 0 of frequency 0.
-    chosen = []
-
-    def kernel(values, n, q, sign, dtype):
-        chosen.append(dtype)
-        return _group_ring_transform(values, n, q, sign, dtype)
-
-    monkeypatch.setattr(spectral, "_group_ring_transform", kernel)
-    equal = np.full(3**n, top, dtype=np.int64)
-    for f in (equal, np.where(np.arange(3**n) % 4 == 0, top, -top // 2)):
-        chosen.clear()
-        spec = character_transform(f, n, 3)
-        assert chosen == [dtype] and spec.coeffs.dtype == np.int64
-        assert np.array_equal(spec.coeffs, cyclotomic_transform(f, n, 3, 1))
-        assert spec.coeffs[0, 0] == sum(f.tolist())
+        assert back.dtype == np.int64 and back.shape == (N,)
+        assert np.array_equal(back, inverse_ntt(spec.coeffs, n, q))
         assert np.array_equal(inverse_transform(spec), f)
-    # The bound is tight: from N * top = 2**31 on, int32 coordinates would wrap.
-    equal = np.full(3**n, abs(top), dtype=np.int64)
-    in_int32 = _group_ring_transform(equal, n, 3, 1, np.int32)
-    assert np.array_equal(in_int32, cyclotomic_transform(equal, n, 3, 1)) == (dtype == np.int32)
 
 
-@pytest.mark.parametrize("n,q,limit", [(12, 3, 44), (7, 7, 112)])
+@pytest.mark.parametrize("n", [0, 5, 12])
+def test_q3_transform_bound(n):
+    # 2 * N * max|v| < p is accepted and anything above refused; all-equal
+    # values put N * top in group-ring coordinate 0 of frequency 0, so int32
+    # coordinates must hold the largest accepted top.
+    N = 3**n
+    p, w = _split_prime(3)
+    top = (p - 1) // (2 * N)
+    assert 2 * N * top <= p - 1 < 2 * N * (top + 1)
+    for t in (top, -top):
+        for f in (np.full(N, t, dtype=np.int64), np.where(np.arange(N) % 4 == 0, t, -t // 2)):
+            spec = character_transform(f, n, 3)
+            assert np.array_equal(spec.coeffs, ntt_transform(f, n, 3, p, w))
+            assert spec.coeffs[0] == sum(f.tolist()) % p
+            assert np.array_equal(inverse_transform(spec), f)
+        with pytest.raises(OutOfRangeError, match=f"reach the prime {p}"):
+            character_transform(np.full(N, t + (1 if t > 0 else -1)), n, 3)
+
+
+@pytest.mark.parametrize("n,q,limit", [(12, 3, 28), (7, 7, 64)])
 def test_group_ring_transform_peak_per_cell(n, q, limit):
-    # Two (q, q**n) int32 buffers, then one of them and the (q**n, D) int64
-    # output; the indicator exists before the call.
+    # Two (q, q**n) int32 buffers, then one of them and the (q**n,) int64
+    # residues; the indicator exists before the call.
     f = np.arange(q**n) % 5 == 0
     tracemalloc.start()
     try:
@@ -268,23 +241,21 @@ def test_group_ring_transform_peak_per_cell(n, q, limit):
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert np.array_equal(spec.coeffs, cyclotomic_transform(f, n, q, 1))
+    assert np.array_equal(spec.coeffs, ntt_transform(f, n, q, *_split_prime(q)))
     assert peak <= limit * q**n
 
 
 def test_transform_rejects_int64_overflow():
-    # Coefficient 0 would be 2**63, which wraps to -2**63 in int64.
+    # q = 2: coefficient 0 would be 2**63, which wraps to -2**63 in int64.
+    # q = 3: far past the split prime.
     for values, n, q in [([2**62, 2**62, 0, 0], 2, 2), ([2**62, 2**62, 0], 1, 3)]:
         with pytest.raises(OutOfRangeError):
             character_transform(np.array(values), n, q)
     f = np.array([2**61 - 1, -(2**61 - 1), 0, 2**61 - 1])
     assert np.array_equal(inverse_transform(character_transform(f, 2, 2)), f)
-    f = np.array([2**61, -(2**61), 2**61])
-    assert np.array_equal(inverse_transform(character_transform(f, 1, 3)), f)
-    # The inverse's outputs q**n * f(x) would be 2**63 and 3 * 2**62.
-    for coeffs, n, q in [([2**62, 2**62], 1, 2), ([[2**62, 0]] * 3, 1, 3)]:
-        with pytest.raises(OutOfRangeError):
-            inverse_transform(CharacterSpectrum(n, q, np.array(coeffs)))
+    # The inverse's output q**n * f(x) would be 2**63.
+    with pytest.raises(OutOfRangeError):
+        inverse_transform(CharacterSpectrum(1, 2, np.array([2**62, 2**62])))
 
 
 def test_parseval_exact_q2():
@@ -294,36 +265,49 @@ def test_parseval_exact_q2():
     assert (spec.coeffs.astype(object) ** 2).sum() == 32 * (f.astype(object) ** 2).sum()
 
 
-@pytest.mark.parametrize("n,q", [(3, 3), (2, 4), (2, 5)])
-def test_parseval_trace_form(n, q):
-    # sum_z Tr(v conj(v)) == phi(q) * q**n * sum_x f(x)**2, all in exact integers
+@pytest.mark.parametrize("n,q", [(3, 3), (2, 4), (2, 5), (2, 6), (2, 10)])
+def test_parseval_mod_p(n, q):
+    # sum_v alpha(v) alpha(-v) = N * sum_x f(x)**2 in Z[zeta]; zeta -> omega
+    # keeps it mod p.
     rng = np.random.default_rng(300 + q)
     N = q**n
     f = rng.integers(-3, 4, size=N)
-    spec = character_transform(f, n, q)
-    D = spec.coeffs.shape[1]
-    euler_phi = sum(1 for a in range(1, q + 1) if gcd(a, q) == 1)
-    c = np.array([ramanujan(q, t) for t in range(q)], dtype=object)
-    total = 0
-    for row in spec.coeffs:
-        v = np.zeros(q, dtype=object)
-        v[:D] = row.astype(object)
-        prod = np.zeros(q, dtype=object)
-        for a in range(q):
-            if v[a]:
-                for b in range(q):
-                    if v[b]:
-                        prod[(a - b) % q] += v[a] * v[b]
-        total += int((prod * c).sum())
-    assert total == euler_phi * N * int((f.astype(object) ** 2).sum())
+    p = _split_prime(q)[0]
+    r = character_transform(f, n, q).coeffs.tolist()
+    negated = [vertex_index([-d % q for d in digits(v, n, q)], q) for v in range(N)]
+    total = sum(r[v] * r[negated[v]] for v in range(N))
+    assert total % p == N * int((f.astype(object) ** 2).sum()) % p
 
 
-def test_cyclotomic_polynomials():
-    assert cyclotomic_polynomial(2) == (1, 1)
-    assert cyclotomic_polynomial(3) == (1, 1, 1)
-    assert cyclotomic_polynomial(4) == (1, 0, 1)
-    assert cyclotomic_polynomial(6) == (1, -1, 1)
-    assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+def test_is_prime_matches_trial_division():
+    sieve = np.ones(10**5, dtype=bool)
+    sieve[:2] = False
+    for m in range(2, 317):
+        sieve[m * m::m] = False
+    assert [m for m in range(10**5) if _is_prime(m)] == np.flatnonzero(sieve).tolist()
+    # Strong pseudoprimes to the bases 2; 2, 3; 2, 3, 5; and 2, 3, 5, 7.
+    for m in (2047, 1373653, 25326001, 3215031751):
+        assert not _is_prime(m)
+    assert _is_prime(2**31 - 1)
+
+
+def test_split_prime_for_every_alphabet_to_1024():
+    for q in range(3, 1025):
+        p, w = _split_prime(q)
+        assert p < 2**31 and p % q == 1 and _is_prime(p)
+        assert not any(_is_prime(m) for m in range(p + q, 2**31, q))
+        # The order of w divides q and is no proper divisor of q.
+        assert pow(w, q, p) == 1
+        assert all(pow(w, q // r, p) != 1 for r in range(2, q + 1) if q % r == 0)
+
+
+def test_split_prime_raises_when_none_exists():
+    # Below 2**31 the only numbers 1 mod q are q + 1 = 2**30 - 1 = 3 * 357913941
+    # and 2 * q + 1 = 2**31 - 3 = 5 * 429496729.
+    q = 2**30 - 2
+    assert not _is_prime(q + 1) and not _is_prime(2 * q + 1) and 3 * q + 1 > 2**31
+    with pytest.raises(OutOfRangeError, match="no prime"):
+        _split_prime(q)
 
 
 def test_degree_examples():
@@ -338,8 +322,7 @@ def test_degree_examples():
 
 def whole_table_weights(values, n, q):
     """The support weights from a whole-table nonzero mask and weight table."""
-    coeffs = character_transform(values, n, q).coeffs
-    nonzero = coeffs != 0 if q == 2 else (coeffs != 0).any(axis=1)
+    nonzero = character_transform(values, n, q).coeffs != 0
     return np.unique(hamming_weights(n, q)[nonzero]).tolist()
 
 
@@ -392,6 +375,31 @@ def test_degree_matches_whole_table_weights():
             assert degree(table == i, C.n, C.q) == weight_oracle_degree(table == i, C.n, C.q)
             spec = character_transform(table == i, C.n, C.q)
             assert spec.support_weights().tolist() == whole_table_weights(table == i, C.n, C.q)
+
+
+def support_cases(rng, n, q):
+    """Seeded random, one-point, digit-class and all-ones-with-holes tables."""
+    N = q**n
+    word = np.array([digits(v, n, q) for v in range(N)], dtype=np.int64).reshape(N, n)
+    yield rng.integers(-3, 4, size=N)
+    yield np.arange(N) == rng.integers(0, N)
+    for m in range(1, n + 1):
+        # The sum of the first m digits in one class mod q: weights 0 and m.
+        yield word[:, :m].sum(axis=1) % q == rng.integers(0, q)
+    holes = np.ones(N, dtype=np.int64)
+    holes[rng.choice(N, size=min(3, N), replace=False)] = 0
+    yield holes
+
+
+@pytest.mark.parametrize("q", range(3, 13))
+def test_support_weights_match_complex_dft(q):
+    rng = np.random.default_rng(1000 + q)
+    for n in range(4):
+        if q**n > 1024:
+            break
+        for f in support_cases(rng, n, q):
+            assert character_transform(f, n, q).support_weights().tolist() \
+                == dft_support_weights(f, n, q), (n, f)
 
 
 def test_support_weights_scan_blocks():
