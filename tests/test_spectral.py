@@ -229,6 +229,30 @@ def test_q3_transform_bound(n):
             character_transform(np.full(N, t + (1 if t > 0 else -1)), n, 3)
 
 
+@pytest.mark.parametrize("n,top,dtype", [
+    (0, 2**31 - 1, np.int32), (0, 2**31, np.int64), (0, -(2**31 - 1), np.int32),
+    (0, -2**31, np.int64), (5, (2**31 - 1) // 3**5, np.int32),
+    (5, (2**31 - 1) // 3**5 + 1, np.int64), (12, (2**31 - 1) // 3**12, np.int32),
+    (12, -((2**31 - 1) // 3**12 + 1), np.int64)])
+def test_q3_accumulator_dtype_at_the_bound(n, top, dtype):
+    # Kernel coordinates sum values of disjoint cells, so N * max|v| below
+    # 2**31 fits int32 coordinates and from 2**31 on needs int64; all-equal
+    # values put N * top in group-ring coordinate 0 of frequency 0.  Every
+    # top here has 2 * N * |top| >= p, so character_transform refuses it and
+    # its int32 forward never meets a table that would wrap.
+    N = 3**n
+    p, w = _split_prime(3)
+    assert 2 * N * abs(top) >= p
+    for f in (np.full(N, top, dtype=np.int64), np.where(np.arange(N) % 4 == 0, top, -top // 2)):
+        assert np.array_equal(_group_ring_transform(f, n, 3, 1, dtype), ntt_transform(f, n, 3, p, w))
+        with pytest.raises(OutOfRangeError, match=f"reach the prime {p}"):
+            character_transform(f, n, 3)
+    # The bound is tight: from N * top = 2**31 on, int32 coordinates wrap.
+    equal = np.full(N, abs(top), dtype=np.int64)
+    in_int32 = _group_ring_transform(equal, n, 3, 1, np.int32)
+    assert np.array_equal(in_int32, ntt_transform(equal, n, 3, p, w)) == (dtype == np.int32)
+
+
 @pytest.mark.parametrize("n,q,limit", [(12, 3, 28), (7, 7, 64)])
 def test_group_ring_transform_peak_per_cell(n, q, limit):
     # Two (q, q**n) int32 buffers, then one of them and the (q**n,) int64
