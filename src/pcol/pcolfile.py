@@ -7,9 +7,11 @@ per vertex (two when k > 256).  Both round-trip bit-exactly.  The reader
 finds and parses the header once, and checks it against the materialization
 guard before it reads the payload.
 
-Text is written, and read when canonical (ASCII digits separated by
-``\\t\\n\\v\\f\\r`` and space), with numpy byte operations over fixed-size
-blocks.  Any other text file goes through the per-token loop, which reports
+Text is written one block at a time, one fixed-width record a value, and
+read when canonical (ASCII digits separated by ``\\t\\n\\v\\f\\r`` and
+space) in blocks classed by uint8 comparisons: one-digit tokens at every even
+offset, as written for k <= 10, by one strided subtraction, others by place
+value.  Any other text file goes through the per-token loop, which reports
 the line and column of a bad token.
 """
 from __future__ import annotations
@@ -34,10 +36,9 @@ _PARSE_BLOCK = 1 << 20
 # Longest token parsed by digit arithmetic: 10**18 - 1 still fits in int64.
 _MAX_DIGITS = 18
 _POW10 = 10 ** np.arange(_MAX_DIGITS, dtype=np.int64)
-# Byte classes of the canonical payload: 0 whitespace, 1 digit, 2 anything else.
-_BYTE_CLASS = np.full(256, 2, dtype=np.uint8)
-_BYTE_CLASS[list(b"\t\n\v\f\r ")] = 0
-_BYTE_CLASS[list(b"0123456789")] = 1
+# uint8 operands, so that the wrapping byte comparisons of the canonical
+# parser do not depend on numpy's scalar promotion rules.
+_ZERO, _TEN, _TAB, _FIVE, _SPACE = (np.uint8(c) for c in (48, 10, 9, 5, 32))
 # The ASCII line boundaries of str.splitlines, and the binary format's one.
 _LINE_END = re.compile(rb"\r\n|[\n\r\v\f\x1c-\x1e]")
 _BINARY_LINE_END = re.compile(rb"\n")
@@ -72,56 +73,44 @@ def _above(q: int, n: int, count: int) -> bool:
     return n * (q.bit_length() - 1) > count.bit_length()
 
 
-def _format_block(values: np.ndarray, labels: np.ndarray, widths: np.ndarray,
-                  last: bool) -> np.ndarray:
-    """ASCII bytes of whole lines of values: labels joined by spaces, 64 a line."""
-    w = widths[values]
-    ends = np.cumsum(w + 1)
-    starts = ends - w - 1
-    out = np.full(int(ends[-1]), ord(" "), dtype=np.uint8)
-    out[ends[_VALUES_PER_LINE - 1::_VALUES_PER_LINE] - 1] = ord("\n")
-    if last:
-        out[-1] = ord("\n")
-    for j in range(labels.shape[1]):
-        at, digit = starts + j, labels[values, j]
-        if j:
-            longer = w > j
-            at, digit = at[longer], digit[longer]
-        out[at] = digit
-    return out
-
-
 def write_pcol(path, C: Coloring, *, binary: bool = False,
                guard: int | None = None) -> None:
     """Write a coloring; symbolic colorings are materialized first."""
     Cm = C.materialize(guard)
     header = _format_header(Cm)
     if binary:
-        payload = Cm.table.astype("<u1" if Cm.k <= 256 else "<u2").tobytes()
+        # The table itself when it already has the file's dtype and layout.
+        payload = np.ascontiguousarray(Cm.table, "<u1" if Cm.k <= 256 else "<u2")
         with open(path, "wb") as fh:
             fh.write(BINARY_MAGIC + b"\n")
             fh.write(header.encode("ascii") + b"\n")
             fh.write(payload)
         return
-    labels = np.array([str(c) for c in range(Cm.k)], dtype=bytes)
-    widths = np.char.str_len(labels)
-    labels = labels.view(np.uint8).reshape(Cm.k, -1)
-    table = Cm.table
+    width = len(str(Cm.k - 1)) + 1
+    spaced, ended = (np.array([b"%d%s" % (c, sep) for c in range(Cm.k)], dtype=f"S{width}")
+                     for sep in (b" ", b"\n"))
+    table, step = Cm.table, _VALUES_PER_LINE
+    out = np.empty(min(_WRITE_BLOCK, table.size), dtype=spaced.dtype)
     with open(path, "wb") as fh:
         fh.write(f"{TEXT_MAGIC}\n{header}\n".encode("ascii"))
         for lo in range(0, table.size, _WRITE_BLOCK):
-            hi = min(lo + _WRITE_BLOCK, table.size)
-            fh.write(_format_block(table[lo:hi], labels, widths, hi == table.size))
+            # One record a value: "c\n" at every 64th value and at the last.
+            values = table[lo:lo + _WRITE_BLOCK]
+            block = np.take(spaced, values, out=out[:values.size], mode="clip")
+            block[step - 1::step] = ended[values[step - 1::step]]
+            if lo + values.size == table.size:
+                block[-1] = ended[values[-1]]
+            text = block.view(np.uint8)
+            # Labels of one width (k <= 10) leave no NUL padding in their records.
+            fh.write(text if Cm.k <= 10 else text[text != 0])
 
 
 def _check_payload(arr: np.ndarray, q: int, n: int, k: int) -> Coloring:
     if _above(q, n, arr.size):
         raise LengthMismatchError(
             f"header q={q} n={n} asks for more than the {arr.size} values given")
-    expected = q**n
-    if arr.size != expected:
-        raise LengthMismatchError(
-            f"expected q**n = {expected} values, got {arr.size}")
+    if arr.size != q**n:
+        raise LengthMismatchError(f"expected q**n = {q**n} values, got {arr.size}")
     if arr.size and int(arr.max()) >= k:
         v = int(np.argmax(arr >= k))
         raise ColorOutOfRangeError(
@@ -131,19 +120,21 @@ def _check_payload(arr: np.ndarray, q: int, n: int, k: int) -> Coloring:
     return Coloring.from_table(arr, q, k)
 
 
-def _parse_block_values(chunk: np.ndarray, digit: np.ndarray) -> np.ndarray | None:
-    """Values of the digit tokens in a block that starts after whitespace.
+def _parse_block_values(chunk: np.ndarray, digit: np.ndarray,
+                        scratch: np.ndarray) -> np.ndarray | None:
+    """Values of the digit tokens in a block that starts on a token boundary.
 
-    None when a token is longer than _MAX_DIGITS.
+    One-digit tokens at every even offset (every odd byte is then whitespace)
+    are read into the uint8 buffer ``scratch``.  None past _MAX_DIGITS digits.
     """
-    if not (digit[1:] & digit[:-1]).any():
-        return chunk[digit] - ord("0")
+    if digit[::2].all() and not digit[1::2].any():
+        return np.subtract(chunk[::2], _ZERO, out=scratch[:(chunk.size + 1) // 2])
     first = digit.copy()
     first[1:] &= ~digit[:-1]
     pos = np.flatnonzero(digit)
     starts = np.flatnonzero(first[pos])
     lens = np.diff(starts, append=pos.size)
-    if lens.max() > _MAX_DIGITS:
+    if lens.max(initial=0) > _MAX_DIGITS:
         return None
     place = np.repeat(starts + lens, lens) - np.arange(1, pos.size + 1)
     return np.add.reduceat((chunk[pos] - ord("0")) * _POW10[place], starts)
@@ -162,22 +153,30 @@ def _parse_canonical_text(blob: bytes, offset: int, q: int, n: int, k: int):
         return None
     cells = q**n
     table = np.empty(cells, dtype=color_dtype(k))
+    # Block buffers: the digit class, and shifted bytes, a class mask or values.
+    digit = np.empty(min(_PARSE_BLOCK, data.size), dtype=np.bool_)
+    scratch = np.empty(digit.size, dtype=np.uint8)
     filled = start = 0
     while start < data.size:
         end = min(start + _PARSE_BLOCK, data.size)
-        cls = _BYTE_CLASS[data[start:end]]
-        if cls.max() > 1:
+        chunk, is_digit, shifted = data[start:end], digit[:end - start], scratch[:end - start]
+        mask = shifted.view(np.bool_)
+        np.less(np.subtract(chunk, _ZERO, out=shifted), _TEN, out=is_digit)
+        # Digits, "\t" to "\r" and space are disjoint classes: a byte outside
+        # them leaves the counts short of the block.
+        classed = np.count_nonzero(is_digit) + np.count_nonzero(np.equal(chunk, _SPACE, out=mask))
+        np.less(np.subtract(chunk, _TAB, out=shifted), _FIVE, out=mask)
+        if classed + np.count_nonzero(mask) < chunk.size:
             return None
-        if end < data.size and cls[-1] and _BYTE_CLASS[data[end]]:
+        if end < data.size and is_digit[-1] and 48 <= data[end] <= 57:
             # A token runs past the block: end the block at its last whitespace.
-            cut = cls.size - int(np.argmin(cls[::-1]))
-            if cls[cut - 1]:
+            cut = chunk.size - int(np.argmin(is_digit[::-1]))
+            if is_digit[cut - 1]:
                 return None
-            cls, end = cls[:cut], start + cut
-        values = _parse_block_values(data[start:end], cls.view(np.bool_))
-        if values is None or filled + values.size > cells:
-            return None
-        if values.size and int(values.max()) >= k:
+            chunk, is_digit, end = chunk[:cut], is_digit[:cut], start + cut
+        values = _parse_block_values(chunk, is_digit, scratch)
+        if (values is None or filled + values.size > cells
+                or values.size and int(values.max()) >= k):
             return None
         table[filled:filled + values.size] = values
         filled += values.size

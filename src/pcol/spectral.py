@@ -43,7 +43,7 @@ import numpy as np
 
 from .core import Coloring, QuotientMatrix, materialize_guard
 from .errors import OutOfRangeError, TooLargeError
-from .verify import compute_quotient, graph_eigenvalue, quotient_spectrum
+from .verify import _matrix_rows, compute_quotient, graph_eigenvalue, quotient_spectrum
 
 
 def _is_prime(m: int) -> bool:
@@ -340,15 +340,16 @@ def eigen_decomposition_check(C: Coloring, S, *, guard: int | None = None) -> bo
     supported on weights w with n(q-1) - q*w an eigenvalue of S.  For a
     perfect C with quotient T and indicator matrix F, A F = F T gives
     P_lam F = F Pi_lam(T) for each spectral projector, and F has full column
-    rank (every color is attained), so the colors' supports together are exactly spec T: one quotient
-    replaces the k transforms.  Any other C takes the transforms.
+    rank (every color is attained), so the colors' supports together are exactly spec T: one
+    quotient replaces the k transforms, and T = S needs no spectrum.  Any other C takes them.
     """
     Cm = C.materialize(guard)
     n, q = Cm.n, Cm.q
-    allowed = set(quotient_spectrum(S, n, q))
     own = compute_quotient(Cm, guard=guard)
     if isinstance(own, QuotientMatrix):
-        return set(quotient_spectrum(own)) <= allowed
+        return (own.entries == _matrix_rows(S)
+                or set(quotient_spectrum(own)) <= set(quotient_spectrum(S, n, q)))
+    allowed = set(quotient_spectrum(S, n, q))
     table = Cm.table
     for i in range(Cm.k):
         weights = character_transform(table == i, n, q, guard=guard).support_weights()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -397,6 +398,100 @@ def test_text_writer_matches_joined_lines(tmp_path, monkeypatch, q, n, k):
     assert path.read_bytes() == _oracle_text(C).encode("ascii")
     monkeypatch.setattr(pcolfile, "_parse_text_tokens", _no_token_loop)
     assert np.array_equal(read_pcol(path).table, C.table)
+
+
+# SHA-256 of the text file of construct_bc(10, 6): 2**22 values, 16 write blocks.
+FLAGSHIP_TEXT_SHA256 = "184fd684f0e40bd55f00118db8740d7e6a5925bd3d0d65118f86848ada407184"
+
+
+def test_flagship_text_bytes_pinned(tmp_path, monkeypatch):
+    from pcol.constructions import construct_bc
+
+    C = construct_bc(10, 6).coloring.materialize()
+    assert C.table.size == 16 * pcolfile._WRITE_BLOCK
+    path = tmp_path / "bc.pcol"
+    write_pcol(path, C)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == FLAGSHIP_TEXT_SHA256
+    monkeypatch.setattr(pcolfile, "_parse_text_tokens", _no_token_loop)
+    assert np.array_equal(read_pcol(path).table, C.table)
+
+
+@pytest.mark.parametrize("block", range(1, 10))
+@pytest.mark.parametrize("payload", [
+    "0 1 1 0\n",
+    # A block of 3 ends on a digit and the next starts on whitespace.
+    "0 1 1 0",
+    # A block of 3 ends on whitespace and the next starts on a digit at an
+    # odd offset of the payload.
+    "0  1 1 0\n",
+    "0  1\t\t1 0\n\n", " 0\n\n1  1\f\v0", "0\r\n1\r\n1\r\n0\r\n", "0 1\r\n1 0"])
+def test_text_reader_one_digit_tokens_across_blocks(tmp_path, monkeypatch, block, payload):
+    monkeypatch.setattr(pcolfile, "_PARSE_BLOCK", block)
+    monkeypatch.setattr(pcolfile, "_parse_text_tokens", _no_token_loop)
+    path = tmp_path / "s.pcol"
+    path.write_bytes(f"PCOL 1\nq=2 n=2 k=2\n{payload}".encode("ascii"))
+    assert read_pcol(path).table.tolist() == [0, 1, 1, 0]
+
+
+@pytest.mark.parametrize("block", range(3, 10))
+def test_text_reader_multi_digit_tokens_across_blocks(tmp_path, monkeypatch, block):
+    # Blocks that end inside "10" are cut back to their last whitespace.
+    monkeypatch.setattr(pcolfile, "_PARSE_BLOCK", block)
+    monkeypatch.setattr(pcolfile, "_parse_text_tokens", _no_token_loop)
+    values = [10, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 10, 0, 10, 10]
+    path = tmp_path / "m.pcol"
+    for sep in (" ", "  ", "\r\n"):
+        path.write_bytes(f"PCOL 1\nq=2 n=4 k=11\n{sep.join(map(str, values))}".encode("ascii"))
+        assert read_pcol(path).table.tolist() == values
+
+
+def test_text_reader_class_edges_are_not_canonical():
+    # The bytes next to each canonical class: "\b", "\x0e", "\x1f", "!", "/", ":".
+    # With k = 300 a byte taken for a digit would still give values below k.
+    for byte in b"\x08\x0e\x1f!/:":
+        for payload in (b"0%c1 1 0\n" % byte, b"0 1 1 0%c" % byte, b"0 1 1 %c0" % byte):
+            assert pcolfile._parse_canonical_text(payload, 0, 2, 2, 300) is None
+    assert pcolfile._parse_canonical_text(b"0\t1\r1\v0 ", 0, 2, 2, 300) is not None
+
+
+def test_text_reader_one_cell_without_final_newline(tmp_path, monkeypatch):
+    monkeypatch.setattr(pcolfile, "_parse_text_tokens", _no_token_loop)
+    path = tmp_path / "one.pcol"
+    for q in (2, 3):
+        path.write_bytes(f"PCOL 1\nq={q} n=0 k=1\n0".encode("ascii"))
+        assert read_pcol(path).table.tolist() == [0]
+
+
+def test_text_reader_sends_file_separators_to_the_token_loop(tmp_path, monkeypatch):
+    # "\x1c" splits tokens for str.split but is not canonical whitespace,
+    # even between one-digit tokens at even offsets.
+    calls = []
+    loop = pcolfile._parse_text_tokens
+    monkeypatch.setattr(pcolfile, "_parse_text_tokens",
+                        lambda blob: calls.append(blob) or loop(blob))
+    path = tmp_path / "fs.pcol"
+    for payload in (b"0\x1c1 1 0\n", b"0 1 1\x1c0", b"0 1 1 0\x1c"):
+        path.write_bytes(b"PCOL 1\nq=2 n=2 k=2\n" + payload)
+        assert read_pcol(path).table.tolist() == [0, 1, 1, 0]
+    assert len(calls) == 3
+
+
+def test_binary_payload_is_the_table_in_file_order(tmp_path):
+    # One byte a value up to k = 256, two little-endian bytes from k = 257.
+    rng = np.random.default_rng(257)
+    path = tmp_path / "b.pcolb"
+    for k in (2, 256, 257, 300):
+        C = _random_table(rng, 2, 9, k)
+        write_pcol(path, C, binary=True)
+        dtype = "<u1" if k <= 256 else "<u2"
+        assert path.read_bytes() == (f"PCOLB1\nq=2 n=9 k={k}\n".encode("ascii")
+                                     + C.table.astype(dtype).tobytes())
+    # A strided read-only table is kept as it is by from_table.
+    strided = np.frombuffer(bytes([0, 9, 1, 9, 1, 9, 0, 9]), dtype=np.uint8)[::2]
+    C = Coloring.from_table(strided, q=2)
+    assert not C.table.flags.c_contiguous
+    write_pcol(path, C, binary=True)
+    assert path.read_bytes() == b"PCOLB1\nq=2 n=2 k=2\n\x00\x01\x01\x00"
 
 
 def test_noncanonical_tokens_read_as_before(tmp_path):

@@ -506,6 +506,25 @@ def test_eigen_decomposition_check():
     assert not eigen_decomposition_check(bad, S)
 
 
+def test_eigen_check_of_own_quotient_takes_no_spectrum(monkeypatch):
+    # spec T is a subset of spec T: no rank is computed when S is C's own
+    # quotient, given as a QuotientMatrix or as plain rows.
+    from pcol import spectral
+    from pcol.constructions import construct_bc, rm_coloring
+
+    def no_spectrum(*args):
+        raise AssertionError("quotient_spectrum called")
+
+    colorings = [parity(3), rm_coloring(3, 2), rm_coloring(5, 1), construct_bc(5, 3).coloring]
+    quotients = [compute_quotient(C) for C in colorings]
+    monkeypatch.setattr(spectral, "quotient_spectrum", no_spectrum)
+    for C, S in zip(colorings, quotients):
+        assert eigen_decomposition_check(C, S)
+        assert eigen_decomposition_check(C, [list(row) for row in S.entries])
+    with pytest.raises(AssertionError, match="quotient_spectrum called"):
+        eigen_decomposition_check(colorings[0], [[1, 2], [2, 1]])
+
+
 def transform_eigen_check(C, S):
     """The eigenspace check by k character transforms, one per color."""
     Cm = C.materialize()
