@@ -10,16 +10,20 @@ norm of a nonzero alpha(u) is below p**phi(q), and p splits completely
 (Washington, Cyclotomic Fields, Thm 2.13), so not every residue at the j*u,
 j a unit mod q, vanishes; j*u has the weight of u: the weights are exact.
 
-For q = 2 one tiled kernel serves the forward and the inverse transform.  It
+For q = 2 one kernel serves the forward and the inverse transform.  It
 writes into one new output array, int32 when q**n * max|value| < 2**31
-(every color indicator up to 2**30 cells) and int64 otherwise.  Each
-contiguous 2**16-cell tile takes all of its own digits, the lowest 7 on the
-transposed tile; its first levels run in int16 for as long as no partial sum
-can leave int16, then the tile widens and lands in the output.  The digits
-above a tile follow in groups of at most 8, one pass over the output per
-group, on column tiles that are gathered, transformed and scattered back.
-Each pair of levels is one radix-4 step: eight additions or subtractions per
-four cells.  The tile buffers are allocated once per call.
+(every color indicator up to 2**30 cells) and int64 otherwise, by products
+with Sylvester's H_(2**g) = H_2 (x) ... (x) H_2, g <= 5 (Fino & Algazi, IEEE
+Trans. Comput. 1976).  Each partial sum of a product adds +-values of
+disjoint cells, so in any order of summation it is an integer of magnitude
+at most q**n * max|value|: the products run in float32 while that is at
+most 2**24, in float64 while it is at most 2**52, and past that on limbs of
+52 - n bits (the top one signed), shifted and added in int64, which wraps
+mod 2**64; no value is ever rounded.  Each 2**16-cell tile takes its own
+digits, then the digits above it follow in groups of up to 8, one pass over
+the output per group; each tile is cast into a float buffer, multiplied and
+cast back.  No product exceeds 2**18 multiply-adds, so OpenBLAS runs each on
+the calling thread.
 
 For q > 2 one group-ring kernel serves both directions.  In Z[x]/(x**q - 1)
 a product with x**m only moves the q coordinates round m places, so a digit
@@ -72,13 +76,19 @@ def _split_prime(q: int) -> tuple[int, int]:
 
 
 # The q = 2 kernel's tile of 2**_TILE_BITS cells (also the most cells of one
-# degree block), the digits of a tile that run transposed, and the most
-# higher digits one pass over the output takes; the q > 2 kernel's shortest
-# run of contiguous cells in a digit step.
+# degree block), the most higher digits one pass over the output takes, and
+# the most multiply-adds m*n*k of one matrix product (OpenBLAS keeps a product
+# this small on the calling thread); the q > 2 kernel's shortest run of
+# contiguous cells in a digit step.
 _TILE_BITS = 16
-_LOW_BITS = 7
 _GROUP_BITS = 8
+_GEMM = 2**18
 _RUN = 64
+
+# H_32[u, x] = (-1)**popcount(u & x) in both float carriers; H_(2**g) is its
+# top-left 2**g square.
+_HADAMARD = {t: np.array([[(-1) ** bin(u & x).count("1") for x in range(32)] for u in range(32)], t)
+             for t in (np.float32, np.float64)}
 
 
 def hamming_weights(n: int, q: int) -> np.ndarray:
@@ -139,88 +149,74 @@ class DegreeReport:
         return max(self.per_color)
 
 
-def _levels(steps: list, x: np.ndarray, y: np.ndarray, h: int, count: int):
-    """Append the calls of `count` Walsh-Hadamard levels of spans h, 2h, ... on x.
+def _products(x: np.ndarray, y: np.ndarray, lo: int, hi: int):
+    """The np.matmul ``(a, b, out)`` calls that take digits lo..hi-1 of the flat float buffer x.
 
-    Each call is ``(function, u, v, o)``, built once so that the kernel makes
-    no array view per tile.  Each pair of levels is one radix-4 step from x
-    through the scratch y (same size and dtype) and back: eight additions or
-    subtractions per four cells.  An odd last level goes from x to y.
-    Returns the pair with the result first.
+    Built once, on views from x through the scratch y (same size and dtype)
+    and back, so that the kernel makes no array view per tile.  Digit 0 goes
+    in a group of up to 5 as (rows, 2**g) @ H_(2**g), each group above it, of
+    up to 4, as H_(2**g) @ (2**g, w) columns; no product exceeds m*n*k = _GEMM.
+    Returns the calls and the buffer that holds the result.
     """
-    for _ in range(count // 2):
-        a, b = x.reshape(-1, 2, 2, h), y.reshape(-1, 2, 2, h)
-        steps += [(np.add, a[:, :, 0], a[:, :, 1], b[:, :, 0]),
-                  (np.subtract, a[:, :, 0], a[:, :, 1], b[:, :, 1]),
-                  (np.add, b[:, 0], b[:, 1], a[:, 0]),
-                  (np.subtract, b[:, 0], b[:, 1], a[:, 1])]
-        h *= 4
-    if count % 2:
-        a, b = x.reshape(-1, 2, h), y.reshape(-1, 2, h)
-        steps += [(np.add, a[:, 0], a[:, 1], b[:, 0]), (np.subtract, a[:, 0], a[:, 1], b[:, 1])]
+    steps = []
+    while lo < hi:
+        g = min(5 if lo == 0 else 4, hi - lo)
+        h = _HADAMARD[x.dtype.type][:1 << g, :1 << g]
+        if lo == 0:
+            rows = min(x.size >> g, _GEMM >> 2 * g)
+            steps.append((x.reshape(-1, rows, 1 << g), h, y.reshape(-1, rows, 1 << g)))
+        else:
+            w = min(1 << lo, _GEMM >> 2 * g)
+            a, o = (b.reshape(-1, 1 << g, (1 << lo) // w, w).transpose(0, 2, 1, 3) for b in (x, y))
+            steps.append((h, a, o))
         x, y = y, x
-    return x, y
+        lo += g
+    return steps, x
 
 
 def _walsh_hadamard(arr: np.ndarray, dtype, top: int) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform of a flat 2**n-cell array into a new dtype array.
 
-    Exact when every coefficient fits dtype; top bounds |arr|.  Levels run in
-    int16 while top * 2**L < 2**15 after L of them, so no partial sum wraps.
+    top bounds |arr|.  Exact when every coefficient fits dtype; int64 results
+    wrap mod 2**64 otherwise.  The products run in float32 while 2**n * top
+    <= 2**24, in float64 while it is <= 2**52, and on limbs past that.
     """
     N = arr.size
     n = N.bit_length() - 1
+    if arr.dtype.kind not in "biu":
+        arr = arr.astype(np.int64)  # an integer table, each value truncated
+    if N * top > 2**52:
+        # Limbs of 52 - n bits, the last of them signed, so at most 2**(52 - n)
+        # in magnitude; int64 shifts and sums of their transforms wrap mod 2**64.
+        bits, length = 52 - n, top.bit_length()
+        out, limb = np.zeros(N, np.int64), np.empty(N, np.int64)
+        for s in range(0, length, bits):
+            np.right_shift(arr, s, out=limb)
+            if s + bits < length:
+                limb &= (1 << bits) - 1
+            out += np.left_shift(_walsh_hadamard(limb, np.int64, 1 << bits), s, out=limb)
+        return out
     out = np.empty(N, dtype)
     tile_bits = min(n, _TILE_BITS)
     T = 1 << tile_bits
-    low = min(tile_bits, _LOW_BITS)
-    cols = T >> low
-    front = 0
-    while front < tile_bits and top << (front + 1) < 2**15:
-        front += 1
-    wide = np.empty(T, dtype), np.empty(T, dtype)
-    narrow = (np.empty(T, np.int16), np.empty(T, np.int16)) if front else wide
-    # One tile: its lowest digits on the transposed tile, where a level's span
-    # is a run of contiguous cells, then the rest in natural order.
-    steps = []
-    x, y = _levels(steps, *narrow, cols, min(low, front))
-    if front < low:
-        if front:
-            steps.append((np.copyto, wide[0], x, "same_kind"))
-            x, y = wide
-        x, y = _levels(steps, x, y, cols << front, low - front)
-    steps.append((np.copyto, y.reshape(cols, 1 << low), x.reshape(1 << low, cols).T,
-                  "same_kind"))
-    x, y = _levels(steps, y, x, 1 << low, max(0, front - low))
-    if x.dtype != out.dtype:
-        steps.append((np.copyto, wide[0], x, "same_kind"))
-        x, y = wide
-    done = max(low, front)
-    x, y = _levels(steps, x, y, 1 << done, tile_bits - done)
-    load = narrow[0].reshape(1 << low, cols)
-    tiles = arr.reshape(-1, cols, 1 << low).transpose(0, 2, 1)
-    for i, tile in enumerate(out.reshape(-1, T)):
-        np.copyto(load, tiles[i], casting="unsafe")
-        for f, u, v, o in steps:
-            f(u, v, o)
-        np.copyto(tile, x)
-    # The digits above a tile: one pass over the output per group of g, on
-    # (2**g, w) column tiles that are gathered, transformed and scattered back.
-    a = tile_bits
-    while a < n:
-        g = min(_GROUP_BITS, n - a)
+    carrier = np.float32 if N * top <= 2**24 else np.float64
+    x, y = np.empty(T, carrier), np.empty(T, carrier)
+    # Each contiguous tile first takes its own digits, then the digits above
+    # a tile follow in groups of up to _GROUP_BITS, one pass over the output
+    # per group, on (2**g, w) column tiles; each tile is cast into x,
+    # multiplied and cast back.
+    for a in [0, *range(tile_bits, n, _GROUP_BITS)]:
+        g, src = (tile_bits, arr) if a == 0 else (min(_GROUP_BITS, n - a), out)
         w = T >> g
-        column = wide[0].reshape(1 << g, w)
-        steps = []
-        x, y = _levels(steps, column, wide[1].reshape(1 << g, w), w, g)
-        for block in out.reshape(-1, 1 << g, (1 << a) // w, w):
-            for c in range(block.shape[1]):
-                view = block[:, c]
-                np.copyto(column, view)
-                for f, u, v, o in steps:
-                    f(u, v, o)
-                np.copyto(view, x)
-        a += g
+        steps, done = _products(x, y, tile_bits - g, tile_bits)
+        load, done = x.reshape(1 << g, w), done.reshape(1 << g, w)
+        shape = (-1, 1 << g, (1 << a) // w, w)
+        for tiles, dest in zip(src.reshape(shape), out.reshape(shape)):
+            for c in range(dest.shape[1]):
+                np.copyto(load, tiles[:, c], casting="unsafe")
+                for f, u, o in steps:
+                    np.matmul(f, u, out=o)
+                np.copyto(dest[:, c], done, casting="unsafe")
     return out
 
 
@@ -291,9 +287,11 @@ def inverse_transform(spectrum: CharacterSpectrum) -> np.ndarray:
     """Inverse transform; recovers every table character_transform takes.
 
     For q = 2 int64 wraps mod 2**64, and each output N*f(x) is at most sum|c|
-    <= m * 2**63 with m = coeffs.size < 2**31, so the int64 result is exact iff
-    it agrees mod the odd P = 2**31 - 1 with a transform of c mod P (Chinese
-    remainders); else OutOfRangeError.  For q > 2 it lifts f(x) mod p to (-p/2, p/2].
+    <= m * 2**63 with m = coeffs.size < 2**31, so the int64 result is off by
+    k * 2**64 with |k| <= (m + 1) / 2: it is exact iff it agrees mod the odd
+    P = 2m - 1 with a transform of c mod P (Chinese remainders), which float64
+    carries while m <= 2**25; else OutOfRangeError.  For q > 2 it lifts f(x)
+    mod p to (-p/2, p/2].
     """
     n, q = spectrum.n, spectrum.q
     N = q**n
@@ -309,7 +307,7 @@ def inverse_transform(spectrum: CharacterSpectrum) -> np.ndarray:
         return back
     if c.size >= 2**31:
         raise TooLargeError(f"{c.size} coefficients are too many for the exact inverse")
-    P = 2**31 - 1
+    P = 2 * c.size - 1
     back = _walsh_hadamard(c, np.int64, max(-int(c.min()), int(c.max())))
     if (back % P != _walsh_hadamard(c % P, np.int64, P - 1) % P).any():
         raise OutOfRangeError("the inverse transform overflows int64")

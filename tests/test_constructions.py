@@ -481,8 +481,8 @@ def test_guard_edge_materialize_memory_is_blocked():
 
 def test_flagship_spectral_and_density_memory():
     # One 16 MiB int32 transform output per color at a time, next to the
-    # 4 MiB indicator and a few tile buffers; the degree is read one block
-    # of coefficients at a time: 20.9 MiB traced.  Colors counted in blocks,
+    # 4 MiB indicator and two 256 KiB float32 tile buffers; the degree is read
+    # one block of coefficients at a time: 20.5 MiB traced.  Colors counted in blocks,
     # not with the table cast to np.intp.  Neighbor counts hold eleven packed bitmaps
     # of 512 KiB (five of them count planes) and a few of their temporaries:
     # 8.0 MiB traced.  The essential mask holds two bitmaps and one block of
@@ -507,16 +507,16 @@ def test_guard_edge_quotient_memory():
 
 def test_guard_edge_coloring_degree_memory():
     # bc(9, 3) on H(24, 2): the 64 MiB int32 transform output, the 16 MiB
-    # indicator and a few tile and degree-block buffers (80.9 MiB traced); no
-    # whole-table nonzero mask or weight table.
+    # indicator, two 256 KiB float32 tile buffers and a degree block (80.5
+    # MiB traced); no whole-table nonzero mask or weight table.
     C = construct_bc(9, 3).coloring.materialize()
-    assert _traced_peak(lambda: coloring_degree(C)) < 88 * 2**20
+    assert _traced_peak(lambda: coloring_degree(C)) < 84.5 * 2**20
 
 
 def test_guard_edge_non_perfect_eigen_check_memory():
     # bc(9, 3) on H(24, 2) with one vertex recolored takes the transforms:
     # per color the indicator and its int32 transform, whose support is
-    # scanned one block at a time (80.9 MiB traced), with no whole-table
+    # scanned one block at a time (80.5 MiB traced), with no whole-table
     # nonzero mask or weight table.
     built = construct_bc(9, 3)
     table = np.array(built.coloring.materialize().table)

@@ -6,8 +6,9 @@ import pytest
 
 from pcol.core import Coloring, QuotientMatrix, digits, vertex_index
 from pcol.errors import OutOfRangeError, TooLargeError
-from pcol.spectral import (_RUN, CharacterSpectrum, _group_ring_transform,
-                           _is_prime, _split_prime, character_transform,
+from pcol.spectral import (_GROUP_BITS, _RUN, _TILE_BITS, CharacterSpectrum,
+                           _group_ring_transform, _is_prime, _products, _split_prime,
+                           _walsh_hadamard, character_transform,
                            coloring_degree, degree, eigen_decomposition_check,
                            hamming_weights, inverse_transform)
 from pcol.verify import compute_quotient, graph_eigenvalue, quotient_spectrum
@@ -119,10 +120,13 @@ def q2_inputs(rng, n):
     yield rng.integers(-2**40, 2**40, size=N, dtype=np.int64)
 
 
-# The kernel's tiles hold 2**16 cells and the digits above them go in groups
-# of up to 8: n = 15 is a partial tile, 16 exactly one, 17 and 18 add one
-# short group, 20 a group of 4, 23 one of 7.
-@pytest.mark.parametrize("n", list(range(14)) + [15, 16, 17, 18, 20, 23])
+# The kernel's tiles hold 2**16 cells and take their digits in matrix
+# products of up to 5 digits at digit 0 and 4 above it; the digits above a
+# tile go in groups of up to 8: n = 5, 9 and 13 fill the first three
+# products, 15 is a partial tile, 16 exactly one, whose last product splits
+# its columns, 17 and 18 add one short group, 20 a group of 4, 21 one of 5,
+# 23 one of 7.
+@pytest.mark.parametrize("n", list(range(15)) + [15, 16, 17, 18, 20, 21, 23])
 def test_q2_transform_matches_level_loop(n):
     rng = np.random.default_rng(600 + n)
     for f in q2_inputs(rng, n):
@@ -130,6 +134,12 @@ def test_q2_transform_matches_level_loop(n):
         assert np.array_equal(coeffs, level_loop_oracle(f)), f.dtype
         big = max(-int(f.min()), int(f.max())) << n >= 2**31
         assert coeffs.dtype == (np.int64 if big else np.int32)
+
+
+def test_q2_transform_takes_a_full_group_above_the_tile():
+    # n = 24: one full group of 8 digits above the tile, on an indicator.
+    f = np.random.default_rng(624).integers(0, 2, size=2**24).astype(bool)
+    assert np.array_equal(character_transform(f, 24, 2).coeffs, level_loop_oracle(f))
 
 
 @pytest.mark.parametrize("n,top,dtype", [
@@ -148,25 +158,79 @@ def test_q2_accumulator_dtype_at_the_bound(n, top, dtype):
         assert np.array_equal(inverse_transform(spec), f)
 
 
-@pytest.mark.parametrize("n,e", [(n, e) for n in (3, 8, 12, 16) for e in (14, 15, 16)]
-                         + [(20, 28), (20, 30)])
+@pytest.mark.parametrize("n,e", [(n, e) for n in (3, 8, 12, 16) for e in (14, 15, 16, 24)]
+                         + [(20, 28), (20, 30), (0, 24), (12, 52), (3, 52), (0, 52)])
 def test_q2_int16_front_at_the_bound(n, e):
-    # Levels run in int16 while top * 2**L < 2**15 after L of them; with top
-    # * 2**n at or just below 2**e, coefficient 0 (all-equal values) or 1
-    # (alternating signs) reaches top * 2**n.  The tile's int16 levels end
-    # inside its transposed digits for (20, 28) and (20, 30).
+    # N * top at, just below or just above 2**e: sums leave int16 past 2**15,
+    # and products run in float32 while N * top <= 2**24, in float64 while it
+    # is <= 2**52 and in limbs past that.  Coefficient 0 (all-equal values,
+    # or all but one cell one less, an odd sum) or 1 (alternating signs)
+    # reaches about N * top.
     N = 2**n
-    for top in (2**e >> n, (2**e >> n) - 1):
-        for f in (np.full(N, top), np.where(np.arange(N) % 2 == 0, top, -top)):
+    for top in ((2**e >> n) - 1, 2**e >> n, (2**e >> n) + 1):
+        odd = np.full(N, top)
+        odd[0] -= 1
+        for f in (np.full(N, top), odd, np.where(np.arange(N) % 2 == 0, top, -top)):
             spec = character_transform(f, n, 2)
-            assert spec.coeffs.dtype == np.int32
+            assert spec.coeffs.dtype == (np.int32 if N * top < 2**31 else np.int64)
             assert np.array_equal(spec.coeffs, level_loop_oracle(f))
             assert np.array_equal(inverse_transform(spec), f)
 
 
+@pytest.mark.parametrize("n", [0, 1, 5, 12, 17])
+def test_q2_limbs_wrap_like_int64(n):
+    # Past 2**52 the kernel adds limb transforms in int64, so like the int64
+    # level loop it wraps mod 2**64, on the whole int64 range and at both ends.
+    rng = np.random.default_rng(640 + n)
+    N = 2**n
+    for f in (rng.integers(-2**62, 2**62, size=N), np.full(N, -2**63), np.full(N, 2**63 - 1),
+              rng.integers(-2**63, 2**63 - 1, size=N, endpoint=True)):
+        top = max(-int(f.min()), int(f.max()))
+        assert np.array_equal(_walsh_hadamard(f, np.int64, top), level_loop_oracle(f))
+    # The inverse of a spectrum past 2**52 takes the limbs back to its table.
+    f = rng.integers(-2**(53 - n), 2**(53 - n), size=N)
+    spec = character_transform(f, n, 2)
+    assert N * max(-int(spec.coeffs.min()), int(spec.coeffs.max())) > 2**52
+    assert np.array_equal(inverse_transform(spec), f)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_q2_inverse_refuses_every_wrap(n):
+    # t at every frequency is the spectrum of t at vertex 0, so the inverse's
+    # output there is N * t: exact from -2**63 to 2**63 - 1, and else some
+    # k * 2**64 off, 0 < |k| < N, which the check modulo 2N - 1 must find.
+    N = 2**n
+    steps = [k * 2**(64 - n) + d for k in range(1, N // 2) for d in (-1, 0, 1)]
+    for t in [2**(63 - n) - 1, 2**(63 - n), 2**62, -2**63] + steps + [-t for t in steps]:
+        spec = CharacterSpectrum(n, 2, np.full(N, t, dtype=np.int64))
+        if -2**63 <= N * t < 2**63:
+            assert inverse_transform(spec).tolist() == [t] + [0] * (N - 1)
+        else:
+            with pytest.raises(OutOfRangeError):
+                inverse_transform(spec)
+
+
+def test_q2_matrix_products_stay_small():
+    # Every product the kernel builds, for each tile size and each group above
+    # a full tile, takes at most m*n*k = 2**18 multiply-adds (OpenBLAS runs
+    # such a product on the calling thread) on rows of contiguous cells.
+    configs = [(b, 0, b) for b in range(_TILE_BITS + 1)]
+    configs += [(_TILE_BITS, _TILE_BITS - g, _TILE_BITS) for g in range(1, _GROUP_BITS + 1)]
+    for bits, lo, hi in configs:
+        for carrier in (np.float32, np.float64):
+            x, y = np.empty(2**bits, carrier), np.empty(2**bits, carrier)
+            steps, done = _products(x, y, lo, hi)
+            assert done is (x if len(steps) % 2 == 0 else y)
+            for a, b, o in steps:
+                (m, k), n = a.shape[-2:], b.shape[-1]
+                assert b.shape[-2] == k and o.shape[-2:] == (m, n)
+                assert m * n * k <= 2**18, (bits, lo, hi)
+                assert all(v.strides[-1] == v.itemsize for v in (a, b, o))
+
+
 def test_q2_transform_holds_one_output_and_tile_buffers():
-    # A 2**20-cell indicator: the 4 MiB int32 output plus a few 2**16-cell
-    # tile buffers, allocated once per call.
+    # A 2**20-cell indicator: the 4 MiB int32 output plus two 2**16-cell
+    # float32 tile buffers, allocated once per call.
     f = np.arange(2**20) % 3 == 0
     tracemalloc.start()
     try:
