@@ -6,8 +6,9 @@ lengthening step (which multiplies the word length by q and adds M
 positions while keeping every argument essential), and the two parameterized
 front ends: an unbalanced 2-coloring from its off-diagonal pair (b, c) and a
 low-degree unbalanced Boolean function from its density r/s.  A builder
-materializes each coloring it checks once, under the caller's guard; past it
-(TooLargeError from that call) the checks are skipped and flagged.
+materializes each coloring it checks once, under the materialization guard;
+past it (TooLargeError from that call) the checks are skipped and flagged,
+and the coloring is used as given.
 """
 from __future__ import annotations
 
@@ -94,7 +95,7 @@ def rm_coloring(q: int, s: int) -> Coloring:
 # -- translation collections --------------------------------------------
 
 
-def translations_collection(C: Coloring, *, guard: int | None = None) -> UniformCollection:
+def translations_collection(C: Coloring) -> UniformCollection:
     """The q**n translates C_z(x) = C(x - z) over Z_q**n; member 0 is C.
 
     The common quotient matrix is attached when C is materializable and
@@ -103,7 +104,7 @@ def translations_collection(C: Coloring, *, guard: int | None = None) -> Uniform
     members = tuple(Coloring.translation(C, z) for z in range(C.q**C.n))
     quotient = None
     try:
-        result = compute_quotient(C, guard=guard)
+        result = compute_quotient(C)
         if isinstance(result, QuotientMatrix):
             quotient = result
     except TooLargeError:
@@ -111,9 +112,9 @@ def translations_collection(C: Coloring, *, guard: int | None = None) -> Uniform
     return UniformCollection(members, "translations", quotient)
 
 
-def coloring_periods(C: Coloring, *, guard: int | None = None) -> list[int]:
+def coloring_periods(C: Coloring) -> list[int]:
     """All v with C(x + v) == C(x) for every x (a subgroup of Z_q**n), ascending."""
-    Cm = C.materialize(guard)
+    Cm = C.materialize()
     n, q = Cm.n, Cm.q
     tab = Cm.table
     idx = np.arange(q**n, dtype=np.int64)
@@ -121,13 +122,13 @@ def coloring_periods(C: Coloring, *, guard: int | None = None) -> list[int]:
             if np.array_equal(tab[_shifted_index(idx, q, digits(v, n, q), +1)], tab)]
 
 
-def reduce_by_periods(col: UniformCollection, *, guard: int | None = None) -> UniformCollection:
+def reduce_by_periods(col: UniformCollection) -> UniformCollection:
     """Keep one translate per coset of the base coloring's period subgroup."""
     if col.provenance != "translations":
         raise OutOfRangeError("period reduction applies to translation collections")
     base = col.colorings[0]
     n, q = base.n, base.q
-    periods = coloring_periods(base, guard=guard)
+    periods = coloring_periods(base)
     idx = np.arange(q**n, dtype=np.int64)
     rep = idx.copy()
     for p in periods:
@@ -218,16 +219,16 @@ def predicted_step_quotient(S: QuotientMatrix, M: int) -> QuotientMatrix:
     return QuotientMatrix(tuple(rows), q * n + M, q)
 
 
-def recursive_step(col: UniformCollection, E: Coloring, *,
-                   guard: int | None = None) -> UniformCollection:
+def recursive_step(col: UniformCollection, E: Coloring) -> UniformCollection:
     """One lengthening step: M colorings of H(q*n + M, q) from M of H(n, q).
 
     Member s evaluates as F(y, x) = C_{s+i mod M}(x^j) where E(y) = q*i + j;
     the members are the cyclic rotations of the input collection, which keeps
     the output collection uniform.  Requires E to be an Mq-coloring of
     H(M, q) with quotient rm_quotient(M, q) and member 0 of the input to be
-    essential in every argument; each check is skipped (the essentiality
-    check flagged) when its coloring exceeds the materialization guard.
+    essential in every argument.  Each check is skipped when its coloring
+    exceeds the materialization guard, and hypotheses_checked is then False;
+    an E past the guard is evaluated as given.
     """
     M = len(col.colorings)
     member0 = col.colorings[0]
@@ -239,37 +240,35 @@ def recursive_step(col: UniformCollection, E: Coloring, *,
         raise SizeMismatchError(f"outer coloring has {E.k} colors, expected {M * q}")
 
     try:
-        E = E.materialize(guard)
+        tableE = E.materialize()
     except TooLargeError:
-        pass  # Coloring.outer materializes it under its own guard
-    else:
-        if compute_quotient(E, guard=guard) != rm_quotient(M, q):
-            raise BadOuterColoringError(
-                "outer coloring quotient does not have the 0/1 mod-q pattern")
+        tableE = None
+    if tableE is not None and compute_quotient(tableE) != rm_quotient(M, q):
+        raise BadOuterColoringError(
+            "outer coloring quotient does not have the 0/1 mod-q pattern")
     try:
-        table0 = member0.materialize(guard)
+        table0 = member0.materialize()
     except TooLargeError:
         table0 = None
 
     S = col.quotient
     if S is None:
-        result = compute_quotient(member0 if table0 is None else table0, guard=guard)
+        result = compute_quotient(member0 if table0 is None else table0)
         if not isinstance(result, QuotientMatrix):
             raise InconsistentError("collection member 0 is not a perfect coloring")
         S = result
 
-    checked = col.hypotheses_checked and table0 is not None
+    checked = col.hypotheses_checked and tableE is not None and table0 is not None
     if table0 is not None:
-        mask = essential_arguments(table0, guard=guard)
+        mask = essential_arguments(table0)
         if not all(mask):
             raise NotEssentialError(
                 f"member 0 has inessential arguments at positions "
                 f"{[i for i, b in enumerate(mask) if not b]}")
 
     predicted = predicted_step_quotient(S, M)
-    members = tuple(
-        Coloring.outer(col.colorings[s:] + col.colorings[:s], E)
-        for s in range(M))
+    outer = E if tableE is None else tableE
+    members = tuple(Coloring.outer(col.colorings[s:] + col.colorings[:s], outer) for s in range(M))
     return UniformCollection(members, "cyclic-permutation-of-collection",
                              predicted, checked)
 
@@ -294,7 +293,7 @@ class RecursionTrace:
     hypotheses_checked: tuple[bool, ...]
 
 
-def iterate_construction(spec: RecursionSpec, *, guard: int | None = None) -> RecursionTrace:
+def iterate_construction(spec: RecursionSpec) -> RecursionTrace:
     """Apply recursive_step `steps` times, recording lengths and predicted
     quotients per level and checking them against the closed formula."""
     if spec.steps < 0:
@@ -307,7 +306,7 @@ def iterate_construction(spec: RecursionSpec, *, guard: int | None = None) -> Re
     quotients = [col.quotient]
     checked = []
     for i in range(1, spec.steps + 1):
-        col = recursive_step(col, spec.outer, guard=guard)
+        col = recursive_step(col, spec.outer)
         n_i = col.colorings[0].n
         if n_i != closed_form_length(n0, M, q, i):
             raise InconsistentError(
@@ -329,7 +328,7 @@ class ConstructedColoring:
     trace: RecursionTrace
 
 
-def construct_bc(b: int, c: int, *, guard: int | None = None) -> ConstructedColoring:
+def construct_bc(b: int, c: int) -> ConstructedColoring:
     """Perfect 2-coloring of H(N, 2) with quotient [[N-b, b], [c, N-c]] and
     no inessential arguments, N = (2M - 1) * 2**(e-1) - M with e = gcd(b, c)
     and M = (b + c) / e; M must be a power of two.
@@ -347,7 +346,7 @@ def construct_bc(b: int, c: int, *, guard: int | None = None) -> ConstructedColo
     part = hamming_cosets(m)
     col = hamming_union_collection(part, cprime)
     outer = rm_coloring(2, m)
-    trace = iterate_construction(RecursionSpec(col, outer, e - 1), guard=guard)
+    trace = iterate_construction(RecursionSpec(col, outer, e - 1))
     N = trace.lengths[-1]
     predicted = QuotientMatrix.of([[N - b, b], [c, N - c]], N, 2)
     if predicted != trace.quotients[-1]:
@@ -368,8 +367,7 @@ class UnbalancedBoolean:
     verified: bool
 
 
-def construct_unbalanced_boolean(r: int, s: int, e: int, *,
-                                 guard: int | None = None) -> UnbalancedBoolean:
+def construct_unbalanced_boolean(r: int, s: int, e: int) -> UnbalancedBoolean:
     """Boolean function (color 0 = ones) of density r/s and degree e*s/2 in
     n = (2s - 1) * 2**(e-1) - s variables, all essential.
 
@@ -386,24 +384,24 @@ def construct_unbalanced_boolean(r: int, s: int, e: int, *,
     if e < 1:
         raise BadDensityError(f"e = {e} must be >= 1")
 
-    built = construct_bc((s - r) * e, r * e, guard=guard)
+    built = construct_bc((s - r) * e, r * e)
     coloring = built.coloring
     density = Fraction(r, s)
     expected_degree = e * s // 2
 
     try:
-        table = coloring.materialize(guard)
+        table = coloring.materialize()
     except TooLargeError:
         return UnbalancedBoolean(coloring, density, expected_degree,
                                  built.predicted_quotient, None, None, False)
-    dens = densities_by_count(table, guard=guard)
+    dens = densities_by_count(table)
     if dens[0] != density:
         raise InconsistentError(f"measured density {dens[0]} != {density}")
-    degree_report = coloring_degree(table, guard=guard)
+    degree_report = coloring_degree(table)
     if degree_report.degree != expected_degree:
         raise InconsistentError(
             f"measured degree {degree_report.degree} != {expected_degree}")
-    essential = essential_arguments(table, guard=guard)
+    essential = essential_arguments(table)
     if not all(essential):
         raise InconsistentError("constructed coloring has an inessential argument")
     return UnbalancedBoolean(coloring, density, expected_degree,

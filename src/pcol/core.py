@@ -7,8 +7,9 @@ node has one method, ``eval(idx)``, mapping an integer array of vertex
 indices to their colors: ``evaluate`` passes one vertex in an object array,
 so symbolic colorings stay exact past the materialization guard and past
 int64, and ``materialize`` fills the table in blocks of indices, so its
-memory is the table plus one block.  The guard bounds every table handed
-out, explicit ones included.
+memory is the table plus one block.  The guard, ``PCOL_MATERIALIZE_GUARD``
+or 2**26 cells, is read where a table is allocated and bounds every table
+handed out, explicit ones included; no node materializes a child.
 
 A coloring has at most 65536 colors.  ``from_table`` and ``materialize``
 check that a table attains all k colors with one scan, ``_first_vertices``,
@@ -31,10 +32,8 @@ GUARD_ENV_VAR = "PCOL_MATERIALIZE_GUARD"
 _MATERIALIZE_BLOCK = 1 << 20
 
 
-def materialize_guard(override: int | None = None) -> int:
-    """Effective cell guard: explicit override > environment (an integer >= 0) > default."""
-    if override is not None:
-        return int(override)
+def materialize_guard() -> int:
+    """The cell guard: the environment variable (an integer >= 0), else the default."""
     env = os.environ.get(GUARD_ENV_VAR)
     try:
         limit = int(env) if env else DEFAULT_MATERIALIZE_GUARD
@@ -222,8 +221,7 @@ class Coloring:
         if outer_coloring.n != M or outer_coloring.q != q or outer_coloring.k != M * q:
             raise OutOfRangeError(
                 f"outer coloring must be an {M * q}-coloring of H({M},{q})")
-        outer_tab = outer_coloring.materialize()
-        return Coloring(q * nb + M, q, k, _OuterBody(members, outer_tab))
+        return Coloring(q * nb + M, q, k, _OuterBody(members, outer_coloring))
 
     @staticmethod
     def merged(base: "Coloring", grouping) -> "Coloring":
@@ -265,13 +263,13 @@ class Coloring:
             raise TypeError("coloring is symbolic; materialize() it first")
         return self.body.arr
 
-    def materialize(self, guard: int | None = None) -> "Coloring":
+    def materialize(self) -> "Coloring":
         """Explicit-table copy of this coloring; verifies surjectivity.
 
         Raises TooLargeError past the guard, for explicit tables too.
         """
         cells = self.q**self.n
-        limit = materialize_guard(guard)
+        limit = materialize_guard()
         if cells > limit:
             raise TooLargeError(
                 f"q**n = {self.q}**{self.n} exceeds the materialization guard {limit}")
@@ -354,11 +352,12 @@ class _OuterBody:
                 # G[x, cols], where G[x, j*M + i] is member i at window j of x
                 # and cols maps each outer color E(y) = q*i + j to j*M + i.
                 G = tabs[(idx[::Q, None] // place % q**nb).astype(np.intp, copy=False)]
-                E = self.outer.table.astype(np.intp)
+                E = self.outer.body.eval(np.arange(Q, dtype=np.int64)).astype(np.intp)
                 return np.take(G.reshape(-1, q * M), E % q * M + E // q, axis=1).reshape(-1)
-            i, j = np.divmod(self.outer.table[(idx % Q).astype(np.intp)], q)
+        # E's colors are below M*q <= 65536.
+        i, j = np.divmod(self.outer.body.eval(idx % Q).astype(np.intp, copy=False), q)
+        if M * q**nb <= idx.size:
             return tabs[(idx // place[j] % q**nb).astype(np.intp, copy=False), i]
-        i, j = np.divmod(self.outer.table[(idx % Q).astype(np.intp)], q)
         window = idx // place[j] % q**nb
         out = np.empty(idx.shape, dtype=np.int64)
         for a in np.unique(i):

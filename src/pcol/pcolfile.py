@@ -73,10 +73,9 @@ def _above(q: int, n: int, count: int) -> bool:
     return n * (q.bit_length() - 1) > count.bit_length()
 
 
-def write_pcol(path, C: Coloring, *, binary: bool = False,
-               guard: int | None = None) -> None:
+def write_pcol(path, C: Coloring, *, binary: bool = False) -> None:
     """Write a coloring; symbolic colorings are materialized first."""
-    Cm = C.materialize(guard)
+    Cm = C.materialize()
     header = _format_header(Cm)
     if binary:
         # The table itself when it already has the file's dtype and layout.

@@ -36,7 +36,8 @@ do not depend on that choice.  ``CharacterSpectrum.support_weights`` is the
 one reader of a spectrum, one block of frequencies at a time; ``degree`` is
 its maximum.  The eigenspace check of a perfect coloring needs no transform:
 its own quotient's spectrum is the union of the colors' supports.  Tables
-past these bounds raise OutOfRangeError rather than wrap.
+past these bounds raise OutOfRangeError rather than wrap, and so do tables
+and spectra that do not hold integers.
 """
 from __future__ import annotations
 
@@ -175,7 +176,7 @@ def _products(x: np.ndarray, y: np.ndarray, lo: int, hi: int):
 
 
 def _walsh_hadamard(arr: np.ndarray, dtype, top: int) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform of a flat 2**n-cell array into a new dtype array.
+    """Unnormalized Walsh-Hadamard transform of 2**n flat integers into a new dtype array.
 
     top bounds |arr|.  Exact when every coefficient fits dtype; int64 results
     wrap mod 2**64 otherwise.  The products run in float32 while 2**n * top
@@ -183,8 +184,6 @@ def _walsh_hadamard(arr: np.ndarray, dtype, top: int) -> np.ndarray:
     """
     N = arr.size
     n = N.bit_length() - 1
-    if arr.dtype.kind not in "biu":
-        arr = arr.astype(np.int64)  # an integer table, each value truncated
     if N * top > 2**52:
         # Limbs of 52 - n bits, the last of them signed, so at most 2**(52 - n)
         # in magnitude; int64 shifts and sums of their transforms wrap mod 2**64.
@@ -257,14 +256,16 @@ def _group_ring_transform(values: np.ndarray, n: int, q: int, sign: int, dtype) 
     return out
 
 
-def character_transform(values, n: int, q: int, *, guard: int | None = None) -> CharacterSpectrum:
+def character_transform(values, n: int, q: int) -> CharacterSpectrum:
     """Character transform of an integer-valued table over H(n, q): exact for
     q = 2, residues mod p for q > 2 while 2 * q**n * max|value| < p."""
     N = q**n
-    limit = materialize_guard(guard)
+    limit = materialize_guard()
     if N > limit:
         raise TooLargeError(f"q**n = {q}**{n} exceeds the guard {limit}")
     arr = np.asarray(values).reshape(-1)
+    if arr.dtype.kind not in "biu":
+        raise OutOfRangeError(f"values must be integers, got dtype {arr.dtype}")
     if arr.size != N:
         raise OutOfRangeError(f"expected {N} values, got {arr.size}")
     # Every coefficient, and for q > 2 every group-ring coordinate, sums
@@ -295,13 +296,16 @@ def inverse_transform(spectrum: CharacterSpectrum) -> np.ndarray:
     """
     n, q = spectrum.n, spectrum.q
     N = q**n
-    c = spectrum.coeffs
+    c = np.asarray(spectrum.coeffs)
+    if c.dtype.kind not in "biu":
+        raise OutOfRangeError(f"coefficients must be integers, got dtype {c.dtype}")
+    c = c.astype(np.int64, copy=False)
     if q > 2:
         p = _split_prime(q)[0]
         # A coordinate sums N residues below p.
         if (N + p - 1) * (p - 1) >= 2**63:
             raise TooLargeError(f"{q}**{n} coefficients are too many for the inverse mod {p}")
-        scaled = np.asarray(c, np.int64) % p * pow(N, -1, p) % p
+        scaled = c % p * pow(N, -1, p) % p
         back = _group_ring_transform(scaled, n, q, -1, np.int64)
         back[back > p // 2] -= p
         return back
@@ -316,22 +320,21 @@ def inverse_transform(spectrum: CharacterSpectrum) -> np.ndarray:
     return back // N
 
 
-def degree(values, n: int, q: int, *, guard: int | None = None) -> int:
+def degree(values, n: int, q: int) -> int:
     """Largest frequency weight with a nonzero coefficient; 0 for constants."""
-    weights = character_transform(values, n, q, guard=guard).support_weights()
+    weights = character_transform(values, n, q).support_weights()
     return int(weights.max(initial=0))
 
 
-def coloring_degree(C: Coloring, *, guard: int | None = None) -> DegreeReport:
+def coloring_degree(C: Coloring) -> DegreeReport:
     """Degree of each color's characteristic function."""
-    Cm = C.materialize(guard)
+    Cm = C.materialize()
     table = Cm.table
-    per_color = tuple(degree(table == i, Cm.n, Cm.q, guard=guard)
-                      for i in range(Cm.k))
+    per_color = tuple(degree(table == i, Cm.n, Cm.q) for i in range(Cm.k))
     return DegreeReport(per_color)
 
 
-def eigen_decomposition_check(C: Coloring, S, *, guard: int | None = None) -> bool:
+def eigen_decomposition_check(C: Coloring, S) -> bool:
     """Spectral mass of every color must sit on eigenvalues of S.
 
     True iff for every color the transform of its characteristic function is
@@ -341,16 +344,16 @@ def eigen_decomposition_check(C: Coloring, S, *, guard: int | None = None) -> bo
     rank (every color is attained), so the colors' supports together are exactly spec T: one
     quotient replaces the k transforms, and T = S needs no spectrum.  Any other C takes them.
     """
-    Cm = C.materialize(guard)
+    Cm = C.materialize()
     n, q = Cm.n, Cm.q
-    own = compute_quotient(Cm, guard=guard)
+    own = compute_quotient(Cm)
     if isinstance(own, QuotientMatrix):
         return (own.entries == _matrix_rows(S)
                 or set(quotient_spectrum(own)) <= set(quotient_spectrum(S, n, q)))
     allowed = set(quotient_spectrum(S, n, q))
     table = Cm.table
     for i in range(Cm.k):
-        weights = character_transform(table == i, n, q, guard=guard).support_weights()
+        weights = character_transform(table == i, n, q).support_weights()
         if any(graph_eigenvalue(n, q, int(w)) not in allowed for w in weights):
             return False
     return True

@@ -207,14 +207,13 @@ def _digit_axis_columns(table, n, q, k, first):
     return columns, int(np.argmax(bad)) if bad.any() else None
 
 
-def compute_quotient(C: Coloring, *,
-                     guard: int | None = None) -> QuotientMatrix | NonPerfectWitness:
+def compute_quotient(C: Coloring) -> QuotientMatrix | NonPerfectWitness:
     """Count neighbor colors at every vertex.
 
     Returns the quotient matrix if the profile of a vertex depends only on
     its color, otherwise the first witness in vertex-index order.
     """
-    Cm = C.materialize(guard)
+    Cm = C.materialize()
     n, q, k = Cm.n, Cm.q, Cm.k
     table = Cm.table
     first = _first_vertices(table, k)
@@ -232,9 +231,9 @@ def compute_quotient(C: Coloring, *,
     return QuotientMatrix.of([row + [degree - sum(row)] for row in rows], n, q)
 
 
-def essential_arguments(C: Coloring, *, guard: int | None = None) -> tuple[bool, ...]:
+def essential_arguments(C: Coloring) -> tuple[bool, ...]:
     """mask[p] is True iff the coloring changes along some line in digit p."""
-    Cm = C.materialize(guard)
+    Cm = C.materialize()
     n, q, k, table = Cm.n, Cm.q, Cm.k, Cm.table
     if q > 2:
         mask = []
@@ -256,8 +255,8 @@ def essential_arguments(C: Coloring, *, guard: int | None = None) -> tuple[bool,
     return tuple(mask)
 
 
-def densities_by_count(C: Coloring, *, guard: int | None = None) -> tuple[Fraction, ...]:
-    Cm = C.materialize(guard)
+def densities_by_count(C: Coloring) -> tuple[Fraction, ...]:
+    Cm = C.materialize()
     N = Cm.q**Cm.n
     return tuple(Fraction(int(c), N) for c in _color_counts(Cm.table, Cm.k))
 
@@ -396,8 +395,7 @@ def validate_quotient(S, n: int, q: int) -> QuotientDiagnostics:
                                spectrum, spectrum_message)
 
 
-def check_uniform(collection, *, guard: int | None = None, sample: int | None = None,
-                  seed: int = 0x5EED) -> UniformityCheck:
+def check_uniform(collection, *, sample: int | None = None, seed: int = 0x5EED) -> UniformityCheck:
     """Is the per-vertex multiset of member colors vertex-independent?
 
     Exhaustive when the member tables together fit the guard; otherwise request a
@@ -416,7 +414,7 @@ def check_uniform(collection, *, guard: int | None = None, sample: int | None = 
     if any(c.n != n or c.q != q or c.k != k for c in members):
         raise OutOfRangeError("collection members must share (n, q, k)")
     M, N = len(members), q**n
-    limit = materialize_guard(guard)
+    limit = materialize_guard()
     if sample is None:
         if M * N > limit:
             raise TooLargeError(
@@ -507,17 +505,17 @@ def search_colorings(n: int, q: int, S, require_all_essential: bool = False, *,
     return out
 
 
-def verification_report(C: Coloring, *, essential: bool = False, threads: int = 1,
-                        guard: int | None = None) -> VerificationReport:
+def verification_report(C: Coloring, *, essential: bool = False,
+                        threads: int = 1) -> VerificationReport:
     """Bundle quotient, densities, spectrum, and optional essential mask."""
     if threads < 1:
         raise OutOfRangeError(f"threads (--threads) must be at least 1, got {threads}")
-    Cm = C.materialize(guard)
-    result = compute_quotient(Cm, guard=guard)
+    Cm = C.materialize()
+    result = compute_quotient(Cm)
     perfect = isinstance(result, QuotientMatrix)
-    dens = densities_by_count(Cm, guard=guard)
+    dens = densities_by_count(Cm)
     spec = quotient_spectrum(result) if perfect else None
-    mask = essential_arguments(Cm, guard=guard) if essential else None
+    mask = essential_arguments(Cm) if essential else None
     return VerificationReport(
         n=Cm.n, q=Cm.q, k=Cm.k, perfect=perfect,
         quotient=result if perfect else None,

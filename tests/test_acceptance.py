@@ -15,7 +15,7 @@ from pcol.constructions import (RecursionSpec, construct_bc,
                                 iterate_construction, recursive_step,
                                 rm_coloring, rm_quotient,
                                 translations_collection)
-from pcol.core import Coloring, QuotientMatrix
+from pcol.core import GUARD_ENV_VAR, Coloring, QuotientMatrix
 from pcol.errors import NotPrimePowerError
 from pcol.gf import FieldTable, check_axioms
 from pcol.spectral import coloring_degree, eigen_decomposition_check
@@ -221,11 +221,12 @@ def test_criterion_7_consistency_triangle(flagship, capsys):
               "perfect coloring", time.perf_counter() - t0)
 
 
-def test_criterion_8_closed_form_beyond_desk_scale(capsys):
+def test_criterion_8_closed_form_beyond_desk_scale(capsys, monkeypatch):
     t0 = time.perf_counter()
     col = hamming_union_collection(hamming_cosets(3), 3)
-    # guard=1 keeps every step symbolic: pure integer bookkeeping
-    trace = iterate_construction(RecursionSpec(col, rm_coloring(2, 3), 10), guard=1)
+    # A guard of one cell keeps every step symbolic: pure integer bookkeeping
+    monkeypatch.setenv(GUARD_ENV_VAR, "1")
+    trace = iterate_construction(RecursionSpec(col, rm_coloring(2, 3), 10))
     assert trace.lengths == tuple(15 * 2**i - 8 for i in range(11))
     rho = densities_from_quotient(col.quotient)
     assert rho == (Fraction(3, 8), Fraction(5, 8))

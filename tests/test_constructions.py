@@ -11,7 +11,7 @@ from pcol.constructions import (RecursionSpec, closed_form_length, coloring_peri
                                 predicted_step_quotient, recursive_step,
                                 reduce_by_periods, rm_coloring, rm_quotient,
                                 translations_collection, union_quotient)
-from pcol.core import Coloring, QuotientMatrix
+from pcol.core import GUARD_ENV_VAR, Coloring, QuotientMatrix
 from pcol.errors import (BadDensityError, BadOuterColoringError,
                          InconsistentError, NotEssentialError,
                          NotPowerOfTwoError, NotPrimePowerError,
@@ -208,6 +208,45 @@ def test_recursive_step_errors():
         recursive_step(skew, rm_coloring(2, 1))
 
 
+def test_skipped_outer_coloring_check_is_flagged(monkeypatch):
+    # E on H(8, 2) with colors 0 and 1 swapped: its quotient is not
+    # rm_quotient(8, 2).  Member 0 has 128 cells and E 256, so a guard of 128
+    # checks member 0 but skips E, and the step must not report E as checked.
+    col = hamming_union_collection(hamming_cosets(3), 3)
+    good = rm_coloring(2, 3)
+    swapped = Coloring.merged(good, [[1], [0]] + [[c] for c in range(2, 16)])
+    explicit = swapped.materialize()
+    for E in (swapped, explicit):
+        with pytest.raises(BadOuterColoringError):
+            recursive_step(col, E)
+    assert recursive_step(col, good).hypotheses_checked
+    monkeypatch.setenv(GUARD_ENV_VAR, "128")
+    for E in (swapped, explicit, good):
+        assert not recursive_step(col, E).hypotheses_checked
+
+
+def test_symbolic_steps_materialize_nothing(monkeypatch):
+    # Criterion 8's ten steps under a guard of one cell: every check is
+    # skipped, and Coloring.outer reads E through its body, so no symbolic
+    # coloring is ever materialized.
+    built = []
+    materialize = Coloring.materialize
+
+    def counting(self):
+        out = materialize(self)
+        if not self.is_explicit:
+            built.append(self.n)
+        return out
+
+    monkeypatch.setattr(Coloring, "materialize", counting)
+    monkeypatch.setenv(GUARD_ENV_VAR, "1")
+    trace = iterate_construction(RecursionSpec(
+        hamming_union_collection(hamming_cosets(3), 3), rm_coloring(2, 3), 10))
+    assert built == []
+    assert not any(trace.hypotheses_checked)
+    assert not trace.collection.colorings[0].body.outer.is_explicit
+
+
 def test_union_complement_matches_the_membership_scan():
     # Oracle: the complement by membership scan; merged ignores order in a group.
     for m in range(1, 5):
@@ -272,7 +311,7 @@ def test_construct_bc_flagship_prediction():
     assert built.trace.lengths == (7, 22)
 
 
-def test_construct_boolean_instances():
+def test_construct_boolean_instances(monkeypatch):
     res = construct_unbalanced_boolean(1, 4, 1)
     assert res.coloring.n == 3
     assert res.density == Fraction(1, 4)
@@ -289,8 +328,9 @@ def test_construct_boolean_instances():
     assert res.degree_report.degree == 2
     assert res.essential == (True,) * 4
 
-    # Past the caller's guard the coloring is built but left unverified.
-    res = construct_unbalanced_boolean(1, 4, 1, guard=4)
+    # Past the guard the coloring is built but left unverified.
+    monkeypatch.setenv(GUARD_ENV_VAR, "4")
+    res = construct_unbalanced_boolean(1, 4, 1)
     assert res.coloring.n == 3 and not res.coloring.is_explicit
     assert (res.verified, res.degree_report, res.essential) == (False, None, None)
 
@@ -362,11 +402,14 @@ def _oracle_instances():
         "rm_3_1": rm_coloring(3, 1),
         "rm_4_1": rm_coloring(4, 1),
         "outer_q2": Coloring.outer(
-            [Coloring.translation(union, z) for z in (0, 1, 5, 7)], rm_coloring(2, 2)),
+            [Coloring.translation(union, z) for z in (0, 1, 5, 7)], rm_coloring(2, 2).materialize()),
         "outer_q3": Coloring.outer(
             [line3, Coloring.translation(line3, (1,)), Coloring.merged(line3, [[2], [0], [1]])],
-            rm_coloring(3, 1)),
-        "outer_of_n0": Coloring.outer([point2, point2], rm_coloring(2, 1)),
+            rm_coloring(3, 1).materialize()),
+        "outer_of_n0": Coloring.outer([point2, point2], rm_coloring(2, 1).materialize()),
+        "outer_symbolic_e": Coloring.outer(
+            [Coloring.translation(union, z) for z in (0, 2, 3, 6)],
+            Coloring.translation(rm_coloring(2, 2), (1, 0, 0, 1))),
         "two_step": _two_step_member(),
         "bc_3_1": construct_bc(3, 1).coloring,
     }
@@ -378,8 +421,17 @@ def test_oracle_instances_cover_every_body_node():
 
 
 @pytest.mark.parametrize("name", sorted(_oracle_instances()))
-def test_every_body_node_matches_scalar_oracle(name):
+def test_every_body_node_matches_scalar_oracle(name, monkeypatch):
     C = _oracle_instances()[name]
+    # An outer node reads its outer coloring through eval, never materializing it.
+    outer = getattr(C.body, "outer", None)
+    materialize = Coloring.materialize
+
+    def refusing(self):
+        assert self is not outer, "the outer coloring was materialized"
+        return materialize(self)
+
+    monkeypatch.setattr(Coloring, "materialize", refusing)
     N = C.q**C.n
     expect = [scalar_color(C, v) for v in range(N)]
     assert C.materialize().table.tolist() == expect
@@ -415,12 +467,13 @@ def test_every_body_node_matches_scalar_oracle(name):
             assert C.body.eval(idx).tolist() == [expect[v] for v in idx], idx
 
 
-def test_deep_symbolic_members_evaluate_exactly_past_int64():
+def test_deep_symbolic_members_evaluate_exactly_past_int64(monkeypatch):
     # The flagship's collection lengthened twice more lives on H(112, 2);
-    # guard=1 keeps every step symbolic.
+    # a guard of one cell keeps every step symbolic.
+    monkeypatch.setenv(GUARD_ENV_VAR, "1")
     trace = iterate_construction(
         RecursionSpec(hamming_union_collection(hamming_cosets(3), 3),
-                      rm_coloring(2, 3), 3), guard=1)
+                      rm_coloring(2, 3), 3))
     rng = np.random.default_rng(0xB16)
     wide = Coloring.cylinder(rm_coloring(3, 2), n=70, offset=31)
     shift = tuple(int(z) for z in rng.integers(0, 3, size=70))
@@ -578,10 +631,10 @@ def test_boolean_parameterization_matches_bc_at_scale(monkeypatch):
     symbolic = []
     materialize = Coloring.materialize
 
-    def counting(self, guard=None):
+    def counting(self):
         if not self.is_explicit:
             symbolic.append(self.n)
-        return materialize(self, guard)
+        return materialize(self)
 
     monkeypatch.setattr(Coloring, "materialize", counting)
     res = construct_unbalanced_boolean(3, 8, 2)

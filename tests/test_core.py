@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from pcol.core import (Coloring, _first_vertices, color_dtype, digits,
+from pcol.core import (GUARD_ENV_VAR, Coloring, _first_vertices, color_dtype, digits,
                        materialize_guard, neighbors, vertex_index)
 from pcol.errors import (InvalidPartitionError, NotSurjectiveError,
                          OutOfRangeError, TooLargeError, UnsupportedError)
@@ -152,18 +152,19 @@ def test_syndrome_small():
     assert S.materialize().table.tolist() == [0, 1]
 
 
-def test_materialize_guard():
+def test_materialize_guard(monkeypatch):
     explicit = parity_coloring(4)
     for C in (Coloring.translation(explicit, 0), explicit):
+        monkeypatch.setenv(GUARD_ENV_VAR, "8")
         with pytest.raises(TooLargeError):
-            C.materialize(guard=8)
-        assert C.materialize(guard=16).table.size == 16
+            C.materialize()
+        monkeypatch.setenv(GUARD_ENV_VAR, "16")
+        assert C.materialize().table.size == 16
 
 
 def test_guard_env_override(monkeypatch):
     monkeypatch.setenv("PCOL_MATERIALIZE_GUARD", "123")
     assert materialize_guard() == 123
-    assert materialize_guard(7) == 7
     monkeypatch.setenv("PCOL_MATERIALIZE_GUARD", "1_000")
     assert materialize_guard() == 1000
     for bad in ("abc", "-5", "1.5"):

@@ -4,7 +4,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from pcol.core import Coloring, QuotientMatrix, digits, vertex_index
+from pcol.core import GUARD_ENV_VAR, Coloring, QuotientMatrix, digits, vertex_index
 from pcol.errors import OutOfRangeError, TooLargeError
 from pcol.spectral import (_GROUP_BITS, _RUN, _TILE_BITS, CharacterSpectrum,
                            _group_ring_transform, _is_prime, _products, _split_prime,
@@ -547,11 +547,37 @@ def test_union_coloring_degree():
     assert coloring_degree(union).per_color == (4, 4)
 
 
-def test_character_transform_checks_guard_and_length():
-    with pytest.raises(TooLargeError):
-        character_transform([0] * 16, 4, 2, guard=8)
+def test_character_transform_checks_guard_and_length(monkeypatch):
     with pytest.raises(OutOfRangeError, match="expected 16 values, got 8"):
         character_transform([0] * 8, 4, 2)
+    monkeypatch.setenv(GUARD_ENV_VAR, "8")
+    with pytest.raises(TooLargeError):
+        character_transform([0] * 16, 4, 2)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_transforms_refuse_non_integer_values(q):
+    # The float table used to be truncated to the transform of [0, 0, 1, 0].
+    f = np.array([0.5, 0.5, 1.9, -0.7] + [0.0] * (q * q - 4))
+    with pytest.raises(OutOfRangeError, match="must be integers, got dtype float64"):
+        character_transform(f, 2, q)
+    with pytest.raises(OutOfRangeError, match="must be integers"):
+        character_transform(f.astype(complex), 2, q)
+    with pytest.raises(OutOfRangeError, match="must be integers, got dtype float64"):
+        inverse_transform(CharacterSpectrum(2, q, f))
+
+
+@pytest.mark.parametrize("q,n", [(2, 3), (2, 7), (2, 15), (3, 2), (3, 5), (3, 9)])
+@pytest.mark.parametrize("dtype", [np.int8, np.int16])
+def test_inverse_takes_narrow_integer_spectra(q, n, dtype):
+    # A zero spectrum and a point's, which is 1 at every frequency, held in
+    # int8 or int16: the inverse works on them as int64.
+    N = q**n
+    point = np.zeros(N, np.int64)
+    point[0] = 1
+    for f in (np.zeros(N, np.int64), point):
+        coeffs = character_transform(f, n, q).coeffs.astype(dtype)
+        assert np.array_equal(inverse_transform(CharacterSpectrum(n, q, coeffs)), f)
 
 
 def test_eigen_decomposition_check():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pcol.core import Coloring, QuotientMatrix, neighbors
+from pcol.core import GUARD_ENV_VAR, Coloring, QuotientMatrix, neighbors
 from pcol.errors import (DisconnectedError, InconsistentError,
                          NotSurjectiveError, OutOfRangeError,
                          SpectrumNotInGraphError, TooLargeError)
@@ -353,11 +353,12 @@ def test_check_uniform_rejects_repeated_nonconstant():
     assert res.witness_vertex is not None
 
 
-def test_check_uniform_guard_and_sampling():
+def test_check_uniform_guard_and_sampling(monkeypatch):
     members = [Coloring.translation(parity(3), z) for z in range(8)]
+    monkeypatch.setenv(GUARD_ENV_VAR, "16")
     with pytest.raises(TooLargeError):
-        check_uniform(members, guard=16)
-    res = check_uniform(members, guard=16, sample=20)
+        check_uniform(members)
+    res = check_uniform(members, sample=20)
     assert res.uniform and not res.exhaustive
     assert res.multiplicities == (4, 4)
 
@@ -459,11 +460,12 @@ def test_check_uniform_density_cross_check():
     assert res.matches_density is None
 
 
-def test_check_uniform_sampled_witness():
+def test_check_uniform_sampled_witness(monkeypatch):
     # two copies of a non-constant coloring: some sampled vertex must expose
     # a multiset differing from vertex 0's
     C = Coloring.from_table([0, 1, 1, 1, 1, 1, 1, 1], q=2)
-    res = check_uniform([C, C], guard=4, sample=50)
+    monkeypatch.setenv(GUARD_ENV_VAR, "4")
+    res = check_uniform([C, C], sample=50)
     assert not res.uniform
     assert not res.exhaustive
     assert res.witness_vertex is not None
