@@ -16,7 +16,7 @@ from .gf import FieldTable, check_axioms, factor_prime_power, frobenius_fixed
 from .pcolfile import read_pcol, write_pcol
 from .spectral import (CharacterSpectrum, DegreeReport, character_transform,
                        coloring_degree, degree, eigen_decomposition_check,
-                       hamming_weights, inverse_transform)
+                       hamming_weights)
 from .verify import (NonPerfectWitness, QuotientDiagnostics, UniformityCheck,
                      VerificationReport, check_uniform, compute_quotient,
                      densities_by_count, densities_from_quotient,
@@ -35,8 +35,7 @@ __all__ = [
     "graph_eigenvalue", "validate_quotient", "check_uniform",
     "search_colorings", "verification_report",
     "CharacterSpectrum", "DegreeReport", "character_transform",
-    "inverse_transform", "degree", "coloring_degree", "hamming_weights",
-    "eigen_decomposition_check",
+    "degree", "coloring_degree", "hamming_weights", "eigen_decomposition_check",
     "UniformCollection", "HammingCosetPartition", "RecursionSpec",
     "RecursionTrace", "ConstructedColoring", "UnbalancedBoolean",
     "rm_coloring", "rm_quotient", "translations_collection",

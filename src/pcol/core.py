@@ -162,6 +162,8 @@ class Coloring:
         arr = np.asarray(values).reshape(-1)
         if arr.dtype.kind not in "biu":
             raise OutOfRangeError(f"color table must hold integers, got dtype {arr.dtype}")
+        if q < 2:
+            raise OutOfRangeError(f"alphabet size q={q} is below 2")
         size = arr.size
         n = 0
         cells = 1

@@ -10,34 +10,33 @@ norm of a nonzero alpha(u) is below p**phi(q), and p splits completely
 (Washington, Cyclotomic Fields, Thm 2.13), so not every residue at the j*u,
 j a unit mod q, vanishes; j*u has the weight of u: the weights are exact.
 
-For q = 2 one kernel serves the forward and the inverse transform.  It
-writes into one new output array, int32 when q**n * max|value| < 2**31
-(every color indicator up to 2**30 cells) and int64 otherwise, by products
-with Sylvester's H_(2**g) = H_2 (x) ... (x) H_2, g <= 5 (Fino & Algazi, IEEE
-Trans. Comput. 1976).  Each partial sum of a product adds +-values of
-disjoint cells, so in any order of summation it is an integer of magnitude
-at most q**n * max|value|: the products run in float32 while that is at
-most 2**24, in float64 while it is at most 2**52, and past that on limbs of
-52 - n bits (the top one signed), shifted and added in int64, which wraps
-mod 2**64; no value is ever rounded.  Each 2**16-cell tile takes its own
+For q = 2 the kernel writes into one new output array, int32 when q**n *
+max|value| < 2**31 (every color indicator up to 2**30 cells) and int64
+otherwise, by products with Sylvester's H_(2**g) = H_2 (x) ... (x) H_2, g <= 5
+(Fino & Algazi, IEEE Trans. Comput. 1976).  Each partial sum of a product
+adds +-values of disjoint cells, so in any order of summation it is an
+integer of magnitude at most q**n * max|value|: the products run in float32
+while that is at most 2**24 and in float64 while it is at most 2**52, so no
+value is ever rounded; tables past 2**52 are refused (an indicator reaches
+only q**n <= the default guard, 2**26).  Each 2**16-cell tile takes its own
 digits, then the digits above it follow in groups of up to 8, one pass over
 the output per group; each tile is cast into a float buffer, multiplied and
 cast back.  No product exceeds 2**18 multiply-adds, so OpenBLAS runs each on
 the calling thread.
 
-For q > 2 one group-ring kernel serves both directions.  In Z[x]/(x**q - 1)
-a product with x**m only moves the q coordinates round m places, so a digit
-step adds between two (q, q**n) buffers, int32 forward (below p/2 < 2**30)
-and int64 in the inverse; the lowest digits, whose runs are short, go rotated
-to the top.  x -> omega is a ring homomorphism onto Z/p, so one Horner
-evaluation of the q coordinates mod p gives the int64 residues.  The alphabet
-is treated as Z_q even when a coloring was built from GF(q); the eigenspaces
-do not depend on that choice.  ``CharacterSpectrum.support_weights`` is the
-one reader of a spectrum, one block of frequencies at a time; ``degree`` is
-its maximum.  The eigenspace check of a perfect coloring needs no transform:
-its own quotient's spectrum is the union of the colors' supports.  Tables
-past these bounds raise OutOfRangeError rather than wrap, and so do tables
-and spectra that do not hold integers.
+For q > 2 the kernel transforms in Z[x]/(x**q - 1), where a product with
+x**m only moves the q coordinates round m places, so a digit step adds
+between two int32 (q, q**n) buffers (every coordinate is below p/2 < 2**30);
+the lowest digits, whose runs are short, go rotated to the top.  x -> omega
+is a ring homomorphism onto Z/p, so one Horner evaluation of the q
+coordinates mod p gives the int64 residues.  The alphabet is treated as Z_q
+even when a coloring was built from GF(q); the eigenspaces do not depend on
+that choice.  ``CharacterSpectrum.support_weights`` is the one reader of a
+spectrum, one block of frequencies at a time; ``degree`` is its maximum.  The
+eigenspace check of a perfect coloring needs no transform: its own
+quotient's spectrum is the union of the colors' supports.  Tables past these
+bounds raise OutOfRangeError rather than wrap, and so do tables that do not
+hold integers.
 """
 from __future__ import annotations
 
@@ -175,27 +174,16 @@ def _products(x: np.ndarray, y: np.ndarray, lo: int, hi: int):
     return steps, x
 
 
-def _walsh_hadamard(arr: np.ndarray, dtype, top: int) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform of 2**n flat integers into a new dtype array.
+def _walsh_hadamard(arr: np.ndarray, top: int) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform of 2**n flat integers, |arr| <= top.
 
-    top bounds |arr|.  Exact when every coefficient fits dtype; int64 results
-    wrap mod 2**64 otherwise.  The products run in float32 while 2**n * top
-    <= 2**24, in float64 while it is <= 2**52, and on limbs past that.
+    Into a new int32 array when 2**n * top < 2**31, else int64.  The products
+    run in float32 while 2**n * top <= 2**24, else in float64, which is exact
+    while 2**n * top <= 2**52; callers refuse tables past that.
     """
     N = arr.size
     n = N.bit_length() - 1
-    if N * top > 2**52:
-        # Limbs of 52 - n bits, the last of them signed, so at most 2**(52 - n)
-        # in magnitude; int64 shifts and sums of their transforms wrap mod 2**64.
-        bits, length = 52 - n, top.bit_length()
-        out, limb = np.zeros(N, np.int64), np.empty(N, np.int64)
-        for s in range(0, length, bits):
-            np.right_shift(arr, s, out=limb)
-            if s + bits < length:
-                limb &= (1 << bits) - 1
-            out += np.left_shift(_walsh_hadamard(limb, np.int64, 1 << bits), s, out=limb)
-        return out
-    out = np.empty(N, dtype)
+    out = np.empty(N, np.int32 if N * top < 2**31 else np.int64)
     tile_bits = min(n, _TILE_BITS)
     T = 1 << tile_bits
     carrier = np.float32 if N * top <= 2**24 else np.float64
@@ -219,31 +207,31 @@ def _walsh_hadamard(arr: np.ndarray, dtype, top: int) -> np.ndarray:
     return out
 
 
-def _group_ring_step(a: np.ndarray, b: np.ndarray, sign: int) -> None:
-    """b[:, :, t] = sum over s of x**(sign*s*t) * a[:, :, s], on (q, A, q, B) views."""
+def _group_ring_step(a: np.ndarray, b: np.ndarray) -> None:
+    """b[:, :, t] = sum over s of x**(s*t) * a[:, :, s], on (q, A, q, B) views."""
     q = a.shape[0]
     for t in range(q):
         o = b[:, :, t]
         np.copyto(o, a[:, :, 0])
         for s in range(1, q):
-            m = sign * s * t % q
+            m = s * t % q
             np.add(o[m:], a[:q - m, :, s], out=o[m:])
             np.add(o[:m], a[q - m:, :, s], out=o[:m])
 
 
-def _group_ring_transform(values: np.ndarray, n: int, q: int, sign: int, dtype) -> np.ndarray:
+def _group_ring_transform(values: np.ndarray, n: int, q: int) -> np.ndarray:
     """Residues at x -> omega mod p of a flat table's transform in Z[x]/(x**q - 1),
-    (p, omega) = _split_prime(q); exact while every coordinate fits dtype and
-    stays below 2**63 - (p - 1)**2, as the Horner steps add one to (p - 1)**2."""
+    (p, omega) = _split_prime(q); the int32 coordinates are exact while
+    q**n * max|value| < 2**31."""
     p, w = _split_prime(q)
-    x, y = np.zeros((q, q**n), dtype), np.empty((q, q**n), dtype)
+    x, y = np.zeros((q, q**n), np.int32), np.empty((q, q**n), np.int32)
     np.copyto(x[0], values, casting="unsafe")
     # Digits low.. first, then the low ones, whose runs of q**i cells are
     # short, rotated to the top; the second rotation restores the order.
     low = next(d for d in range(n + 1) if d == n or q**d >= _RUN)
     for k in (low, n - low):
         for i in range(k, n):
-            _group_ring_step(x.reshape(q, -1, q, q**i), y.reshape(q, -1, q, q**i), sign)
+            _group_ring_step(x.reshape(q, -1, q, q**i), y.reshape(q, -1, q, q**i))
             x, y = y, x
         np.copyto(y.reshape(q, q**k, -1), x.reshape(q, -1, q**k).transpose(0, 2, 1))
         x, y = y, x
@@ -258,7 +246,8 @@ def _group_ring_transform(values: np.ndarray, n: int, q: int, sign: int, dtype) 
 
 def character_transform(values, n: int, q: int) -> CharacterSpectrum:
     """Character transform of an integer-valued table over H(n, q): exact for
-    q = 2, residues mod p for q > 2 while 2 * q**n * max|value| < p."""
+    q = 2 while q**n * max|value| <= 2**52, residues mod p for q > 2 while
+    2 * q**n * max|value| < p."""
     N = q**n
     limit = materialize_guard()
     if N > limit:
@@ -276,48 +265,10 @@ def character_transform(values, n: int, q: int) -> CharacterSpectrum:
         p = _split_prime(q)[0]
         if 2 * N * top >= p:
             raise OutOfRangeError(f"values up to {top} on {q}**{n} cells reach the prime {p}")
-        return CharacterSpectrum(n, q, _group_ring_transform(arr, n, q, 1, np.int32))
-    # int64 arithmetic wraps mod 2**64, so a result below 2**63 is exact.
-    if N * top >= 2**63:
-        raise OutOfRangeError(f"values up to {top} on {q}**{n} cells overflow the int64 transform")
-    dtype = np.int32 if N * top < 2**31 else np.int64
-    return CharacterSpectrum(n, q, _walsh_hadamard(arr, dtype, top))
-
-
-def inverse_transform(spectrum: CharacterSpectrum) -> np.ndarray:
-    """Inverse transform; recovers every table character_transform takes.
-
-    For q = 2 int64 wraps mod 2**64, and each output N*f(x) is at most sum|c|
-    <= m * 2**63 with m = coeffs.size < 2**31, so the int64 result is off by
-    k * 2**64 with |k| <= (m + 1) / 2: it is exact iff it agrees mod the odd
-    P = 2m - 1 with a transform of c mod P (Chinese remainders), which float64
-    carries while m <= 2**25; else OutOfRangeError.  For q > 2 it lifts f(x)
-    mod p to (-p/2, p/2].
-    """
-    n, q = spectrum.n, spectrum.q
-    N = q**n
-    c = np.asarray(spectrum.coeffs)
-    if c.dtype.kind not in "biu":
-        raise OutOfRangeError(f"coefficients must be integers, got dtype {c.dtype}")
-    c = c.astype(np.int64, copy=False)
-    if q > 2:
-        p = _split_prime(q)[0]
-        # A coordinate sums N residues below p.
-        if (N + p - 1) * (p - 1) >= 2**63:
-            raise TooLargeError(f"{q}**{n} coefficients are too many for the inverse mod {p}")
-        scaled = c % p * pow(N, -1, p) % p
-        back = _group_ring_transform(scaled, n, q, -1, np.int64)
-        back[back > p // 2] -= p
-        return back
-    if c.size >= 2**31:
-        raise TooLargeError(f"{c.size} coefficients are too many for the exact inverse")
-    P = 2 * c.size - 1
-    back = _walsh_hadamard(c, np.int64, max(-int(c.min()), int(c.max())))
-    if (back % P != _walsh_hadamard(c % P, np.int64, P - 1) % P).any():
-        raise OutOfRangeError("the inverse transform overflows int64")
-    if (back % N).any():
-        raise AssertionError("inverse transform is not integral")
-    return back // N
+        return CharacterSpectrum(n, q, _group_ring_transform(arr, n, q))
+    if N * top > 2**52:
+        raise OutOfRangeError(f"values up to {top} on {q}**{n} cells pass the float64 bound 2**52")
+    return CharacterSpectrum(n, q, _walsh_hadamard(arr, top))
 
 
 def degree(values, n: int, q: int) -> int:

@@ -60,6 +60,11 @@ def test_from_table_validation():
     for table in ([0.5, 1.7], ["0", "1"]):
         with pytest.raises(OutOfRangeError):
             Coloring.from_table(table, q=2)
+    # An alphabet below 2 has no Hamming graph, and q = 0, 1 or True would
+    # never reach the table size.
+    for q in (0, 1, True, -2):
+        with pytest.raises(OutOfRangeError, match="below 2"):
+            Coloring.from_table([0, 1, 1, 0], q=q)
 
 
 def test_from_table_copies_only_writable_arrays():

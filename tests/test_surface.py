@@ -1,4 +1,5 @@
-"""The public surface of pcol: its keyword options, counted over the AST.
+"""The public surface of pcol: its exported names and its keyword options,
+counted over the AST.
 
 A keyword option is a parameter with a default of a public function or of a
 method (``__init__`` included) of a public class, in any module of pcol.
@@ -63,3 +64,14 @@ def test_the_guard_is_no_parameter():
               if "guard" in [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]]
     assert taking == []
     assert not inspect.signature(materialize_guard).parameters
+
+
+def test_all_is_what_the_package_imports():
+    # A public name removed from only one of the import list and __all__
+    # fails here.
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    imported = [a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom)
+                for a in node.names]
+    assert len(pcol.__all__) == len(set(pcol.__all__))
+    assert set(pcol.__all__) == set(imported)
+    assert all(hasattr(pcol, name) for name in pcol.__all__)
