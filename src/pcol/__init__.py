@@ -17,11 +17,11 @@ from .pcolfile import read_pcol, write_pcol
 from .spectral import (CharacterSpectrum, DegreeReport, character_transform,
                        coloring_degree, degree, eigen_decomposition_check,
                        hamming_weights)
-from .verify import (NonPerfectWitness, QuotientDiagnostics, UniformityCheck,
-                     VerificationReport, check_uniform, compute_quotient,
-                     densities_by_count, densities_from_quotient,
-                     essential_arguments, graph_eigenvalue, quotient_spectrum,
-                     search_colorings, validate_quotient, verification_report)
+from .verify import (NonPerfectWitness, UniformityCheck, VerificationReport,
+                     check_uniform, compute_quotient, densities_by_count,
+                     densities_from_quotient, essential_arguments,
+                     graph_eigenvalue, quotient_spectrum, search_colorings,
+                     verification_report)
 
 __version__ = "0.1.0"
 
@@ -29,11 +29,10 @@ __all__ = [
     "Coloring", "QuotientMatrix", "digits", "vertex_index", "neighbors",
     "materialize_guard",
     "FieldTable", "factor_prime_power", "check_axioms", "frobenius_fixed",
-    "NonPerfectWitness", "QuotientDiagnostics", "UniformityCheck",
-    "VerificationReport", "compute_quotient", "essential_arguments",
-    "densities_by_count", "densities_from_quotient", "quotient_spectrum",
-    "graph_eigenvalue", "validate_quotient", "check_uniform",
-    "search_colorings", "verification_report",
+    "NonPerfectWitness", "UniformityCheck", "VerificationReport",
+    "compute_quotient", "essential_arguments", "densities_by_count",
+    "densities_from_quotient", "quotient_spectrum", "graph_eigenvalue",
+    "check_uniform", "search_colorings", "verification_report",
     "CharacterSpectrum", "DegreeReport", "character_transform",
     "degree", "coloring_degree", "hamming_weights", "eigen_decomposition_check",
     "UniformCollection", "HammingCosetPartition", "RecursionSpec",

@@ -18,7 +18,7 @@ from math import gcd
 
 import numpy as np
 
-from .core import Coloring, QuotientMatrix, _shifted_index, color_dtype, digits
+from .core import Coloring, QuotientMatrix, color_dtype, digits
 from .errors import (BadDensityError, BadOuterColoringError, InconsistentError,
                      NotEssentialError, NotPowerOfTwoError, OutOfRangeError,
                      SizeMismatchError, TooLargeError)
@@ -113,30 +113,35 @@ def translations_collection(C: Coloring) -> UniformCollection:
 
 
 def coloring_periods(C: Coloring) -> list[int]:
-    """All v with C(x + v) == C(x) for every x (a subgroup of Z_q**n), ascending."""
+    """All v with C(x + v) == C(x) for every x (a subgroup of Z_q**n), ascending.
+
+    A period v maps vertex 0 to v, so only v with C(v) == C(0) is tried, by a
+    roll of the table viewed with axis a for digit n - 1 - a."""
     Cm = C.materialize()
-    n, q = Cm.n, Cm.q
-    tab = Cm.table
-    idx = np.arange(q**n, dtype=np.int64)
-    return [v for v in range(q**n)
-            if np.array_equal(tab[_shifted_index(idx, q, digits(v, n, q), +1)], tab)]
+    n, q, tab = Cm.n, Cm.q, Cm.table
+    if n == 0:
+        return [0]
+    view = tab.reshape((q,) * n)
+    return [v for v in np.flatnonzero(tab == tab[0]).tolist()
+            if np.array_equal(np.roll(view, digits(v, n, q)[::-1], tuple(range(n))), view)]
 
 
 def reduce_by_periods(col: UniformCollection) -> UniformCollection:
-    """Keep one translate per coset of the base coloring's period subgroup."""
+    """Keep the lowest translate of each coset of the base coloring's periods, in order."""
     if col.provenance != "translations":
         raise OutOfRangeError("period reduction applies to translation collections")
     base = col.colorings[0]
     n, q = base.n, base.q
-    periods = coloring_periods(base)
-    idx = np.arange(q**n, dtype=np.int64)
-    rep = idx.copy()
-    for p in periods:
-        if p == 0:
-            continue
-        np.minimum(rep, _shifted_index(idx, q, digits(p, n, q), +1), out=rep)
-    kept = tuple(col.colorings[z] for z in range(q**n) if rep[z] == z)
-    return UniformCollection(kept, "translations", col.quotient)
+    place = q ** np.arange(n, dtype=np.int64)
+    # Row i of P is period i's digits; z // place is z's digits plus multiples of q.
+    P = np.array(coloring_periods(base), dtype=np.int64)[:, None] // place % q
+    covered = np.zeros(q**n, dtype=bool)
+    kept = []
+    for z in range(q**n):
+        if not covered[z]:
+            kept.append(col.colorings[z])
+            covered[(P + z // place) % q @ place] = True
+    return UniformCollection(tuple(kept), "translations", col.quotient)
 
 
 # -- Hamming cosets and union colorings ----------------------------------
@@ -157,10 +162,6 @@ class HammingCosetPartition:
     def size(self) -> int:
         return 1 << self.m
 
-    def parity_check_matrix(self) -> np.ndarray:
-        cols = np.arange(1, self.size, dtype=np.int64)
-        return ((cols[None, :] >> np.arange(self.m)[:, None]) & 1).astype(np.uint8)
-
 
 def hamming_cosets(m: int) -> HammingCosetPartition:
     if m < 1:
@@ -168,8 +169,7 @@ def hamming_cosets(m: int) -> HammingCosetPartition:
     return HammingCosetPartition(m, Coloring.syndrome(m))
 
 
-def hamming_union_coloring(part: HammingCosetPartition, start: int = 0,
-                           count: int = 1) -> Coloring:
+def hamming_union_coloring(part: HammingCosetPartition, start: int, count: int) -> Coloring:
     """2-coloring of H(2**m - 1, 2): color 0 is the union of `count` cyclically
     consecutive cosets starting at `start`; quotient [[c-1, b], [c, b-1]]."""
     M = part.size

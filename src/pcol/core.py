@@ -18,6 +18,7 @@ lives in a collection's manifest, not on a coloring.
 """
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass
 
@@ -162,6 +163,11 @@ class Coloring:
         arr = np.asarray(values).reshape(-1)
         if arr.dtype.kind not in "biu":
             raise OutOfRangeError(f"color table must hold integers, got dtype {arr.dtype}")
+        # A Python int, so q**n never wraps as a numpy integer would.
+        try:
+            q = operator.index(q)
+        except TypeError:
+            raise OutOfRangeError(f"alphabet size q={q!r} is not an integer") from None
         if q < 2:
             raise OutOfRangeError(f"alphabet size q={q} is below 2")
         size = arr.size

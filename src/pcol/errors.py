@@ -24,9 +24,9 @@ class TooLargeError(PcolError):
 class NotSurjectiveError(PcolError):
     """A coloring does not attain every declared color."""
 
-    def __init__(self, missing_color: int, message: str | None = None):
+    def __init__(self, missing_color: int):
         self.missing_color = missing_color
-        super().__init__(message or f"color {missing_color} is never attained")
+        super().__init__(f"color {missing_color} is never attained")
 
 
 class InconsistentError(PcolError):

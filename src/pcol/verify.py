@@ -36,6 +36,8 @@ from .errors import (DisconnectedError, InconsistentError, OutOfRangeError,
 
 DEFAULT_ASSIGNMENT_GUARD = 1 << 24
 _SEARCH_CHUNK_CELLS = 1 << 22
+# Seed of check_uniform's sampled vertices, fixed so a sampled run repeats.
+_SAMPLE_SEED = 0x5EED
 
 
 @dataclass(frozen=True)
@@ -59,23 +61,6 @@ class UniformityCheck:
     base_counts: tuple[int, ...] | None = None
     # multiplicities == rho_i * M under the collection's quotient, when known
     matches_density: bool | None = None
-
-
-@dataclass(frozen=True)
-class QuotientDiagnostics:
-    row_sums_ok: bool
-    expected_row_sum: int
-    row_sums: tuple[int, ...]
-    balance_ok: bool
-    densities: tuple[Fraction, ...] | None
-    balance_message: str | None
-    spectrum_ok: bool
-    spectrum: dict[int, int] | None
-    spectrum_message: str | None
-
-    @property
-    def ok(self) -> bool:
-        return self.row_sums_ok and self.balance_ok and self.spectrum_ok
 
 
 @dataclass
@@ -365,41 +350,11 @@ def quotient_spectrum(S, n: int | None = None, q: int | None = None) -> dict[int
     return spectrum
 
 
-def validate_quotient(S, n: int, q: int) -> QuotientDiagnostics:
-    """Structural checks for a candidate quotient matrix; never raises."""
-    rows = _matrix_rows(S)
-    degree = n * (q - 1)
-    row_sums = tuple(sum(r) for r in rows)
-    row_sums_ok = all(s == degree for s in row_sums)
-
-    densities = None
-    balance_message = None
-    try:
-        densities = densities_from_quotient(rows)
-        balance_ok = True
-    except (InconsistentError, DisconnectedError) as exc:
-        balance_ok = False
-        balance_message = str(exc)
-
-    spectrum = None
-    spectrum_message = None
-    try:
-        spectrum = quotient_spectrum(rows, n, q)
-        spectrum_ok = True
-    except SpectrumNotInGraphError as exc:
-        spectrum_ok = False
-        spectrum_message = str(exc)
-
-    return QuotientDiagnostics(row_sums_ok, degree, row_sums, balance_ok,
-                               densities, balance_message, spectrum_ok,
-                               spectrum, spectrum_message)
-
-
-def check_uniform(collection, *, sample: int | None = None, seed: int = 0x5EED) -> UniformityCheck:
+def check_uniform(collection, *, sample: int | None = None) -> UniformityCheck:
     """Is the per-vertex multiset of member colors vertex-independent?
 
     Exhaustive when the member tables together fit the guard; otherwise request a
-    pseudo-random sample size, which flags the result as non-exhaustive.  Both
+    sample size, drawn with a fixed seed and flagged non-exhaustive.  Both
     modes evaluate the members one block of vertices at a time, holding one block
     per member, and compare each vertex's color counts with vertex 0's.  The
     witness follows the lowest color whose count varies: the first vertex, in
@@ -425,7 +380,7 @@ def check_uniform(collection, *, sample: int | None = None, seed: int = 0x5EED) 
     else:
         if sample < 0:
             raise OutOfRangeError(f"sample must be nonnegative, got {sample}")
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(_SAMPLE_SEED)
         # Past int64, draw exact Python integers; 64 spare bits keep the bias negligible.
         draws = (rng.integers(0, N, size=sample).tolist() if N <= 2**63 else
                  [int.from_bytes(rng.bytes(N.bit_length() // 8 + 8), "little") % N
@@ -458,21 +413,20 @@ def check_uniform(collection, *, sample: int | None = None, seed: int = 0x5EED) 
     return UniformityCheck(True, base, sample is None, matches_density=matches)
 
 
-def search_colorings(n: int, q: int, S, require_all_essential: bool = False, *,
-                     assignment_guard: int | None = None) -> list[Coloring]:
+def search_colorings(n: int, q: int, S, require_all_essential: bool = False) -> list[Coloring]:
     """Brute-force every surjective coloring of H(n, q) against S.
 
-    Enumerates all k**(q**n) color assignments (guarded) and keeps the ones
-    whose neighbor-count profile matches S exactly, optionally filtered to
-    colorings with every argument essential.  Ascending assignment order.
+    Enumerates all k**(q**n) color assignments (DEFAULT_ASSIGNMENT_GUARD at
+    most) and keeps those whose neighbor-count profile matches S exactly,
+    optionally only those essential in every argument.  Ascending order.
     """
     rows = _matrix_rows(S)
     k = len(rows)
     N = q**n
     total = k**N
-    limit = DEFAULT_ASSIGNMENT_GUARD if assignment_guard is None else assignment_guard
-    if total > limit:
-        raise TooLargeError(f"{k}**({q}**{n}) assignments exceed the guard {limit}")
+    if total > DEFAULT_ASSIGNMENT_GUARD:
+        raise TooLargeError(
+            f"{k}**({q}**{n}) assignments exceed the guard {DEFAULT_ASSIGNMENT_GUARD}")
 
     d = n * (q - 1)
     nbr = np.array([neighbors(v, n, q) for v in range(N)], dtype=np.int64)

@@ -7,8 +7,15 @@ against it, through both ``Coloring.evaluate`` and ``Coloring.materialize``.
 
 ``ntt_transform`` is the plain matrix-step q > 2 character transform mod a
 prime that the group-ring kernel is checked against.
+
+``quadratic_periods`` and ``quadratic_reduction`` are the period search and
+period reduction that compare the whole table once per shift; the
+candidate-and-coset versions in ``pcol.constructions`` are checked against
+them.
 """
 import numpy as np
+
+from pcol.core import _shifted_index, digits
 
 BODY_KINDS = ("_TableBody", "_TranslationBody", "_CylinderBody", "_OuterBody",
               "_MergeBody", "_SyndromeBody", "_RMBody")
@@ -92,3 +99,28 @@ def ntt_transform(values, n: int, q: int, p: int, w: int) -> np.ndarray:
         v = vals.reshape(q, N // q).T
         vals = (v @ low % p + ((v @ high % p) << 16)) % p
     return vals.reshape(N)
+
+
+def quadratic_periods(C) -> list[int]:
+    """All v with C(x + v) == C(x) for every x, by one whole-table compare per v."""
+    Cm = C.materialize()
+    n, q = Cm.n, Cm.q
+    tab = Cm.table
+    idx = np.arange(q**n, dtype=np.int64)
+    return [v for v in range(q**n)
+            if np.array_equal(tab[_shifted_index(idx, q, digits(v, n, q), +1)], tab)]
+
+
+def quadratic_reduction(colorings) -> tuple:
+    """The translates z of colorings[0] that are the lowest index of their
+    coset z + P, P the periods, by one coset-minimum pass per period."""
+    base = colorings[0]
+    n, q = base.n, base.q
+    periods = quadratic_periods(base)
+    idx = np.arange(q**n, dtype=np.int64)
+    rep = idx.copy()
+    for p in periods:
+        if p == 0:
+            continue
+        np.minimum(rep, _shifted_index(idx, q, digits(p, n, q), +1), out=rep)
+    return tuple(colorings[z] for z in range(q**n) if rep[z] == z)

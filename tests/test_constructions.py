@@ -20,7 +20,8 @@ from pcol.pcolfile import read_pcol, write_pcol
 from pcol.spectral import coloring_degree, eigen_decomposition_check
 from pcol.verify import (check_uniform, compute_quotient, densities_by_count,
                          essential_arguments)
-from scalar_oracle import BODY_KINDS, body_kinds, scalar_color
+from scalar_oracle import (BODY_KINDS, body_kinds, quadratic_periods,
+                           quadratic_reduction, scalar_color)
 
 
 def parity(n):
@@ -98,6 +99,34 @@ def test_periods_and_reduction():
     assert reduce_by_periods(col2).size == 4
 
 
+def period_cases():
+    rng = np.random.default_rng(0x9E1)
+    yield "n0", Coloring.from_table([0], q=3)
+    for q, n in ((2, 4), (3, 3), (4, 2), (5, 2)):
+        yield f"random-q{q}n{n}", Coloring.from_table(rng.integers(0, 3, q**n), q, 3)
+        # Colors by a linear form mod q: its kernel is a large period group.
+        tab = sum(x * (i + 1) for i, x in enumerate(
+            np.indices((q,) * n).reshape(n, -1)[::-1])) % q
+        yield f"linear-q{q}n{n}", Coloring.from_table(tab, q)
+    yield "random2-q2n8", Coloring.from_table(rng.integers(0, 2, 2**8), 2)
+    # A cylinder's periods are every shift of the digits its window skips:
+    # 2**3 of them on H(5,2) and 3**3 on H(4,3).
+    yield "cylinder-q2n5", Coloring.cylinder(Coloring.from_table([0, 1, 1, 2], 2), 5, 1)
+    yield "cylinder-q3n4", Coloring.cylinder(Coloring.from_table(list(range(3)), 3), 4, 2)
+    yield "rm31", rm_coloring(3, 1)
+    yield "rm51", rm_coloring(5, 1)
+
+
+@pytest.mark.parametrize("C", [pytest.param(C, id=name) for name, C in period_cases()])
+def test_period_search_matches_quadratic_oracle(C):
+    assert coloring_periods(C) == quadratic_periods(C)
+    col = translations_collection(C)
+    kept = reduce_by_periods(col).colorings
+    expect = quadratic_reduction(col.colorings)
+    assert len(kept) == len(expect) == C.q**C.n // len(quadratic_periods(C))
+    assert all(a is b for a, b in zip(kept, expect))
+
+
 def test_reduced_collections_stay_uniform():
     for C in (parity(3), Coloring.merged(Coloring.syndrome(2), [[0, 1], [2, 3]])):
         reduced = reduce_by_periods(translations_collection(C))
@@ -117,13 +146,6 @@ def test_hamming_cosets_code_is_coset_zero():
     # the M-coloring by syndrome is perfect with quotient J - I
     S = compute_quotient(part.coloring)
     assert all(S.entries[i][j] == (0 if i == j else 1) for i in range(8) for j in range(8))
-
-
-def test_parity_check_matrix_columns():
-    H = hamming_cosets(3).parity_check_matrix()
-    assert H.shape == (3, 7)
-    cols = [int(sum(H[r, p] << r for r in range(3))) for p in range(7)]
-    assert cols == [1, 2, 3, 4, 5, 6, 7]
 
 
 def test_union_coloring_h7():

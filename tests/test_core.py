@@ -65,6 +65,20 @@ def test_from_table_validation():
     for q in (0, 1, True, -2):
         with pytest.raises(OutOfRangeError, match="below 2"):
             Coloring.from_table([0, 1, 1, 0], q=q)
+    # A float alphabet is refused, even when it is whole.
+    for q in (2.0, np.float64(2)):
+        with pytest.raises(OutOfRangeError, match="not an integer"):
+            Coloring.from_table([0, 1, 1, 0], q=q)
+    # A numpy integer alphabet is stored as a Python int, so q**n does not
+    # wrap past 2**63 in a cylinder over it.
+    for q in (2, np.int64(2), np.uint8(2)):
+        C = Coloring.from_table([0, 1, 1, 0], q=q)
+        assert type(C.q) is int
+    wide = Coloring.cylinder(Coloring.from_table([0, 1, 1, 0], q=np.int64(2)), n=70, offset=0)
+    assert wide.q**wide.n == 2**70
+    with pytest.raises(TooLargeError):
+        wide.materialize()
+    assert wide.evaluate(2**69 + 3) == 0
 
 
 def test_from_table_copies_only_writable_arrays():

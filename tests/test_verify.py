@@ -10,8 +10,7 @@ from pcol.errors import (DisconnectedError, InconsistentError,
 from pcol.verify import (NonPerfectWitness, check_uniform, compute_quotient,
                          densities_by_count, densities_from_quotient,
                          essential_arguments, quotient_spectrum,
-                         search_colorings, validate_quotient,
-                         verification_report)
+                         search_colorings, verification_report)
 
 
 def parity(n):
@@ -262,6 +261,9 @@ def test_densities_by_count():
 def test_densities_from_quotient():
     assert densities_from_quotient([[0, 3], [1, 2]]) == (Fraction(1, 4), Fraction(3, 4))
     assert densities_from_quotient([[2, 5], [3, 4]]) == (Fraction(3, 8), Fraction(5, 8))
+    assert densities_from_quotient([[1, 23], [9, 15]]) == (Fraction(9, 32), Fraction(23, 32))
+    assert densities_from_quotient([[1, 2], [2, 1]]) == (Fraction(1, 2), Fraction(1, 2))
+    assert densities_from_quotient([[0, 8, 8], [8, 0, 8], [8, 8, 0]]) == (Fraction(1, 3),) * 3
 
 
 def test_densities_row_sum_mismatch():
@@ -272,6 +274,10 @@ def test_densities_row_sum_mismatch():
 def test_densities_cycle_inconsistency():
     with pytest.raises(InconsistentError):
         densities_from_quotient([[0, 2, 2], [1, 0, 3], [3, 1, 0]])
+    # Row sums and sign pattern are fine, but the ratios around the triangle
+    # 0 -> 1 -> 2 -> 0 multiply to 8, not 1.
+    with pytest.raises(InconsistentError, match="detailed balance fails"):
+        densities_from_quotient([[0, 2, 1], [1, 0, 2], [2, 1, 0]])
 
 
 def test_densities_disconnected():
@@ -288,6 +294,14 @@ def test_quotient_spectrum_examples():
     assert quotient_spectrum([[0, 3], [1, 2]], 3, 2) == {3: 1, -1: 1}
     assert quotient_spectrum([[12, 10], [6, 16]], 22, 2) == {22: 1, 6: 1}
     assert quotient_spectrum([[0, 1], [1, 0]], 1, 2) == {1: 1, -1: 1}
+    assert quotient_spectrum([[1, 23], [9, 15]], 24, 2) == {24: 1, -8: 1}
+    assert quotient_spectrum([[1, 2], [2, 1]], 3, 2) == {3: 1, -1: 1}
+    # Row sums of 16 are the degree of H(8, 3), not of H(4, 3), whose
+    # spectrum 8 - 3i holds neither 16 nor -8.
+    rows = [[0, 8, 8], [8, 0, 8], [8, 8, 0]]
+    assert quotient_spectrum(rows, 8, 3) == {16: 1, -8: 2}
+    with pytest.raises(SpectrumNotInGraphError):
+        quotient_spectrum(rows, 4, 3)
 
 
 def test_quotient_spectrum_float_oracle():
@@ -310,32 +324,6 @@ def test_quotient_spectrum_not_in_graph():
 def test_quotient_spectrum_from_object():
     S = compute_quotient(parity(3))
     assert quotient_spectrum(S) == {3: 1, -3: 1}
-
-
-def test_validate_quotient():
-    d = validate_quotient([[1, 23], [9, 15]], 24, 2)
-    assert d.ok
-    assert d.densities == (Fraction(9, 32), Fraction(23, 32))
-    assert d.spectrum == {24: 1, -8: 1}
-
-    d = validate_quotient([[1, 2], [2, 1]], 3, 2)
-    assert d.ok
-    assert d.spectrum == {3: 1, -1: 1}
-
-    rows = [[0, 8, 8], [8, 0, 8], [8, 8, 0]]
-    d = validate_quotient(rows, 4, 3)
-    assert not d.row_sums_ok
-    assert d.row_sums == (16, 16, 16)
-    assert d.expected_row_sum == 8
-    # the same matrix is structurally fine for H(8, 3)
-    assert validate_quotient(rows, 8, 3).ok
-
-    # Row sums and sign pattern are fine, but the ratios around the triangle
-    # 0 -> 1 -> 2 -> 0 multiply to 8, not 1.
-    d = validate_quotient([[0, 2, 1], [1, 0, 2], [2, 1, 0]], 3, 2)
-    assert d.row_sums_ok and not d.balance_ok and not d.ok
-    assert d.densities is None
-    assert "detailed balance fails" in d.balance_message
 
 
 def test_check_uniform_translations_of_parity():
@@ -381,9 +369,15 @@ def test_search_colorings_remark():
         assert not all(essential_arguments(c))
 
 
-def test_search_colorings_guard():
-    with pytest.raises(TooLargeError):
-        search_colorings(3, 2, [[1, 2], [2, 1]], assignment_guard=100)
+def test_search_colorings_guard(monkeypatch):
+    # H(3, 2) with two colors has 2**(2**3) = 256 assignments.
+    from pcol import verify
+
+    monkeypatch.setattr(verify, "DEFAULT_ASSIGNMENT_GUARD", 255)
+    with pytest.raises(TooLargeError, match="exceed the guard 255"):
+        search_colorings(3, 2, [[1, 2], [2, 1]])
+    monkeypatch.setattr(verify, "DEFAULT_ASSIGNMENT_GUARD", 256)
+    assert search_colorings(3, 2, [[1, 2], [2, 1]])
 
 
 def test_search_deterministic_order():
@@ -519,7 +513,7 @@ def test_check_uniform_matches_oracle_across_blocks(monkeypatch):
             for _ in range(rng.integers(0, 5)):
                 tables[rng.integers(k)][rng.integers(1, N)] = rng.integers(k)
             members = [Coloring.from_table(t, q, k) for t in tables]
-            draws = np.random.default_rng(0x5EED).integers(0, N, size=100).tolist()
+            draws = np.random.default_rng(verify._SAMPLE_SEED).integers(0, N, size=100).tolist()
             for sample, verts in ((None, range(N)), (100, [0] + draws)):
                 expect, first_varying = _uniform_witness_oracle(members, verts)
                 res = check_uniform(members, sample=sample)
