@@ -18,7 +18,7 @@ from math import gcd
 
 import numpy as np
 
-from .core import Coloring, QuotientMatrix, color_dtype, digits
+from .core import Coloring, QuotientMatrix, _shifted_index, color_dtype, digits
 from .errors import (BadDensityError, BadOuterColoringError, InconsistentError,
                      NotEssentialError, NotPowerOfTwoError, OutOfRangeError,
                      SizeMismatchError, TooLargeError)
@@ -115,14 +115,18 @@ def translations_collection(C: Coloring) -> UniformCollection:
 def coloring_periods(C: Coloring) -> list[int]:
     """All v with C(x + v) == C(x) for every x (a subgroup of Z_q**n), ascending.
 
-    A period v maps vertex 0 to v, so only v with C(v) == C(0) is tried, by a
-    roll of the table viewed with axis a for digit n - 1 - a."""
+    A period v maps vertex s to s + v, so only v with C(s + v) == C(s) for
+    s = 0..32 is tried, by a roll of the table viewed with axis a for digit
+    n - 1 - a."""
     Cm = C.materialize()
     n, q, tab = Cm.n, Cm.q, Cm.table
     if n == 0:
         return [0]
+    cand = np.flatnonzero(tab == tab[0])
+    for s in range(1, min(33, q**n)):
+        cand = cand[tab[_shifted_index(cand, q, digits(s, n, q), 1)] == tab[s]]
     view = tab.reshape((q,) * n)
-    return [v for v in np.flatnonzero(tab == tab[0]).tolist()
+    return [v for v in cand.tolist()
             if np.array_equal(np.roll(view, digits(v, n, q)[::-1], tuple(range(n))), view)]
 
 

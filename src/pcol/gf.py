@@ -36,55 +36,6 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     return p, k
 
 
-def _poly_trim(a: tuple[int, ...]) -> tuple[int, ...]:
-    i = len(a)
-    while i > 0 and a[i - 1] == 0:
-        i -= 1
-    return a[:i]
-
-
-def _poly_mod(a: tuple[int, ...], m: tuple[int, ...], p: int) -> tuple[int, ...]:
-    # m must be monic
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) - 1 >= dm and any(a):
-        lead = a[-1]
-        if lead:
-            shift = len(a) - 1 - dm
-            for i in range(dm + 1):
-                a[shift + i] = (a[shift + i] - lead * m[i]) % p
-        a.pop()
-    return _poly_trim(tuple(a))
-
-
-def _monic_candidates(degree: int, p: int):
-    """All monic polynomials of the given degree, lowest label first."""
-    for t in range(p**degree):
-        coeffs = []
-        m = t
-        for _ in range(degree):
-            coeffs.append(m % p)
-            m //= p
-        yield tuple(coeffs) + (1,)
-
-
-def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
-    degree = len(poly) - 1
-    for d in range(1, degree // 2 + 1):
-        for div in _monic_candidates(d, p):
-            if not _poly_mod(poly, div, p):
-                return False
-    return True
-
-
-def find_irreducible(p: int, k: int) -> tuple[int, ...]:
-    """Lexicographically first monic irreducible of degree k over GF(p)."""
-    for cand in _monic_candidates(k, p):
-        if _is_irreducible(cand, p):
-            return cand
-    raise AssertionError(f"no irreducible polynomial of degree {k} over GF({p})")
-
-
 class FieldTable:
     """Immutable add/mul/inv lookup tables for GF(q), q = p**k <= 256.
 
@@ -108,56 +59,38 @@ class FieldTable:
         self.q = q
         self.p = p
         self.k = k
-        self.irreducible_poly = () if k == 1 else find_irreducible(p, k)
-        self._build_tables()
+        labels = np.arange(q, dtype=np.int64)
+        powers = p ** np.arange(k, dtype=np.int64)
+        # digs[a, i] is coefficient i of label a
+        digs = labels[:, None] // powers % p
+        add = ((digs[:, None, :] + digs[None, :, :]) % p) @ powers
+        neg = (-digs % p) @ powers
+        # scale[c, b] = c * b for c in GF(p)
+        scale = (np.arange(p)[:, None, None] * digs % p) @ powers
+        shifted = np.concatenate([np.zeros((q, 1), dtype=np.int64), digs[:, :-1]], axis=1)
+        # GF(p)[x]/(m) is a field iff m is irreducible, and a finite ring is a
+        # field iff it has no zero divisors: the first monic m = x**k + low(t),
+        # t = 0, 1, ..., whose product table has none is the lowest-label
+        # irreducible.  For k = 1, m = x and t = 0 is the only map needed.
+        for t in range(q):
+            # times_x[b] = x * b mod m: shift b up one place, subtract top * m
+            times_x = ((shifted - digs[:, -1:] * digs[t]) % p) @ powers
+            # a * b = sum_i a_i * (x**i * b), one add per coefficient of a
+            xb = labels
+            mul = scale[digs[:, :1], xb]
+            for i in range(1, k):
+                xb = times_x[xb]
+                mul = add[mul, scale[digs[:, i:i + 1], xb]]
+            if mul[1:, 1:].all():
+                break
+        self.irreducible_poly = () if k == 1 else (*map(int, digs[t]), 1)
+        self.add_table = add.astype(np.uint8)
+        self.neg_table = neg.astype(np.uint8)
+        self.sub_table = self.add_table[:, neg]
+        self.mul_table = mul.astype(np.uint8)
+        self.inv_table = np.argmax(mul == 1, axis=1).astype(np.uint8)
         for name in ("add_table", "sub_table", "mul_table", "neg_table", "inv_table"):
             getattr(self, name).setflags(write=False)
-
-    def _build_tables(self) -> None:
-        q, p, k = self.q, self.p, self.k
-        labels = np.arange(q, dtype=np.int64)
-        # digit matrix: D[a, i] = i-th base-p digit of label a
-        digs = np.empty((q, k), dtype=np.int64)
-        m = labels.copy()
-        for i in range(k):
-            digs[:, i] = m % p
-            m //= p
-        powers = p ** np.arange(k, dtype=np.int64)
-
-        add_digs = (digs[:, None, :] + digs[None, :, :]) % p
-        self.add_table = (add_digs @ powers).astype(np.uint8)
-        neg_digs = (-digs) % p
-        self.neg_table = (neg_digs @ powers).astype(np.uint8)
-        self.sub_table = self.add_table[:, self.neg_table].astype(np.uint8)
-
-        if k == 1:
-            self.mul_table = ((labels[:, None] * labels[None, :]) % p).astype(np.uint8)
-        else:
-            # x**m mod irreducible, as digit rows, for m = 0 .. 2k-2
-            red = np.zeros((2 * k - 1, k), dtype=np.int64)
-            row = [1] + [0] * (k - 1)
-            for m_deg in range(2 * k - 1):
-                red[m_deg] = row
-                carry = row[k - 1]
-                row = [0] + row[:-1]
-                if carry:
-                    for i in range(k):
-                        row[i] = (row[i] - carry * self.irreducible_poly[i]) % p
-            # convolution tensor: conv[a, b, t] = sum_{i+j=t} D[a,i] * D[b,j]  (mod p)
-            conv = np.zeros((q, q, 2 * k - 1), dtype=np.int64)
-            for i in range(k):
-                for j in range(k):
-                    conv[:, :, i + j] += digs[:, None, i] * digs[None, :, j]
-            prod_digs = (conv.reshape(q * q, 2 * k - 1) @ red) % p
-            self.mul_table = (prod_digs @ powers).reshape(q, q).astype(np.uint8)
-
-        inv = np.zeros(q, dtype=np.uint8)
-        for a in range(1, q):
-            hits = np.nonzero(self.mul_table[a] == 1)[0]
-            if hits.size != 1:
-                raise AssertionError(f"element {a} of GF({q}) lacks a unique inverse")
-            inv[a] = hits[0]
-        self.inv_table = inv
 
     def _check(self, *labels: int) -> None:
         for a in labels:
@@ -168,17 +101,9 @@ class FieldTable:
         self._check(a, b)
         return int(self.add_table[a, b])
 
-    def sub(self, a: int, b: int) -> int:
-        self._check(a, b)
-        return int(self.sub_table[a, b])
-
     def mul(self, a: int, b: int) -> int:
         self._check(a, b)
         return int(self.mul_table[a, b])
-
-    def neg(self, a: int) -> int:
-        self._check(a)
-        return int(self.neg_table[a])
 
     def inv(self, a: int) -> int:
         self._check(a)

@@ -204,16 +204,23 @@ def _parse_text_tokens(blob: bytes):
             try:
                 values.append(int(token))
             except ValueError:
-                raise ParseError(f"non-integer token {token!r}", line=lineno,
+                # int() refuses more than 4300 digits: show such a token by its head.
+                shown = (repr(token) if len(token) <= 20
+                         else f"{token[:20]!r}... ({len(token)} characters)")
+                raise ParseError(f"non-integer token {shown}", line=lineno,
                                  column=line.find(token, col - 1) + 1)
             col = line.find(token, col - 1) + len(token) + 1
     try:
         arr = np.array(values, dtype=np.int64)
     except OverflowError:
         v, value = next((v, x) for v, x in enumerate(values) if not 0 <= x < 2**63)
+        shown = str(value)
+        # A value may have up to 4300 digits: past 64, show its head.
+        if len(shown) > 64:
+            shown = f"{shown[:20]}... ({len(shown)} characters)"
         raise ColorOutOfRangeError(
-            f"vertex {v} has color {value}, not below k={k}" if value >= 0
-            else f"vertex {v} has negative color {value}")
+            f"vertex {v} has color {shown}, not below k={k}" if value >= 0
+            else f"vertex {v} has negative color {shown}")
     if arr.size and arr.min() < 0:
         v = int(np.argmax(arr < 0))
         raise ColorOutOfRangeError(f"vertex {v} has negative color {int(arr[v])}")

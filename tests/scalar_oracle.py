@@ -12,6 +12,10 @@ prime that the group-ring kernel is checked against.
 period reduction that compare the whole table once per shift; the
 candidate-and-coset versions in ``pcol.constructions`` are checked against
 them.
+
+``field_tables_oracle`` is the GF(q) arithmetic that ``pcol.gf.FieldTable``
+is checked against: schoolbook products of coefficient lists, reduced by the
+lowest-label monic irreducible that trial division finds.
 """
 import numpy as np
 
@@ -124,3 +128,65 @@ def quadratic_reduction(colorings) -> tuple:
             continue
         np.minimum(rep, _shifted_index(idx, q, digits(p, n, q), +1), out=rep)
     return tuple(colorings[z] for z in range(q**n) if rep[z] == z)
+
+
+def _coefficients(a: int, p: int, k: int) -> list[int]:
+    return [a // p**i % p for i in range(k)]
+
+
+def _label(coeffs, p: int) -> int:
+    return sum(c * p**i for i, c in enumerate(coeffs))
+
+
+def _remainder(a, m, p: int) -> list[int]:
+    """a mod the monic m over GF(p), coefficients lowest first, len(m) - 1 of them."""
+    a = list(a)
+    d = len(m) - 1
+    for top in range(len(a) - 1, d - 1, -1):
+        lead = a[top]
+        for i, mi in enumerate(m):
+            a[top - d + i] = (a[top - d + i] - lead * mi) % p
+    return a[:d]
+
+
+def lowest_irreducible(q: int) -> tuple[int, int, tuple[int, ...]]:
+    """(p, k, m) with q = p**k and m the lowest-label monic irreducible of
+    degree k over GF(p), ascending coefficients, by trial division by every
+    monic of degree 1 .. k // 2."""
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    k = 0
+    while p**k < q:
+        k += 1
+    assert p**k == q, f"{q} is not a prime power"
+
+    def monics(degree):
+        return ([*_coefficients(t, p, degree), 1] for t in range(p**degree))
+
+    m = next(m for m in monics(k)
+             if all(any(_remainder(m, d, p)) for e in range(1, k // 2 + 1) for d in monics(e)))
+    return p, k, tuple(m)
+
+
+def field_tables_oracle(q: int) -> dict:
+    """FieldTable's irreducible_poly and five tables as Python lists."""
+    p, k, m = lowest_irreducible(q)
+    coeffs = [_coefficients(a, p, k) for a in range(q)]
+
+    def times(a, b):
+        prod = [0] * (2 * k - 1)
+        for i, x in enumerate(coeffs[a]):
+            for j, y in enumerate(coeffs[b]):
+                prod[i + j] += x * y
+        return _label(_remainder([c % p for c in prod], m, p), p)
+
+    mul = [[times(a, b) for b in range(q)] for a in range(q)]
+    return {
+        "irreducible_poly": () if k == 1 else m,
+        "add_table": [[_label([(x + y) % p for x, y in zip(coeffs[a], coeffs[b])], p)
+                       for b in range(q)] for a in range(q)],
+        "sub_table": [[_label([(x - y) % p for x, y in zip(coeffs[a], coeffs[b])], p)
+                       for b in range(q)] for a in range(q)],
+        "mul_table": mul,
+        "neg_table": [_label([-x % p for x in coeffs[a]], p) for a in range(q)],
+        "inv_table": [0] + [mul[a].index(1) for a in range(1, q)],
+    }

@@ -200,6 +200,8 @@ def test_construct_boolean_cli(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "no collection to write" in err and "Traceback" not in err
     assert not (tmp_path / "members").exists()
+    assert main(["construct", "boolean", "--rho", "1-4", "--e", "1", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --rho expects R/S, got '1-4'\n"
 
 
 def test_construct_hamming_union_with_collection(tmp_path, capsys):
@@ -538,6 +540,26 @@ def test_oversized_token_is_out_of_range(tmp_path, capsys):
                        match="vertex 2 has color 99999999999999999999999"):
         read_pcol(path)
     assert main(["info", str(path)]) == 2
+
+
+@pytest.mark.parametrize("token,error,message", [
+    # int() refuses more than 4300 digits.
+    ("0" * 5000, ParseError,
+     r"non-integer token '0{20}'\.\.\. \(5000 characters\) \(line 3, column 3\)"),
+    ("9" * 4000, ColorOutOfRangeError,
+     r"vertex 1 has color 9{20}\.\.\. \(4000 characters\), not below k=2"),
+    # A digit run longer than one parse block leaves the canonical parser.
+    ("1" * (pcolfile._PARSE_BLOCK + 1), ParseError,
+     rf"non-integer token '1{{20}}'\.\.\. \({pcolfile._PARSE_BLOCK + 1} characters\)"),
+], ids=["zeros-5000", "nines-4000", "ones-past-parse-block"])
+def test_long_token_error_is_one_short_line(tmp_path, capsys, token, error, message):
+    path = tmp_path / "t.pcol"
+    path.write_text(f"PCOL 1\nq=2 n=2 k=2\n0 {token} 1 0\n")
+    with pytest.raises(error, match=message):
+        read_pcol(path)
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err) < 200
 
 
 @pytest.mark.parametrize("binary", [False, True])

@@ -1,16 +1,18 @@
+import time
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from pcol.constructions import (RecursionSpec, closed_form_length, coloring_periods,
-                                construct_bc, construct_unbalanced_boolean,
-                                hamming_cosets, hamming_union_coloring,
-                                hamming_union_collection, iterate_construction,
-                                predicted_step_quotient, recursive_step,
-                                reduce_by_periods, rm_coloring, rm_quotient,
-                                translations_collection, union_quotient)
+from pcol.constructions import (RecursionSpec, UniformCollection, closed_form_length,
+                                coloring_periods, construct_bc,
+                                construct_unbalanced_boolean, hamming_cosets,
+                                hamming_union_coloring, hamming_union_collection,
+                                iterate_construction, predicted_step_quotient,
+                                recursive_step, reduce_by_periods, rm_coloring,
+                                rm_quotient, translations_collection,
+                                union_quotient)
 from pcol.core import GUARD_ENV_VAR, Coloring, QuotientMatrix
 from pcol.errors import (BadDensityError, BadOuterColoringError,
                          InconsistentError, NotEssentialError,
@@ -125,6 +127,15 @@ def test_period_search_matches_quadratic_oracle(C):
     expect = quadratic_reduction(col.colorings)
     assert len(kept) == len(expect) == C.q**C.n // len(quadratic_periods(C))
     assert all(a is b for a, b in zip(kept, expect))
+
+
+def test_period_search_sieves_before_rolling():
+    # Half the vertices of a random 2-coloring share C(0), but it has one
+    # period: the sieve against C(1), ..., C(32) leaves a few to roll.
+    C = Coloring.from_table(np.random.default_rng(0x9E1).integers(0, 2, 2**12), 2)
+    t0 = time.perf_counter()
+    assert coloring_periods(C) == [0]
+    assert time.perf_counter() - t0 < 0.25
 
 
 def test_reduced_collections_stay_uniform():
@@ -680,3 +691,20 @@ def test_union_start_offset_keeps_quotient():
     inside = {7, 0, 1}
     assert all((wrap.table[v] == 0) == (int(syn[v]) in inside)
                for v in range(128))
+
+
+@pytest.mark.parametrize("make,error,message", [
+    (lambda: rm_coloring(2, 0), OutOfRangeError, "s must be >= 1, got 0"),
+    (lambda: reduce_by_periods(UniformCollection((parity(2),), "cyclic-coset-shift")),
+     OutOfRangeError, "period reduction applies to translation collections"),
+    (lambda: hamming_cosets(0), OutOfRangeError, "m must be >= 1, got 0"),
+    (lambda: recursive_step(UniformCollection((parity(2),) * 2, "translations"), parity(2)),
+     SizeMismatchError, "outer coloring has 2 colors, expected 4"),
+    (lambda: iterate_construction(RecursionSpec(
+        UniformCollection((parity(2),) * 2, "translations"), rm_coloring(2, 1), -1)),
+     OutOfRangeError, "steps must be nonnegative"),
+    (lambda: construct_bc(0, 1), OutOfRangeError, "b and c must be positive"),
+])
+def test_constructions_validation_raises(make, error, message):
+    with pytest.raises(error, match=message):
+        make()

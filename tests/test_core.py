@@ -3,8 +3,9 @@ import time
 import numpy as np
 import pytest
 
-from pcol.core import (GUARD_ENV_VAR, Coloring, _first_vertices, color_dtype, digits,
-                       materialize_guard, neighbors, vertex_index)
+from pcol.core import (GUARD_ENV_VAR, Coloring, QuotientMatrix, _first_vertices,
+                       color_dtype, digits, materialize_guard, neighbors,
+                       vertex_index)
 from pcol.errors import (InvalidPartitionError, NotSurjectiveError,
                          OutOfRangeError, TooLargeError, UnsupportedError)
 from scalar_oracle import scalar_color
@@ -298,3 +299,24 @@ def test_default_guard_blocks_huge_materialization():
     with pytest.raises(TooLargeError):
         big.materialize()
     assert big.evaluate(2**29 + 3) in (0, 1)
+
+
+@pytest.mark.parametrize("make,error,message", [
+    (lambda: Coloring.from_table([0, -1], q=2), OutOfRangeError, "negative color value"),
+    (lambda: Coloring.from_table([0, 2], q=2, k=2), OutOfRangeError, r"color 2 not below k=2"),
+    (lambda: Coloring.translation(parity_coloring(2), (0, 2)), OutOfRangeError,
+     r"shift \(0, 2\) is not a word of H\(2,2\)"),
+    (lambda: Coloring.cylinder(parity_coloring(2), 3, 2), OutOfRangeError,
+     r"window \[2, 4\) not inside \[0, 3\)"),
+    (lambda: Coloring.outer([parity_coloring(2), parity_coloring(3)], parity_coloring(2)),
+     OutOfRangeError, r"collection members must share \(n, q, k\)"),
+    (lambda: Coloring.syndrome(0), OutOfRangeError, "m must be >= 1, got 0"),
+    (lambda: Coloring.syndrome(2).table, TypeError, "coloring is symbolic"),
+    (lambda: QuotientMatrix.of([[0, 1]], 1, 2), OutOfRangeError,
+     "quotient matrix must be square"),
+    (lambda: QuotientMatrix.of([[0, -1], [1, 0]], 1, 2), OutOfRangeError,
+     "quotient entries must be nonnegative"),
+])
+def test_core_validation_raises(make, error, message):
+    with pytest.raises(error, match=message):
+        make()

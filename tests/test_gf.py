@@ -4,6 +4,7 @@ import pytest
 from pcol.errors import NotPrimePowerError, OutOfRangeError, UnsupportedError
 from pcol.gf import (FieldTable, check_axioms, factor_prime_power,
                      frobenius_fixed)
+from scalar_oracle import field_tables_oracle, lowest_irreducible
 
 
 def test_factor_prime_power():
@@ -84,3 +85,25 @@ def test_tables_immutable():
     F = FieldTable(4)
     with pytest.raises(ValueError):
         F.add_table[0, 0] = 1
+
+
+# The orders up to 256 with one prime factor.
+PRIME_POWERS = [q for q in range(2, 257)
+                if len({d for d in range(2, q + 1)
+                        if q % d == 0 and all(d % e for e in range(2, d))}) == 1]
+
+
+@pytest.mark.parametrize("q", [q for q in PRIME_POWERS if q <= 64])
+def test_tables_match_scalar_oracle(q):
+    F = FieldTable(q)
+    for name, expected in field_tables_oracle(q).items():
+        assert np.array_equal(getattr(F, name), expected), name
+
+
+def test_irreducible_poly_matches_trial_division():
+    assert len(PRIME_POWERS) == 70
+    for q in PRIME_POWERS:
+        p, k, m = lowest_irreducible(q)
+        assert FieldTable(q).irreducible_poly == (() if k == 1 else m), q
+    # x^8 + x^4 + x^3 + x + 1, the AES polynomial
+    assert FieldTable(256).irreducible_poly == (1, 1, 0, 1, 1, 0, 0, 0, 1)

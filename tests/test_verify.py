@@ -296,6 +296,8 @@ def test_quotient_spectrum_examples():
     assert quotient_spectrum([[0, 1], [1, 0]], 1, 2) == {1: 1, -1: 1}
     assert quotient_spectrum([[1, 23], [9, 15]], 24, 2) == {24: 1, -8: 1}
     assert quotient_spectrum([[1, 2], [2, 1]], 3, 2) == {3: 1, -1: 1}
+    with pytest.raises(OutOfRangeError, match="n and q are required for a raw matrix"):
+        quotient_spectrum([[0, 1], [1, 0]])
     # Row sums of 16 are the degree of H(8, 3), not of H(4, 3), whose
     # spectrum 8 - 3i holds neither 16 nor -8.
     rows = [[0, 8, 8], [8, 0, 8], [8, 8, 0]]
