@@ -3,10 +3,10 @@
 A vertex is the integer index v = sum(x_i * q**i) of its word (x_0, ..., x_{n-1});
 position 0 is the least significant digit.  A Coloring is either an explicit
 dense table over all q**n vertices or a symbolic composition node.  Every
-node has one method, ``eval(idx)``, mapping an integer array of vertex
-indices to their colors: ``evaluate`` passes one vertex in an object array,
-so symbolic colorings stay exact past the materialization guard and past
-int64, and ``materialize`` fills the table in blocks of indices, so its
+node has ``eval(idx)``, mapping an integer array of vertex indices to their
+colors: ``evaluate`` passes one vertex in an object array, so symbolic
+colorings stay exact past the guard and past int64.  ``materialize`` fills
+the table in blocks, an outer node's by a column take of its ``rows``, so its
 memory is the table plus one block.  The guard, ``PCOL_MATERIALIZE_GUARD``
 or 2**26 cells, is read where a table is allocated and bounds every table
 handed out, explicit ones included; no node materializes a child.
@@ -31,6 +31,9 @@ DEFAULT_MATERIALIZE_GUARD = 1 << 26
 GUARD_ENV_VAR = "PCOL_MATERIALIZE_GUARD"
 # Vertex indices per eval call in materialize: bounds its int64 temporaries.
 _MATERIALIZE_BLOCK = 1 << 20
+# Up to this k, k - 1 compares per block beat a bincount, which casts it to np.intp:
+# 0.7 vs 11 ms at k = 2 on 2**22 uint8 cells (2-vCPU Xeon), even near k = 12 to 16.
+_FEW_COLORS = 8
 
 
 def materialize_guard() -> int:
@@ -103,10 +106,13 @@ def _shifted_index(idx: np.ndarray, q: int, word, sign: int) -> np.ndarray:
 
 
 def _color_counts(arr: np.ndarray, k: int) -> np.ndarray:
-    """Cells of each color, counted in blocks: bincount casts to np.intp."""
+    """Cells of each color, counted in blocks; color 0 is the rest."""
     counts = np.zeros(k, dtype=np.int64)
     for lo in range(0, arr.size, _MATERIALIZE_BLOCK):
-        counts += np.bincount(arr[lo:lo + _MATERIALIZE_BLOCK], minlength=k)
+        blk = arr[lo:lo + _MATERIALIZE_BLOCK]
+        counts[1:] += (np.bincount(blk, minlength=k)[1:] if k > _FEW_COLORS else
+                       np.array([np.count_nonzero(blk == c) for c in range(1, k)], np.int64))
+    counts[0] = arr.size - counts[1:].sum()
     return counts
 
 
@@ -142,8 +148,9 @@ class Coloring:
     """A surjection from the vertices of H(n, q) onto {0..k-1}.
 
     The body is either an explicit table or a symbolic composition node;
-    evaluation is a pure function of the vertex index either way.  Instances
-    are immutable after construction and safe to share across threads.
+    evaluation is a pure function of the vertex index either way.  Tables and
+    nodes never change, so a body may remember what it computed from them (a
+    quotient, member tables); instances are safe to share across threads.
     """
 
     __slots__ = ("n", "q", "k", "body")
@@ -286,7 +293,7 @@ class Coloring:
         arr = np.empty(cells, dtype=color_dtype(self.k))
         for lo in range(0, cells, _MATERIALIZE_BLOCK):
             hi = min(lo + _MATERIALIZE_BLOCK, cells)
-            arr[lo:hi] = self.body.eval(np.arange(lo, hi, dtype=np.int64))
+            arr[lo:hi] = _eval_range(self.body, lo, hi)
         _first_vertices(arr, self.k)
         arr.setflags(write=False)
         return Coloring(self.n, self.q, self.k, _TableBody(arr))
@@ -299,15 +306,17 @@ class Coloring:
 # -- body nodes --------------------------------------------------------
 #
 # eval(idx) maps an integer array of vertex indices (int64, or object for
-# exact Python integers) to their colors.  Index arithmetic keeps idx.dtype;
-# an index is cast to np.intp only once it has been reduced into a table.
+# exact Python integers) to their colors; _eval_range maps a range, through an
+# outer node's rows() and columns() where it can.  Index arithmetic keeps
+# idx.dtype; an index is cast to np.intp only once reduced into a table.
 
 
 class _TableBody:
-    __slots__ = ("arr",)
+    __slots__ = ("arr", "quotient")
 
     def __init__(self, arr: np.ndarray):
         self.arr = arr
+        self.quotient = None  # compute_quotient's answer, once asked
 
     def eval(self, idx):
         return self.arr[idx.astype(np.intp, copy=False)]
@@ -337,41 +346,57 @@ class _CylinderBody:
 
 
 class _OuterBody:
-    __slots__ = ("members", "outer")
+    __slots__ = ("members", "outer", "tabs")
 
     def __init__(self, members: tuple[Coloring, ...], outer: Coloring):
         self.members = members
         self.outer = outer
+        self.tabs = None
+
+    def _tabs(self):
+        """tabs[w, i] is member i at window w; built once, as the members never change."""
+        if self.tabs is None:
+            self.tabs = np.stack([_eval_range(c.body, 0, c.q**c.n) for c in self.members], axis=1)
+        return self.tabs
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """G[x - lo, j*M + i] is member i at window j (digits j*nb .. (j+1)*nb - 1)
+        of row x, the vertices x*q**M + y, for lo <= x < hi."""
+        q, nb = self.members[0].q, self.members[0].n
+        windows = np.arange(lo, hi, dtype=np.int64)[:, None] // q ** (nb * np.arange(q)) % q**nb
+        return np.take(self._tabs(), windows, axis=0).reshape(hi - lo, -1)
+
+    def columns(self) -> np.ndarray:
+        """cols[y] = E(y) % q * M + E(y) // q, the column of rows() vertex y of a row reads."""
+        M, q = len(self.members), self.members[0].q
+        E = _eval_range(self.outer.body, 0, q**M).astype(np.intp)
+        return E % q * M + E // q
 
     def eval(self, idx):
         M = len(self.members)
         q, nb = self.members[0].q, self.members[0].n
-        Q = q**M
-        # Group j of the x-part starts at position M + j*nb.
+        # Group j of the x-part starts at position M + j*nb; E's colors are below M*q <= 65536.
         place = np.array([q**(M + t * nb) for t in range(q)], dtype=idx.dtype)
-        if M * q**nb <= idx.size:
-            # Tabulate each member once rather than re-evaluate it per index:
-            # tabs[w, i] is member i at window w.
-            tabs = np.stack([c.body.eval(np.arange(q**nb, dtype=np.int64))
-                             for c in self.members], axis=1)
-            if (idx.ndim == 1 and idx.size % Q == 0 and idx[0] % Q == 0
-                    and idx[-1] - idx[0] == idx.size - 1 and (idx[1:] > idx[:-1]).all()):
-                # An aligned range of whole rows x of q**M indices: row x is
-                # G[x, cols], where G[x, j*M + i] is member i at window j of x
-                # and cols maps each outer color E(y) = q*i + j to j*M + i.
-                G = tabs[(idx[::Q, None] // place % q**nb).astype(np.intp, copy=False)]
-                E = self.outer.body.eval(np.arange(Q, dtype=np.int64)).astype(np.intp)
-                return np.take(G.reshape(-1, q * M), E % q * M + E // q, axis=1).reshape(-1)
-        # E's colors are below M*q <= 65536.
-        i, j = np.divmod(self.outer.body.eval(idx % Q).astype(np.intp, copy=False), q)
-        if M * q**nb <= idx.size:
-            return tabs[(idx // place[j] % q**nb).astype(np.intp, copy=False), i]
+        i, j = np.divmod(self.outer.body.eval(idx % q**M).astype(np.intp, copy=False), q)
         window = idx // place[j] % q**nb
+        if M * q**nb <= idx.size:
+            # Tabulate each member once rather than re-evaluate it per index.
+            return self._tabs()[window.astype(np.intp, copy=False), i]
         out = np.empty(idx.shape, dtype=np.int64)
         for a in np.unique(i):
             sel = i == a
             out[sel] = self.members[a].body.eval(window[sel])
         return out
+
+
+def _eval_range(body, lo: int, hi: int) -> np.ndarray:
+    """Colors of vertices lo .. hi - 1: whole q**M-index rows of an outer node by a
+    column take of its rows(), anything else by eval of an index array."""
+    if isinstance(body, _OuterBody):
+        Q = body.members[0].q ** len(body.members)
+        if lo % Q == 0 and hi % Q == 0:
+            return np.take(body.rows(lo // Q, hi // Q), body.columns(), axis=1).reshape(-1)
+    return body.eval(np.arange(lo, hi, dtype=np.int64))
 
 
 class _MergeBody:

@@ -197,14 +197,18 @@ def _parse_text_tokens(blob: bytes):
     if len(lines) < 2:
         raise ParseError("missing header line", line=2)
     q, n, k = _parse_header(lines[1].strip(), 2)
-    values = []
+    # int() refuses more than 4300 digits.  Leading zeros add nothing, and past
+    # 64 digits a color is out of range anyway: such a value is kept as text.
+    values, huge = [], {}
     for lineno, line in enumerate(lines[2:], start=3):
         col = 1
         for token in line.split():
+            digits = (token.lstrip("0") or "0") if token.isdigit() else token
+            if len(digits) > 64 and digits.isdigit():
+                huge[len(values)] = digits
             try:
-                values.append(int(token))
+                values.append(2**63 if len(values) in huge else int(digits))
             except ValueError:
-                # int() refuses more than 4300 digits: show such a token by its head.
                 shown = (repr(token) if len(token) <= 20
                          else f"{token[:20]!r}... ({len(token)} characters)")
                 raise ParseError(f"non-integer token {shown}", line=lineno,
@@ -214,8 +218,7 @@ def _parse_text_tokens(blob: bytes):
         arr = np.array(values, dtype=np.int64)
     except OverflowError:
         v, value = next((v, x) for v, x in enumerate(values) if not 0 <= x < 2**63)
-        shown = str(value)
-        # A value may have up to 4300 digits: past 64, show its head.
+        shown = huge.get(v, str(value))
         if len(shown) > 64:
             shown = f"{shown[:20]}... ({len(shown)} characters)"
         raise ColorOutOfRangeError(

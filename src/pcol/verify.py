@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (_MATERIALIZE_BLOCK, Coloring, QuotientMatrix, _color_counts,
-                   _first_vertices, materialize_guard, neighbors)
+                   _eval_range, _first_vertices, _OuterBody, materialize_guard, neighbors)
 from .errors import (DisconnectedError, InconsistentError, OutOfRangeError,
                      SpectrumNotInGraphError, TooLargeError)
 
@@ -195,10 +195,12 @@ def _digit_axis_columns(table, n, q, k, first):
 def compute_quotient(C: Coloring) -> QuotientMatrix | NonPerfectWitness:
     """Count neighbor colors at every vertex.
 
-    Returns the quotient matrix if the profile of a vertex depends only on
-    its color, otherwise the first witness in vertex-index order.
+    Returns the quotient matrix if the profile of a vertex depends only on its
+    color, otherwise the first witness in vertex-index order; the table keeps it.
     """
     Cm = C.materialize()
+    if Cm.body.quotient is not None:
+        return Cm.body.quotient
     n, q, k = Cm.n, Cm.q, Cm.k
     table = Cm.table
     first = _first_vertices(table, k)
@@ -209,11 +211,13 @@ def compute_quotient(C: Coloring) -> QuotientMatrix | NonPerfectWitness:
     if v is not None:
         color = int(table[v])
         a = int(first[color])
-        return NonPerfectWitness(color, a, v, _profile(table, a, n, q, k),
-                                 _profile(table, v, n, q, k))
-    degree = n * (q - 1)
-    rows = [[col[i] for col in columns] for i in range(k)]
-    return QuotientMatrix.of([row + [degree - sum(row)] for row in rows], n, q)
+        Cm.body.quotient = NonPerfectWitness(color, a, v, _profile(table, a, n, q, k),
+                                             _profile(table, v, n, q, k))
+    else:
+        degree = n * (q - 1)
+        rows = [[col[i] for col in columns] for i in range(k)]
+        Cm.body.quotient = QuotientMatrix.of([row + [degree - sum(row)] for row in rows], n, q)
+    return Cm.body.quotient
 
 
 def essential_arguments(C: Coloring) -> tuple[bool, ...]:
@@ -350,17 +354,30 @@ def quotient_spectrum(S, n: int | None = None, q: int | None = None) -> dict[int
     return spectrum
 
 
+def _exhaustive_blocks(members, N: int):
+    """(vertices, member colors, cols) per block: the rows() of outer nodes that all
+    read the same cols, where vertex x*q**M + y is column cols[y] of row x; else cols None."""
+    cols = [c.body.columns() if isinstance(c.body, _OuterBody) else None for c in members]
+    cols = cols[0] if all(c is not None and np.array_equal(c, cols[0]) for c in cols) else None
+    Q = 1 if cols is None else cols.size
+    step = max(1, _MATERIALIZE_BLOCK // Q)
+    for lo in range(0, N // Q, step):
+        hi = min(lo + step, N // Q)
+        yield range(lo * Q, hi * Q), [_eval_range(c.body, lo, hi) if cols is None
+                                      else c.body.rows(lo, hi) for c in members], cols
+
+
 def check_uniform(collection, *, sample: int | None = None) -> UniformityCheck:
     """Is the per-vertex multiset of member colors vertex-independent?
 
     Exhaustive when the member tables together fit the guard; otherwise request a
-    sample size, drawn with a fixed seed and flagged non-exhaustive.  Both
-    modes evaluate the members one block of vertices at a time, holding one block
-    per member, and compare each vertex's color counts with vertex 0's.  The
-    witness follows the lowest color whose count varies: the first vertex, in
-    index or draw order, where that count differs from vertex 0's.  When the
-    collection carries a common quotient matrix, the multiplicity vector is also
-    compared against rho_i * M from detailed balance.
+    sample size, drawn with a fixed seed and flagged non-exhaustive.  Both modes
+    compare each vertex's color counts with vertex 0's, one block at a time; outer
+    nodes over one E are counted on their rows and compared at E's columns, which
+    still covers every vertex once.  The witness follows the lowest color whose
+    count varies: the first vertex, in index or draw order, where that count
+    differs from vertex 0's.  A collection's quotient matrix, if any, is also
+    checked against the multiplicities as rho_i * M from detailed balance.
     """
     members = tuple(getattr(collection, "colorings", collection))
     if not members:
@@ -375,8 +392,7 @@ def check_uniform(collection, *, sample: int | None = None) -> UniformityCheck:
             raise TooLargeError(
                 f"{M} tables of {q}**{n} cells exceed the guard {limit}; "
                 "pass sample= to spot-check")
-        blocks = (np.arange(lo, min(lo + _MATERIALIZE_BLOCK, N), dtype=np.int64)
-                  for lo in range(0, N, _MATERIALIZE_BLOCK))
+        blocks = _exhaustive_blocks(members, N)
     else:
         if sample < 0:
             raise OutOfRangeError(f"sample must be nonnegative, got {sample}")
@@ -385,22 +401,23 @@ def check_uniform(collection, *, sample: int | None = None) -> UniformityCheck:
         draws = (rng.integers(0, N, size=sample).tolist() if N <= 2**63 else
                  [int.from_bytes(rng.bytes(N.bit_length() // 8 + 8), "little") % N
                   for _ in range(sample)])
-        blocks = [np.array([0] + draws, dtype=object)]
+        idx = np.array([0] + draws, dtype=object)
+        blocks = [(idx, [c.body.eval(idx) for c in members], None)]
 
     def multiset(v):
         return tuple(np.bincount([c.evaluate(v) for c in members], minlength=k).tolist())
 
     base = multiset(0)
     first_bad = {}
-    for idx in blocks:
-        vals = [c.body.eval(idx) for c in members]
+    for idx, vals, cols in blocks:
         # The counts sum to M, so the last color varies only where a lower one does.
         for i in range(k - 1):
-            cnt = sum((t == i for t in vals), np.zeros(idx.shape, np.min_scalar_type(M)))
-            bad = np.flatnonzero(cnt != base[i])
-            if bad.size:
-                first_bad.setdefault(i, int(idx[bad[0]]))
-        del idx, vals
+            bad = sum((t == i for t in vals), np.zeros(vals[0].shape, np.min_scalar_type(M))) != base[i]
+            if cols is not None and bad.any():
+                bad = np.take(bad, cols, axis=1)  # per vertex; columns no y reads drop out
+            if bad.any():
+                first_bad.setdefault(i, int(idx[np.argmax(bad)]))
+        del vals
     if first_bad:
         v = first_bad[min(first_bad)]
         return UniformityCheck(False, None, sample is None, v, multiset(v), base)

@@ -185,9 +185,9 @@ def test_criterion_6_uniformity_suite(flagship, capsys):
     finally:
         tracemalloc.stop()
     assert flag.uniform and flag.matches_density is True
-    # One 2**20-vertex block of indices (8 MiB) and one of each of the 8
-    # members' colors (8 MiB), not the 8 member tables side by side (44 MiB).
-    assert peak < 24 * 2**20
+    # Colors are counted on the members' rows, 16 cells per 256 vertices,
+    # and never on the 8 member tables side by side (44 MiB): 0.8 MiB traced.
+    assert peak < 6 * 2**20
     report(capsys, 6, "translation, coset-union, and recursion collections all uniform "
               "with counting multiplicities", time.perf_counter() - t0)
 

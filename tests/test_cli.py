@@ -533,6 +533,12 @@ def test_huge_header_n_is_a_length_error(tmp_path, capsys, q, n, binary):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_zero_padded_long_tokens_read_as_their_value(tmp_path):
+    path = tmp_path / "z.pcol"
+    path.write_text(f"PCOL 1\nq=2 n=2 k=2\n0 {'0' * 5000} {'0' * 4999}1 0\n")
+    assert read_pcol(path).table.tolist() == [0, 0, 1, 0]
+
+
 def test_oversized_token_is_out_of_range(tmp_path, capsys):
     path = tmp_path / "o.pcol"
     path.write_text("PCOL 1\nq=2 n=2 k=2\n0 1 99999999999999999999999 0\n")
@@ -543,15 +549,20 @@ def test_oversized_token_is_out_of_range(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("token,error,message", [
-    # int() refuses more than 4300 digits.
-    ("0" * 5000, ParseError,
-     r"non-integer token '0{20}'\.\.\. \(5000 characters\) \(line 3, column 3\)"),
+    # int() refuses more than 4300 digits: leading zeros are dropped first,
+    # and a longer run of digits is a color out of range, never a non-integer.
+    ("0" * 5000 + "2", ColorOutOfRangeError, r"vertex 1 has color 2, not below k=2"),
     ("9" * 4000, ColorOutOfRangeError,
      r"vertex 1 has color 9{20}\.\.\. \(4000 characters\), not below k=2"),
+    ("0" * 5000 + "9" * 5000, ColorOutOfRangeError,
+     r"vertex 1 has color 9{20}\.\.\. \(5000 characters\), not below k=2"),
+    ("x" * 5000, ParseError,
+     r"non-integer token 'x{20}'\.\.\. \(5000 characters\) \(line 3, column 3\)"),
     # A digit run longer than one parse block leaves the canonical parser.
-    ("1" * (pcolfile._PARSE_BLOCK + 1), ParseError,
-     rf"non-integer token '1{{20}}'\.\.\. \({pcolfile._PARSE_BLOCK + 1} characters\)"),
-], ids=["zeros-5000", "nines-4000", "ones-past-parse-block"])
+    ("1" * (pcolfile._PARSE_BLOCK + 1), ColorOutOfRangeError,
+     rf"vertex 1 has color 1{{20}}\.\.\. \({pcolfile._PARSE_BLOCK + 1} characters\)"),
+], ids=["zeros-5000-then-2", "nines-4000", "zeros-then-nines-5000", "letters-5000",
+        "ones-past-parse-block"])
 def test_long_token_error_is_one_short_line(tmp_path, capsys, token, error, message):
     path = tmp_path / "t.pcol"
     path.write_text(f"PCOL 1\nq=2 n=2 k=2\n0 {token} 1 0\n")

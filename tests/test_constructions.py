@@ -13,6 +13,7 @@ from pcol.constructions import (RecursionSpec, UniformCollection, closed_form_le
                                 recursive_step, reduce_by_periods, rm_coloring,
                                 rm_quotient, translations_collection,
                                 union_quotient)
+from pcol import core
 from pcol.core import GUARD_ENV_VAR, Coloring, QuotientMatrix
 from pcol.errors import (BadDensityError, BadOuterColoringError,
                          InconsistentError, NotEssentialError,
@@ -470,10 +471,16 @@ def test_every_body_node_matches_scalar_oracle(name, monkeypatch):
     assert C.materialize().table.tolist() == expect
     assert [C.evaluate(v) for v in range(N)] == expect
     assert C.body.eval(np.arange(N, dtype=np.int64)).tolist() == expect
+    # materialize fills an outer node's blocks of whole q**M-index rows by
+    # one column take of its rows, and evaluates every other block: blocks
+    # shorter than a row, one row, several, and off the rows.
+    Q = C.q ** len(C.body.members) if hasattr(C.body, "members") else 4
+    for block in sorted({1, max(1, Q - 1), Q, Q + 1, 2 * Q, 3 * Q}):
+        monkeypatch.setattr(core, "_MATERIALIZE_BLOCK", block)
+        assert C.materialize().table.tolist() == expect, block
     if type(C.body).__name__ == "_OuterBody":
         # Below M * q**nb indices eval recurses into the members; at or
-        # above it, it tabulates them, and fills an aligned range of whole
-        # q**M-index rows by one column gather.
+        # above it, it gathers from their tables.
         M, nb = len(C.body.members), C.body.members[0].n
         cut, Q = M * C.q**nb, C.q**M
         assert 1 < cut <= N
@@ -486,9 +493,10 @@ def test_every_body_node_matches_scalar_oracle(name, monkeypatch):
         duplicate = base.copy()
         duplicate[1] = duplicate[0]
         # Random indices either side of the cut; aligned ranges at the first,
-        # second and last row; then arrays the gather must not take: a start
-        # off the row, a partial last row, reversed, shuffled, two indices
-        # swapped, one duplicated, one skipped.  All again as object dtype.
+        # second and last row; then arrays that are no range of whole rows: a
+        # start off the row, a partial last row, reversed, shuffled, two
+        # indices swapped, one duplicated, one skipped.  All again as object
+        # dtype.
         cases = [rng.integers(0, N, size=s) for s in (cut - 1, cut)]
         cases += [lo + base for lo in sorted({0, Q, N - size}) if lo + size <= N]
         cases += [1 + np.arange(min(cut, N - 1)), np.arange(min(size + 1, N - 1)),
@@ -555,9 +563,10 @@ def _traced_peak(fn) -> int:
 
 
 def test_flagship_materialize_memory_is_blocked():
-    # The 4 MiB table plus one 8 MiB block of indices: recursion nodes fill
-    # a block by one column gather, with no per-cell temporaries.
-    assert _traced_peak(construct_bc(10, 6).coloring.materialize) < 16 * 2**20
+    # The 4 MiB table plus one 1 MiB block of colors (5.1 MiB traced): an
+    # outer node fills a block by one column take of its rows, with no index
+    # array and no per-cell temporaries.
+    assert _traced_peak(construct_bc(10, 6).coloring.materialize) < 8 * 2**20
 
 
 def test_guard_edge_materialize_memory_is_blocked():
@@ -568,12 +577,13 @@ def test_guard_edge_materialize_memory_is_blocked():
 def test_flagship_spectral_and_density_memory():
     # One 16 MiB int32 transform output per color at a time, next to the
     # 4 MiB indicator and two 256 KiB float32 tile buffers; the degree is read
-    # one block of coefficients at a time: 20.5 MiB traced.  Colors counted in blocks,
-    # not with the table cast to np.intp.  Neighbor counts hold eleven packed bitmaps
+    # one block of coefficients at a time: 20.5 MiB traced.  Two colors are
+    # counted by one compare per 1 MiB block (1.0 MiB traced), not with the
+    # table cast to np.intp.  Neighbor counts hold eleven packed bitmaps
     # of 512 KiB (five of them count planes) and a few of their temporaries:
     # 8.0 MiB traced.  The essential mask holds two bitmaps and one block of
-    # color bits: 3.1 MiB.  The eigenspace check of a perfect coloring is one
-    # quotient.
+    # color bits: 3.1 MiB.  The eigenspace check of a perfect coloring reads
+    # the quotient its table already holds.
     built = construct_bc(10, 6)
     C = built.coloring.materialize()
     S = built.predicted_quotient
@@ -581,7 +591,7 @@ def test_flagship_spectral_and_density_memory():
     assert _traced_peak(lambda: essential_arguments(C)) < 3.5 * 2**20
     assert _traced_peak(lambda: coloring_degree(C)) < 24 * 2**20
     assert _traced_peak(lambda: eigen_decomposition_check(C, S)) < 26 * 2**20
-    assert _traced_peak(lambda: densities_by_count(C)) < 16 * 2**20
+    assert _traced_peak(lambda: densities_by_count(C)) < 2 * 2**20
 
 
 def test_guard_edge_quotient_memory():

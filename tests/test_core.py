@@ -3,9 +3,10 @@ import time
 import numpy as np
 import pytest
 
-from pcol.core import (GUARD_ENV_VAR, Coloring, QuotientMatrix, _first_vertices,
-                       color_dtype, digits, materialize_guard, neighbors,
-                       vertex_index)
+from pcol import core
+from pcol.core import (GUARD_ENV_VAR, Coloring, QuotientMatrix, _color_counts,
+                       _first_vertices, color_dtype, digits, materialize_guard,
+                       neighbors, vertex_index)
 from pcol.errors import (InvalidPartitionError, NotSurjectiveError,
                          OutOfRangeError, TooLargeError, UnsupportedError)
 from scalar_oracle import scalar_color
@@ -257,6 +258,17 @@ def test_first_vertex_scan_of_many_colors_is_fast():
     C = Coloring.from_table(arr, q=2, k=k)
     _first_vertices(C.table, k)
     assert time.perf_counter() - t0 < 0.5
+
+
+@pytest.mark.parametrize("block", [3, 1 << 20])
+def test_color_counts_match_bincount(monkeypatch, block):
+    # Compares up to _FEW_COLORS colors, bincount past it; colors may be missing.
+    monkeypatch.setattr(core, "_MATERIALIZE_BLOCK", block)
+    rng = np.random.default_rng(block)
+    for k in (1, 2, 3, 4, 5, 6, core._FEW_COLORS, core._FEW_COLORS + 1, 300):
+        for size in (1, 10, 3**7):
+            arr = rng.integers(0, k, size).astype(color_dtype(k))
+            assert _color_counts(arr, k).tolist() == np.bincount(arr, minlength=k).tolist()
 
 
 def test_color_dtype_choice():

@@ -551,6 +551,28 @@ def test_eigen_check_of_own_quotient_takes_no_spectrum(monkeypatch):
         eigen_decomposition_check(colorings[0], [[1, 2], [2, 1]])
 
 
+@pytest.mark.parametrize("kernel", ["_bitsliced_columns", "_digit_axis_columns"])
+def test_eigen_check_after_report_counts_no_quotient(monkeypatch, kernel):
+    # The table's body keeps compute_quotient's answer, perfect or not, so
+    # the eigen check after a report on the same table counts nothing.
+    from pcol import verify
+    from pcol.constructions import construct_bc, rm_coloring
+
+    symbolic = construct_bc(5, 3).coloring if kernel == "_bitsliced_columns" else rm_coloring(3, 2)
+    S = compute_quotient(symbolic)
+    table = symbolic.materialize().table.copy()
+    table[0] = (table[0] + 1) % symbolic.k
+    calls = []
+    count = getattr(verify, kernel)
+    monkeypatch.setattr(verify, kernel, lambda *args: calls.append(1) or count(*args))
+    for C, perfect in ((symbolic.materialize(), True), (Coloring.from_table(table, symbolic.q), False)):
+        calls.clear()
+        rep = verify.verification_report(C)
+        assert rep.perfect is perfect
+        assert eigen_decomposition_check(C, rep.quotient or S) is perfect
+        assert calls == [1]
+
+
 def transform_eigen_check(C, S):
     """The eigenspace check by k character transforms, one per color."""
     Cm = C.materialize()

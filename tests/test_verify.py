@@ -527,3 +527,35 @@ def test_check_uniform_matches_oracle_across_blocks(monkeypatch):
                 outcomes.add((sample, expect is None, got[0] == first_varying))
     assert {(s, False, False) for s in (None, 100)} <= outcomes
     assert {(s, u, True) for s in (None, 100) for u in (False, True)} <= outcomes
+
+    # Outer nodes over one E read the same columns, and the exhaustive check
+    # counts colors on their rows: rotations of the inner tuple are uniform,
+    # random tuples give witnesses.  A member over another E takes the
+    # generic path.
+    from pcol.constructions import rm_coloring
+
+    outer_outcomes = set()
+    for q, s, nb, k in ((2, 1, 2, 2), (2, 2, 1, 2), (3, 1, 1, 3)):
+        E = rm_coloring(q, s).materialize()
+        M, N = E.n, q**(q * nb + E.n)
+        for t in range(6):
+            inner = []
+            for _ in range(M):
+                table = rng.integers(0, k, q**nb)
+                table[rng.choice(q**nb, k, replace=False)] = np.arange(k)
+                inner.append(Coloring.from_table(table, q, k))
+            tuples = ([inner[i:] + inner[:i] for i in range(M)] if t % 3 == 0 else
+                      [[inner[z] for z in rng.integers(0, M, M)] for _ in range(rng.integers(2, 5))])
+            outers = [E] * len(tuples)
+            if t == 5:
+                outers[-1] = Coloring.translation(E, (1,) + (0,) * (M - 1))
+            members = [Coloring.outer(m, e) for m, e in zip(tuples, outers)]
+            shared = next(verify._exhaustive_blocks(members, N))[2] is not None
+            assert shared == (t != 5)
+            expect, _ = _uniform_witness_oracle(members, range(N))
+            res = check_uniform(members)
+            assert res.uniform == (expect is None)
+            assert (res.witness_vertex, res.witness_counts, res.base_counts) == (
+                expect or (None, None, None))
+            outer_outcomes.add((shared, expect is None))
+    assert {(True, True), (True, False)} < outer_outcomes
