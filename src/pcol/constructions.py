@@ -18,7 +18,7 @@ from math import gcd
 
 import numpy as np
 
-from .core import Coloring, QuotientMatrix, _shifted_index, color_dtype, digits
+from .core import Coloring, QuotientMatrix, _collection, _shifted_index, color_dtype, digits
 from .errors import (BadDensityError, BadOuterColoringError, InconsistentError,
                      NotEssentialError, NotPowerOfTwoError, OutOfRangeError,
                      SizeMismatchError, TooLargeError)
@@ -234,9 +234,8 @@ def recursive_step(col: UniformCollection, E: Coloring) -> UniformCollection:
     exceeds the materialization guard, and hypotheses_checked is then False;
     an E past the guard is evaluated as given.
     """
-    M = len(col.colorings)
-    member0 = col.colorings[0]
-    q = member0.q
+    inner, _, q, _ = _collection(col.colorings)
+    M, member0 = len(inner), inner[0]
     if E.n != M or E.q != q:
         raise SizeMismatchError(
             f"outer coloring lives on H({E.n},{E.q}), expected H({M},{q})")
@@ -272,7 +271,7 @@ def recursive_step(col: UniformCollection, E: Coloring) -> UniformCollection:
 
     predicted = predicted_step_quotient(S, M)
     outer = E if tableE is None else tableE
-    members = tuple(Coloring.outer(col.colorings[s:] + col.colorings[:s], outer) for s in range(M))
+    members = tuple(Coloring.outer(inner[s:] + inner[:s], outer) for s in range(M))
     return UniformCollection(members, "cyclic-permutation-of-collection",
                              predicted, checked)
 
@@ -303,9 +302,8 @@ def iterate_construction(spec: RecursionSpec) -> RecursionTrace:
     if spec.steps < 0:
         raise OutOfRangeError("steps must be nonnegative")
     col = spec.base
-    M = len(col.colorings)
-    q = col.colorings[0].q
-    n0 = col.colorings[0].n
+    members, n0, q, _ = _collection(col.colorings)
+    M = len(members)
     lengths = [n0]
     quotients = [col.quotient]
     checked = []

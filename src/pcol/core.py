@@ -5,9 +5,9 @@ position 0 is the least significant digit.  A Coloring is either an explicit
 dense table over all q**n vertices or a symbolic composition node.  Every
 node has ``eval(idx)``, mapping an integer array of vertex indices to their
 colors: ``evaluate`` passes one vertex in an object array, so symbolic
-colorings stay exact past the guard and past int64.  ``materialize`` fills
-the table in blocks, an outer node's by a column take of its ``rows``, so its
-memory is the table plus one block.  The guard, ``PCOL_MATERIALIZE_GUARD``
+colorings stay exact past the guard and past int64.  ``materialize`` and
+``check_uniform`` read one block walk (outer nodes' rows, else ``eval``
+blocks), so a table costs one block more.  The guard, ``PCOL_MATERIALIZE_GUARD``
 or 2**26 cells, is read where a table is allocated and bounds every table
 handed out, explicit ones included; no node materializes a child.
 
@@ -136,6 +136,17 @@ def _first_vertices(arr: np.ndarray, k: int) -> np.ndarray:
     raise NotSurjectiveError(int(np.argmax(first < 0)))
 
 
+def _collection(colorings):
+    """(members, n, q, k) of colorings that are not empty and share (n, q, k)."""
+    members = tuple(colorings)
+    if not members:
+        raise OutOfRangeError("empty collection")
+    n, q, k = members[0].n, members[0].q, members[0].k
+    if any(c.n != n or c.q != q or c.k != k for c in members):
+        raise OutOfRangeError("collection members must share (n, q, k)")
+    return members, n, q, k
+
+
 def color_dtype(k: int):
     if k <= 256:
         return np.uint8
@@ -226,13 +237,8 @@ class Coloring:
         y occupies the first outer.n positions; the x-part splits into q groups
         of member length, group j starting at position outer.n + j*member.n.
         """
-        members = tuple(members)
+        members, nb, q, k = _collection(members)
         M = len(members)
-        q = members[0].q
-        nb = members[0].n
-        k = members[0].k
-        if any(c.q != q or c.n != nb or c.k != k for c in members):
-            raise OutOfRangeError("collection members must share (n, q, k)")
         if outer_coloring.n != M or outer_coloring.q != q or outer_coloring.k != M * q:
             raise OutOfRangeError(
                 f"outer coloring must be an {M * q}-coloring of H({M},{q})")
@@ -290,10 +296,7 @@ class Coloring:
                 f"q**n = {self.q}**{self.n} exceeds the materialization guard {limit}")
         if self.is_explicit:
             return self
-        arr = np.empty(cells, dtype=color_dtype(self.k))
-        for lo in range(0, cells, _MATERIALIZE_BLOCK):
-            hi = min(lo + _MATERIALIZE_BLOCK, cells)
-            arr[lo:hi] = _eval_range(self.body, lo, hi)
+        arr = _table(self)
         _first_vertices(arr, self.k)
         arr.setflags(write=False)
         return Coloring(self.n, self.q, self.k, _TableBody(arr))
@@ -306,9 +309,9 @@ class Coloring:
 # -- body nodes --------------------------------------------------------
 #
 # eval(idx) maps an integer array of vertex indices (int64, or object for
-# exact Python integers) to their colors; _eval_range maps a range, through an
-# outer node's rows() and columns() where it can.  Index arithmetic keeps
-# idx.dtype; an index is cast to np.intp only once reduced into a table.
+# exact Python integers) to their colors; whole tables come from _row_blocks,
+# through outer nodes' rows() and columns() where it can.  Index arithmetic
+# keeps idx.dtype; an index is cast to np.intp only once reduced into a table.
 
 
 class _TableBody:
@@ -356,7 +359,7 @@ class _OuterBody:
     def _tabs(self):
         """tabs[w, i] is member i at window w; built once, as the members never change."""
         if self.tabs is None:
-            self.tabs = np.stack([_eval_range(c.body, 0, c.q**c.n) for c in self.members], axis=1)
+            self.tabs = np.stack([_table(c) for c in self.members], axis=1)
         return self.tabs
 
     def rows(self, lo: int, hi: int) -> np.ndarray:
@@ -369,7 +372,7 @@ class _OuterBody:
     def columns(self) -> np.ndarray:
         """cols[y] = E(y) % q * M + E(y) // q, the column of rows() vertex y of a row reads."""
         M, q = len(self.members), self.members[0].q
-        E = _eval_range(self.outer.body, 0, q**M).astype(np.intp)
+        E = _table(self.outer).astype(np.intp)
         return E % q * M + E // q
 
     def eval(self, idx):
@@ -379,9 +382,6 @@ class _OuterBody:
         place = np.array([q**(M + t * nb) for t in range(q)], dtype=idx.dtype)
         i, j = np.divmod(self.outer.body.eval(idx % q**M).astype(np.intp, copy=False), q)
         window = idx // place[j] % q**nb
-        if M * q**nb <= idx.size:
-            # Tabulate each member once rather than re-evaluate it per index.
-            return self._tabs()[window.astype(np.intp, copy=False), i]
         out = np.empty(idx.shape, dtype=np.int64)
         for a in np.unique(i):
             sel = i == a
@@ -389,14 +389,32 @@ class _OuterBody:
         return out
 
 
-def _eval_range(body, lo: int, hi: int) -> np.ndarray:
-    """Colors of vertices lo .. hi - 1: whole q**M-index rows of an outer node by a
-    column take of its rows(), anything else by eval of an index array."""
-    if isinstance(body, _OuterBody):
-        Q = body.members[0].q ** len(body.members)
-        if lo % Q == 0 and hi % Q == 0:
-            return np.take(body.rows(lo // Q, hi // Q), body.columns(), axis=1).reshape(-1)
-    return body.eval(np.arange(lo, hi, dtype=np.int64))
+def _row_blocks(colorings):
+    """(verts, vals, cols) per block, in order: vertex verts[r*Q + y] has color
+    vals[c][r, cols[y]] in coloring c, Q = cols.size.  A row is q**M vertices of
+    rows() when every coloring is an outer node reading the same columns, else
+    one vertex of eval (cols [0]); vals have the color dtype."""
+    N = colorings[0].q ** colorings[0].n
+    cols = [c.body.columns() if isinstance(c.body, _OuterBody) else None for c in colorings]
+    shared = all(c is not None and np.array_equal(c, cols[0]) for c in cols)
+    cols = cols[0] if shared else np.zeros(1, dtype=np.intp)
+    Q = cols.size
+    step = max(1, _MATERIALIZE_BLOCK // Q)
+    for lo in range(0, N // Q, step):
+        hi = min(lo + step, N // Q)
+        yield range(lo * Q, hi * Q), [
+            c.body.rows(lo, hi) if shared else c.body.eval(np.arange(lo, hi, dtype=np.int64))
+            .astype(color_dtype(c.k), copy=False)[:, None] for c in colorings], cols
+
+
+def _table(C: Coloring) -> np.ndarray:
+    """C's colors, each block of _row_blocks taken in place (mode="clip" does not buffer)."""
+    arr = np.empty(C.q**C.n, dtype=color_dtype(C.k))
+    for verts, (vals,), cols in _row_blocks([C]):
+        out = arr[verts.start:verts.stop].reshape(-1, cols.size)
+        np.take(vals, cols, axis=1, mode="clip", out=out)
+        del vals  # before the walk makes the next block
+    return arr
 
 
 class _MergeBody:

@@ -29,8 +29,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import (_MATERIALIZE_BLOCK, Coloring, QuotientMatrix, _color_counts,
-                   _eval_range, _first_vertices, _OuterBody, materialize_guard, neighbors)
+from .core import (_MATERIALIZE_BLOCK, Coloring, QuotientMatrix, _collection, _color_counts,
+                   _first_vertices, _row_blocks, materialize_guard, neighbors)
 from .errors import (DisconnectedError, InconsistentError, OutOfRangeError,
                      SpectrumNotInGraphError, TooLargeError)
 
@@ -354,37 +354,19 @@ def quotient_spectrum(S, n: int | None = None, q: int | None = None) -> dict[int
     return spectrum
 
 
-def _exhaustive_blocks(members, N: int):
-    """(vertices, member colors, cols) per block: the rows() of outer nodes that all
-    read the same cols, where vertex x*q**M + y is column cols[y] of row x; else cols None."""
-    cols = [c.body.columns() if isinstance(c.body, _OuterBody) else None for c in members]
-    cols = cols[0] if all(c is not None and np.array_equal(c, cols[0]) for c in cols) else None
-    Q = 1 if cols is None else cols.size
-    step = max(1, _MATERIALIZE_BLOCK // Q)
-    for lo in range(0, N // Q, step):
-        hi = min(lo + step, N // Q)
-        yield range(lo * Q, hi * Q), [_eval_range(c.body, lo, hi) if cols is None
-                                      else c.body.rows(lo, hi) for c in members], cols
-
-
 def check_uniform(collection, *, sample: int | None = None) -> UniformityCheck:
     """Is the per-vertex multiset of member colors vertex-independent?
 
     Exhaustive when the member tables together fit the guard; otherwise request a
     sample size, drawn with a fixed seed and flagged non-exhaustive.  Both modes
-    compare each vertex's color counts with vertex 0's, one block at a time; outer
-    nodes over one E are counted on their rows and compared at E's columns, which
-    still covers every vertex once.  The witness follows the lowest color whose
-    count varies: the first vertex, in index or draw order, where that count
-    differs from vertex 0's.  A collection's quotient matrix, if any, is also
-    checked against the multiplicities as rho_i * M from detailed balance.
+    compare each vertex's color counts with vertex 0's, one block of core's walk
+    (or the one sample block) at a time; outer nodes over one E are counted on
+    their rows and compared at E's columns, still every vertex once.  The witness
+    follows the lowest color whose count varies: the first vertex, in index or
+    draw order, where that count differs from vertex 0's.  A collection's quotient
+    matrix, if any, is also checked against rho_i * M from detailed balance.
     """
-    members = tuple(getattr(collection, "colorings", collection))
-    if not members:
-        raise OutOfRangeError("empty collection")
-    n, q, k = members[0].n, members[0].q, members[0].k
-    if any(c.n != n or c.q != q or c.k != k for c in members):
-        raise OutOfRangeError("collection members must share (n, q, k)")
+    members, n, q, k = _collection(getattr(collection, "colorings", collection))
     M, N = len(members), q**n
     limit = materialize_guard()
     if sample is None:
@@ -392,7 +374,7 @@ def check_uniform(collection, *, sample: int | None = None) -> UniformityCheck:
             raise TooLargeError(
                 f"{M} tables of {q}**{n} cells exceed the guard {limit}; "
                 "pass sample= to spot-check")
-        blocks = _exhaustive_blocks(members, N)
+        blocks = _row_blocks(members)
     else:
         if sample < 0:
             raise OutOfRangeError(f"sample must be nonnegative, got {sample}")
@@ -402,21 +384,21 @@ def check_uniform(collection, *, sample: int | None = None) -> UniformityCheck:
                  [int.from_bytes(rng.bytes(N.bit_length() // 8 + 8), "little") % N
                   for _ in range(sample)])
         idx = np.array([0] + draws, dtype=object)
-        blocks = [(idx, [c.body.eval(idx) for c in members], None)]
+        blocks = [(idx, [c.body.eval(idx)[:, None] for c in members], np.zeros(1, np.intp))]
 
     def multiset(v):
         return tuple(np.bincount([c.evaluate(v) for c in members], minlength=k).tolist())
 
     base = multiset(0)
     first_bad = {}
-    for idx, vals, cols in blocks:
+    for verts, vals, cols in blocks:
         # The counts sum to M, so the last color varies only where a lower one does.
         for i in range(k - 1):
             bad = sum((t == i for t in vals), np.zeros(vals[0].shape, np.min_scalar_type(M))) != base[i]
-            if cols is not None and bad.any():
-                bad = np.take(bad, cols, axis=1)  # per vertex; columns no y reads drop out
             if bad.any():
-                first_bad.setdefault(i, int(idx[np.argmax(bad)]))
+                bad = np.take(bad, cols, axis=1)  # per vertex; columns no y reads drop out
+                if bad.any():
+                    first_bad.setdefault(i, int(verts[np.argmax(bad)]))
         del vals
     if first_bad:
         v = first_bad[min(first_bad)]

@@ -472,19 +472,28 @@ def test_every_body_node_matches_scalar_oracle(name, monkeypatch):
     assert [C.evaluate(v) for v in range(N)] == expect
     assert C.body.eval(np.arange(N, dtype=np.int64)).tolist() == expect
     # materialize fills an outer node's blocks of whole q**M-index rows by
-    # one column take of its rows, and evaluates every other block: blocks
+    # one column take of its rows, whatever the block size, and never calls
+    # the node's own eval; other nodes evaluate every block.  Block sizes:
     # shorter than a row, one row, several, and off the rows.
     Q = C.q ** len(C.body.members) if hasattr(C.body, "members") else 4
+    outer_eval = core._OuterBody.eval
+
+    def eval_not_of_c(self, idx):
+        assert self is not C.body, "materialize evaluated the outer node cell by cell"
+        return outer_eval(self, idx)
+
+    monkeypatch.setattr(core._OuterBody, "eval", eval_not_of_c)
     for block in sorted({1, max(1, Q - 1), Q, Q + 1, 2 * Q, 3 * Q}):
         monkeypatch.setattr(core, "_MATERIALIZE_BLOCK", block)
         assert C.materialize().table.tolist() == expect, block
+    monkeypatch.setattr(core._OuterBody, "eval", outer_eval)
     if type(C.body).__name__ == "_OuterBody":
-        # Below M * q**nb indices eval recurses into the members; at or
-        # above it, it gathers from their tables.
+        # eval serves scattered indices by recursing into the members.  The
+        # cases straddle M * q**nb indices, the size of the member tables.
         M, nb = len(C.body.members), C.body.members[0].n
-        cut, Q = M * C.q**nb, C.q**M
-        assert 1 < cut <= N
-        size = -(-cut // Q) * Q
+        tabled, Q = M * C.q**nb, C.q**M
+        assert 1 < tabled <= N
+        size = -(-tabled // Q) * Q
         assert size <= N
         rng = np.random.default_rng(len(name))
         base = np.arange(size)
@@ -492,14 +501,14 @@ def test_every_body_node_matches_scalar_oracle(name, monkeypatch):
         swapped[[1, 2]] = swapped[[2, 1]]
         duplicate = base.copy()
         duplicate[1] = duplicate[0]
-        # Random indices either side of the cut; aligned ranges at the first,
+        # Random indices either side of that size; aligned ranges at the first,
         # second and last row; then arrays that are no range of whole rows: a
         # start off the row, a partial last row, reversed, shuffled, two
         # indices swapped, one duplicated, one skipped.  All again as object
         # dtype.
-        cases = [rng.integers(0, N, size=s) for s in (cut - 1, cut)]
+        cases = [rng.integers(0, N, size=s) for s in (tabled - 1, tabled)]
         cases += [lo + base for lo in sorted({0, Q, N - size}) if lo + size <= N]
-        cases += [1 + np.arange(min(cut, N - 1)), np.arange(min(size + 1, N - 1)),
+        cases += [1 + np.arange(min(tabled, N - 1)), np.arange(min(size + 1, N - 1)),
                   base[::-1], rng.permutation(base), swapped, duplicate]
         if size < N:
             cases.append(base + (base >= Q - 1))
@@ -563,10 +572,10 @@ def _traced_peak(fn) -> int:
 
 
 def test_flagship_materialize_memory_is_blocked():
-    # The 4 MiB table plus one 1 MiB block of colors (5.1 MiB traced): an
-    # outer node fills a block by one column take of its rows, with no index
-    # array and no per-cell temporaries.
-    assert _traced_peak(construct_bc(10, 6).coloring.materialize) < 8 * 2**20
+    # The 4 MiB table and one 64 KiB block of rows (4.2 MiB traced): an outer
+    # node writes a block into the table by one column take of its rows, with
+    # no index array, no per-cell temporaries and no block-sized copy.
+    assert _traced_peak(construct_bc(10, 6).coloring.materialize) < 4.5 * 2**20
 
 
 def test_guard_edge_materialize_memory_is_blocked():
@@ -713,6 +722,11 @@ def test_union_start_offset_keeps_quotient():
     (lambda: iterate_construction(RecursionSpec(
         UniformCollection((parity(2),) * 2, "translations"), rm_coloring(2, 1), -1)),
      OutOfRangeError, "steps must be nonnegative"),
+    (lambda: recursive_step(UniformCollection((), "translations"), rm_coloring(2, 1)),
+     OutOfRangeError, "empty collection"),
+    (lambda: iterate_construction(RecursionSpec(
+        UniformCollection((), "translations"), rm_coloring(2, 1), 0)),
+     OutOfRangeError, "empty collection"),
     (lambda: construct_bc(0, 1), OutOfRangeError, "b and c must be positive"),
 ])
 def test_constructions_validation_raises(make, error, message):

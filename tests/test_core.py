@@ -322,6 +322,7 @@ def test_default_guard_blocks_huge_materialization():
      r"window \[2, 4\) not inside \[0, 3\)"),
     (lambda: Coloring.outer([parity_coloring(2), parity_coloring(3)], parity_coloring(2)),
      OutOfRangeError, r"collection members must share \(n, q, k\)"),
+    (lambda: Coloring.outer([], parity_coloring(2)), OutOfRangeError, "empty collection"),
     (lambda: Coloring.syndrome(0), OutOfRangeError, "m must be >= 1, got 0"),
     (lambda: Coloring.syndrome(2).table, TypeError, "coloring is symbolic"),
     (lambda: QuotientMatrix.of([[0, 1]], 1, 2), OutOfRangeError,

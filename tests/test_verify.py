@@ -502,9 +502,10 @@ def test_check_uniform_matches_oracle_across_blocks(monkeypatch):
     # Color-shifted copies of a random coloring are uniform; changing a few
     # cells makes colors vary in different blocks, so the witness is not
     # always the first vertex where some count differs.
-    from pcol import verify
+    from pcol import core, verify
 
-    monkeypatch.setattr(verify, "_MATERIALIZE_BLOCK", 8)
+    # The exhaustive mode walks core._row_blocks, which reads the block size there.
+    monkeypatch.setattr(core, "_MATERIALIZE_BLOCK", 8)
     rng = np.random.default_rng(0xC0DE)
     outcomes = set()
     for q, n, k in ((2, 6, 3), (3, 4, 4), (2, 5, 5), (2, 7, 2)):
@@ -515,6 +516,7 @@ def test_check_uniform_matches_oracle_across_blocks(monkeypatch):
             for _ in range(rng.integers(0, 5)):
                 tables[rng.integers(k)][rng.integers(1, N)] = rng.integers(k)
             members = [Coloring.from_table(t, q, k) for t in tables]
+            assert len(list(core._row_blocks(members))) == -(-N // 8)
             draws = np.random.default_rng(verify._SAMPLE_SEED).integers(0, N, size=100).tolist()
             for sample, verts in ((None, range(N)), (100, [0] + draws)):
                 expect, first_varying = _uniform_witness_oracle(members, verts)
@@ -550,8 +552,10 @@ def test_check_uniform_matches_oracle_across_blocks(monkeypatch):
             if t == 5:
                 outers[-1] = Coloring.translation(E, (1,) + (0,) * (M - 1))
             members = [Coloring.outer(m, e) for m, e in zip(tuples, outers)]
-            shared = next(verify._exhaustive_blocks(members, N))[2] is not None
+            blocks = list(core._row_blocks(members))
+            shared = blocks[0][2].size > 1
             assert shared == (t != 5)
+            assert len(blocks) > 1
             expect, _ = _uniform_witness_oracle(members, range(N))
             res = check_uniform(members)
             assert res.uniform == (expect is None)
