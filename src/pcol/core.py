@@ -5,9 +5,9 @@ position 0 is the least significant digit.  A Coloring is either an explicit
 dense table over all q**n vertices or a symbolic composition node.  Every
 node has ``eval(idx)``, mapping an integer array of vertex indices to their
 colors: ``evaluate`` passes one vertex in an object array, so symbolic
-colorings stay exact past the guard and past int64.  ``materialize`` and
-``check_uniform`` read one block walk (outer nodes' rows, else ``eval``
-blocks), so a table costs one block more.  The guard, ``PCOL_MATERIALIZE_GUARD``
+colorings stay exact past the guard and past int64.  A table costs one block
+more: an outer node is written from its window tables by broadcast sums, any
+other node by ``eval`` blocks.  The guard, ``PCOL_MATERIALIZE_GUARD``
 or 2**26 cells, is read where a table is allocated and bounds every table
 handed out, explicit ones included; no node materializes a child.
 
@@ -95,6 +95,8 @@ def neighbors(v: int, n: int, q: int) -> list[int]:
 
 def _shifted_index(idx: np.ndarray, q: int, word, sign: int) -> np.ndarray:
     """Index of x + sign*word over Z_q**n, digit by digit, for every index x in idx."""
+    if q == 2:  # x + z = x - z = x XOR z, digit by digit
+        return idx ^ sum(int(z) << p for p, z in enumerate(word))
     out = np.zeros(idx.shape, dtype=idx.dtype)
     rest = idx
     place = 1
@@ -309,9 +311,9 @@ class Coloring:
 # -- body nodes --------------------------------------------------------
 #
 # eval(idx) maps an integer array of vertex indices (int64, or object for
-# exact Python integers) to their colors; whole tables come from _row_blocks,
-# through outer nodes' rows() and columns() where it can.  Index arithmetic
-# keeps idx.dtype; an index is cast to np.intp only once reduced into a table.
+# exact Python integers) to their colors; whole tables come from _table, by an
+# outer node's fill() or by _eval_blocks.  Index arithmetic keeps idx.dtype; an
+# index is cast to np.intp only once reduced into a table.
 
 
 class _TableBody:
@@ -356,24 +358,33 @@ class _OuterBody:
         self.outer = outer
         self.tabs = None
 
-    def _tabs(self):
+    def _tabs(self, known=None):
         """tabs[w, i] is member i at window w; built once, as the members never change."""
         if self.tabs is None:
-            self.tabs = np.stack([_table(c) for c in self.members], axis=1)
+            self.tabs = np.stack([_table(c, known) for c in self.members], axis=1)
         return self.tabs
 
-    def rows(self, lo: int, hi: int) -> np.ndarray:
-        """G[x - lo, j*M + i] is member i at window j (digits j*nb .. (j+1)*nb - 1)
-        of row x, the vertices x*q**M + y, for lo <= x < hi."""
-        q, nb = self.members[0].q, self.members[0].n
-        windows = np.arange(lo, hi, dtype=np.int64)[:, None] // q ** (nb * np.arange(q)) % q**nb
-        return np.take(self._tabs(), windows, axis=0).reshape(hi - lo, -1)
-
-    def columns(self) -> np.ndarray:
-        """cols[y] = E(y) % q * M + E(y) // q, the column of rows() vertex y of a row reads."""
-        M, q = len(self.members), self.members[0].q
-        E = _table(self.outer).astype(np.intp)
-        return E % q * M + E // q
+    def fill(self, arr: np.ndarray) -> np.ndarray:
+        """arr[x*q**M + y] = tabs[x^j, i], E(y) = q*i + j, x^j = digits j*nb .. (j+1)*nb - 1
+        of x: the sum over j of A_j[x^j, y] = tabs[x^j, i(y)]*[j(y) = j] broadcast along
+        the other windows, one block at a time, with windows q-2 .. 0 whole in it."""
+        M, q, nb = len(self.members), self.members[0].q, self.members[0].n
+        W, Q, a = q**nb, q**M, q if nb else 2  # with nb = 0, windows 1 .. q-1 share axis 1
+        out = arr.reshape((W,) * a + (Q,))  # window s on axis a-1-s
+        width = min(Q, max(1, _MATERIALIZE_BLOCK // max((q + 1) * W, W**(a - 1))))
+        rows = max(1, _MATERIALIZE_BLOCK // (W**(a - 1) * width))
+        for ya in range(0, Q, width):
+            i, j = np.divmod(self.outer.body.eval(np.arange(ya, min(ya + width, Q))).astype(int), q)
+            # A[s] along window s's axis of a block, window 0 next to the y.
+            A = [(np.take(self._tabs(), i, axis=1) * (j == s if s < a - 1 else j >= s))
+                 .reshape((W,) + (1,) * s + (-1,)) for s in range(a)]
+            for lo in range(0, W, rows):
+                blk = out[lo:lo + rows, ..., ya:ya + width]
+                np.add(A[a - 1][lo:lo + rows], A[0], out=blk)
+                for s in range(1, a - 1):
+                    blk += A[s]
+            del A
+        return arr
 
     def eval(self, idx):
         M = len(self.members)
@@ -383,36 +394,50 @@ class _OuterBody:
         i, j = np.divmod(self.outer.body.eval(idx % q**M).astype(np.intp, copy=False), q)
         window = idx // place[j] % q**nb
         out = np.empty(idx.shape, dtype=np.int64)
-        for a in np.unique(i):
+        for a in np.flatnonzero(np.bincount(i, minlength=M)):  # np.unique imports numpy.ma
             sel = i == a
             out[sel] = self.members[a].body.eval(window[sel])
         return out
 
 
-def _row_blocks(colorings):
-    """(verts, vals, cols) per block, in order: vertex verts[r*Q + y] has color
-    vals[c][r, cols[y]] in coloring c, Q = cols.size.  A row is q**M vertices of
-    rows() when every coloring is an outer node reading the same columns, else
-    one vertex of eval (cols [0]); vals have the color dtype."""
+def _eval_blocks(colorings):
+    """(verts, vals) per block, in order: vals[c] holds coloring c's colors at verts."""
     N = colorings[0].q ** colorings[0].n
-    cols = [c.body.columns() if isinstance(c.body, _OuterBody) else None for c in colorings]
-    shared = all(c is not None and np.array_equal(c, cols[0]) for c in cols)
-    cols = cols[0] if shared else np.zeros(1, dtype=np.intp)
-    Q = cols.size
-    step = max(1, _MATERIALIZE_BLOCK // Q)
-    for lo in range(0, N // Q, step):
-        hi = min(lo + step, N // Q)
-        yield range(lo * Q, hi * Q), [
-            c.body.rows(lo, hi) if shared else c.body.eval(np.arange(lo, hi, dtype=np.int64))
-            .astype(color_dtype(c.k), copy=False)[:, None] for c in colorings], cols
+    for lo in range(0, N, _MATERIALIZE_BLOCK):
+        hi = min(lo + _MATERIALIZE_BLOCK, N)
+        yield range(lo, hi), [c.body.eval(np.arange(lo, hi, dtype=np.int64))
+                              .astype(color_dtype(c.k), copy=False) for c in colorings]
 
 
-def _table(C: Coloring) -> np.ndarray:
-    """C's colors, each block of _row_blocks taken in place (mode="clip" does not buffer)."""
+def _window_block(colorings):
+    """check_uniform's block for outer nodes over one E, else None: cell (w, e) is each
+    node's member i at window word w, read where window j is w and E(y) = e = q*i + j,
+    ordered by the first such vertex (other windows 0, E's first y)."""
+    if not all(isinstance(c.body, _OuterBody) for c in colorings):
+        return None
+    known = {}  # each distinct member and E tabulated once
+    Es = [_table(c.body.outer, known) for c in colorings]
+    if not all(np.array_equal(E, Es[0]) for E in Es):
+        return None
+    tabs = [c.body._tabs(known) for c in colorings]
+    (W, M), q = tabs[0].shape, colorings[0].q
+    i, j = np.divmod(np.arange(q * M), q)
+    verts = (np.arange(W)[:, None] * W**j * Es[0].size + _first_vertices(Es[0], q * M)).ravel()
+    order = np.argsort(verts)
+    return verts[order], [t[:, i].ravel()[order] for t in tabs]
+
+
+def _table(C: Coloring, known=None) -> np.ndarray:
+    """C's colors, by fill or eval blocks; known, if given, keeps them by id(C), made once."""
+    if known is not None:
+        return known[id(C)] if id(C) in known else known.setdefault(id(C), _table(C))
+    if C.is_explicit:
+        return C.table
     arr = np.empty(C.q**C.n, dtype=color_dtype(C.k))
-    for verts, (vals,), cols in _row_blocks([C]):
-        out = arr[verts.start:verts.stop].reshape(-1, cols.size)
-        np.take(vals, cols, axis=1, mode="clip", out=out)
+    if isinstance(C.body, _OuterBody):
+        return C.body.fill(arr)
+    for verts, (vals,) in _eval_blocks([C]):
+        arr[verts.start:verts.stop] = vals
         del vals  # before the walk makes the next block
     return arr
 

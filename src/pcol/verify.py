@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (_MATERIALIZE_BLOCK, Coloring, QuotientMatrix, _collection, _color_counts,
-                   _first_vertices, _row_blocks, materialize_guard, neighbors)
+                   _eval_blocks, _first_vertices, _window_block, materialize_guard, neighbors)
 from .errors import (DisconnectedError, InconsistentError, OutOfRangeError,
                      SpectrumNotInGraphError, TooLargeError)
 
@@ -359,12 +359,13 @@ def check_uniform(collection, *, sample: int | None = None) -> UniformityCheck:
 
     Exhaustive when the member tables together fit the guard; otherwise request a
     sample size, drawn with a fixed seed and flagged non-exhaustive.  Both modes
-    compare each vertex's color counts with vertex 0's, one block of core's walk
-    (or the one sample block) at a time; outer nodes over one E are counted on
-    their rows and compared at E's columns, still every vertex once.  The witness
-    follows the lowest color whose count varies: the first vertex, in index or
-    draw order, where that count differs from vertex 0's.  A collection's quotient
-    matrix, if any, is also checked against rho_i * M from detailed balance.
+    compare each vertex's color counts with vertex 0's, one block of core's eval
+    walk (or the one sample block) at a time; for S outer nodes over one E, the
+    O(S*M*q**nb) cells of their window tables, each at the first vertex reading it,
+    with no node evaluated.  The witness follows the lowest color whose count varies:
+    the first vertex, in index or draw order, where that count differs from vertex
+    0's.  A collection's quotient matrix, if any, is also checked against rho_i * M
+    from detailed balance.
     """
     members, n, q, k = _collection(getattr(collection, "colorings", collection))
     M, N = len(members), q**n
@@ -374,7 +375,8 @@ def check_uniform(collection, *, sample: int | None = None) -> UniformityCheck:
             raise TooLargeError(
                 f"{M} tables of {q}**{n} cells exceed the guard {limit}; "
                 "pass sample= to spot-check")
-        blocks = _row_blocks(members)
+        windows = _window_block(members)
+        blocks = [windows] if windows else _eval_blocks(members)
     else:
         if sample < 0:
             raise OutOfRangeError(f"sample must be nonnegative, got {sample}")
@@ -384,25 +386,23 @@ def check_uniform(collection, *, sample: int | None = None) -> UniformityCheck:
                  [int.from_bytes(rng.bytes(N.bit_length() // 8 + 8), "little") % N
                   for _ in range(sample)])
         idx = np.array([0] + draws, dtype=object)
-        blocks = [(idx, [c.body.eval(idx)[:, None] for c in members], np.zeros(1, np.intp))]
+        blocks = [(idx, [c.body.eval(idx) for c in members])]
 
-    def multiset(v):
-        return tuple(np.bincount([c.evaluate(v) for c in members], minlength=k).tolist())
+    def multiset(vals, at):
+        return tuple(np.bincount([int(t[at]) for t in vals], minlength=k).tolist())
 
-    base = multiset(0)
-    first_bad = {}
-    for verts, vals, cols in blocks:
+    base, first_bad = None, {}
+    for verts, vals in blocks:
+        base = base or multiset(vals, 0)  # every walk starts at vertex 0
         # The counts sum to M, so the last color varies only where a lower one does.
         for i in range(k - 1):
             bad = sum((t == i for t in vals), np.zeros(vals[0].shape, np.min_scalar_type(M))) != base[i]
-            if bad.any():
-                bad = np.take(bad, cols, axis=1)  # per vertex; columns no y reads drop out
-                if bad.any():
-                    first_bad.setdefault(i, int(verts[np.argmax(bad)]))
+            if bad.any() and i not in first_bad:
+                at = int(np.argmax(bad))
+                first_bad[i] = int(verts[at]), multiset(vals, at)
         del vals
     if first_bad:
-        v = first_bad[min(first_bad)]
-        return UniformityCheck(False, None, sample is None, v, multiset(v), base)
+        return UniformityCheck(False, None, sample is None, *first_bad[min(first_bad)], base)
 
     matches = None
     quotient = getattr(collection, "quotient", None)

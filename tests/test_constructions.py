@@ -422,6 +422,7 @@ def _oracle_instances():
     digit0 = Coloring.from_table([v % 3 for v in range(9)], q=3)
     union = hamming_union_coloring(hamming_cosets(2), 2, 3)
     line3 = Coloring.from_table([0, 1, 2], q=3)
+    line2 = Coloring.from_table([0, 1], q=2)
     return {
         "table": parity(3),
         "table_n0": point3,
@@ -446,6 +447,10 @@ def _oracle_instances():
             Coloring.translation(rm_coloring(2, 2), (1, 0, 0, 1))),
         "two_step": _two_step_member(),
         "bc_3_1": construct_bc(3, 1).coloring,
+        # nb = 1, M = 16: q**(nb + M) = 2**17 window-table cells, more than one small block.
+        "outer_wide": Coloring.outer(
+            [Coloring.translation(line2, (z % 3 % 2,)) for z in range(16)],
+            rm_coloring(2, 4).materialize()),
     }
 
 
@@ -469,23 +474,36 @@ def test_every_body_node_matches_scalar_oracle(name, monkeypatch):
     N = C.q**C.n
     expect = [scalar_color(C, v) for v in range(N)]
     assert C.materialize().table.tolist() == expect
-    assert [C.evaluate(v) for v in range(N)] == expect
+    # Every vertex, or 4096 spread over a larger table.
+    assert [C.evaluate(v) for v in range(0, N, max(1, N >> 12))] == expect[::max(1, N >> 12)]
     assert C.body.eval(np.arange(N, dtype=np.int64)).tolist() == expect
-    # materialize fills an outer node's blocks of whole q**M-index rows by
-    # one column take of its rows, whatever the block size, and never calls
-    # the node's own eval; other nodes evaluate every block.  Block sizes:
-    # shorter than a row, one row, several, and off the rows.
-    Q = C.q ** len(C.body.members) if hasattr(C.body, "members") else 4
+    # materialize writes an outer node as broadcast sums of its window tables,
+    # whatever the block size, and never calls the node's own eval; other
+    # nodes evaluate every block.  The A_j of all q**M values of y take U
+    # cells: blocks from one cell (A_j one y wide) to past U (all y at once).
+    # The wide node's A_j exceed a 4096-cell block, which bounds its peak.
     outer_eval = core._OuterBody.eval
+    wide = N > 4096
+    if hasattr(C.body, "members"):
+        W, Q = C.q**C.body.members[0].n, C.q ** len(C.body.members)
+        U = max((C.q + 1) * W, W ** (C.q - 1)) * Q
+    else:
+        U = 4
 
     def eval_not_of_c(self, idx):
         assert self is not C.body, "materialize evaluated the outer node cell by cell"
         return outer_eval(self, idx)
 
     monkeypatch.setattr(core._OuterBody, "eval", eval_not_of_c)
-    for block in sorted({1, max(1, Q - 1), Q, Q + 1, 2 * Q, 3 * Q}):
+    blocks = {4096, U // 4, U - 1} if wide else {1, max(1, U // 3), U - 1, U, U + 1, 2 * U, 3 * U}
+    for block in sorted(blocks):
         monkeypatch.setattr(core, "_MATERIALIZE_BLOCK", block)
         assert C.materialize().table.tolist() == expect, block
+    if wide:
+        # The table and one block: the A_j, the y-slice's int64 indices and the
+        # surjectivity scan's intp counts take about eight blocks' bytes.
+        monkeypatch.setattr(core, "_MATERIALIZE_BLOCK", 4096)
+        assert _traced_peak(C.materialize) < N + 16 * 4096
     monkeypatch.setattr(core._OuterBody, "eval", outer_eval)
     if type(C.body).__name__ == "_OuterBody":
         # eval serves scattered indices by recursing into the members.  The

@@ -504,7 +504,7 @@ def test_check_uniform_matches_oracle_across_blocks(monkeypatch):
     # always the first vertex where some count differs.
     from pcol import core, verify
 
-    # The exhaustive mode walks core._row_blocks, which reads the block size there.
+    # The exhaustive mode walks core._eval_blocks, which reads the block size there.
     monkeypatch.setattr(core, "_MATERIALIZE_BLOCK", 8)
     rng = np.random.default_rng(0xC0DE)
     outcomes = set()
@@ -516,7 +516,7 @@ def test_check_uniform_matches_oracle_across_blocks(monkeypatch):
             for _ in range(rng.integers(0, 5)):
                 tables[rng.integers(k)][rng.integers(1, N)] = rng.integers(k)
             members = [Coloring.from_table(t, q, k) for t in tables]
-            assert len(list(core._row_blocks(members))) == -(-N // 8)
+            assert len(list(core._eval_blocks(members))) == -(-N // 8)
             draws = np.random.default_rng(verify._SAMPLE_SEED).integers(0, N, size=100).tolist()
             for sample, verts in ((None, range(N)), (100, [0] + draws)):
                 expect, first_varying = _uniform_witness_oracle(members, verts)
@@ -531,35 +531,67 @@ def test_check_uniform_matches_oracle_across_blocks(monkeypatch):
     assert {(s, u, True) for s in (None, 100) for u in (False, True)} <= outcomes
 
     # Outer nodes over one E read the same columns, and the exhaustive check
-    # counts colors on their rows: rotations of the inner tuple are uniform,
-    # random tuples give witnesses.  A member over another E takes the
-    # generic path.
-    from pcol.constructions import rm_coloring
+    # counts colors on their window tables, evaluating no node (the spy
+    # records every outer node's eval): rotations of a uniform inner
+    # collection are uniform, random tuples give witnesses.  A member over
+    # another E takes the eval walk, whose blocks the walk counts.
+    from pcol.constructions import (construct_bc, recursive_step, rm_coloring,
+                                    translations_collection)
 
+    outer_eval = core._OuterBody.eval
+    evaluated = []
+
+    def spy(self, idx):
+        evaluated.append(self)
+        return outer_eval(self, idx)
+
+    monkeypatch.setattr(core._OuterBody, "eval", spy)
     outer_outcomes = set()
-    for q, s, nb, k in ((2, 1, 2, 2), (2, 2, 1, 2), (3, 1, 1, 3)):
+
+    def check_outer(members):
+        N = members[0].q ** members[0].n
+        windows = verify._window_block(members) is not None
+        expect, _ = _uniform_witness_oracle(members, range(N))
+        evaluated.clear()
+        res = check_uniform(members)
+        assert res.uniform == (expect is None)
+        assert (res.witness_vertex, res.witness_counts, res.base_counts) == (
+            expect or (None, None, None))
+        assert res.exhaustive
+        if windows:
+            assert evaluated == []
+        else:
+            assert {id(c.body) for c in members} <= {id(b) for b in evaluated}
+            assert len(list(core._eval_blocks(members))) == -(-N // 8)
+        outer_outcomes.add((windows, expect is None))
+        return windows, expect is None
+
+    for q, s, nb, k in ((2, 1, 2, 2), (2, 2, 1, 2), (3, 1, 1, 3), (2, 2, 2, 4)):
         E = rm_coloring(q, s).materialize()
-        M, N = E.n, q**(q * nb + E.n)
-        for t in range(6):
+        M = E.n
+        for t in range(8):
             inner = []
             for _ in range(M):
                 table = rng.integers(0, k, q**nb)
                 table[rng.choice(q**nb, k, replace=False)] = np.arange(k)
                 inner.append(Coloring.from_table(table, q, k))
-            tuples = ([inner[i:] + inner[:i] for i in range(M)] if t % 3 == 0 else
+            if t >= 6:
+                # Color-shifted copies of one table: a uniform inner collection.
+                inner = [Coloring.from_table((inner[0].table + z) % k, q, k) for z in range(M)]
+            tuples = ([inner[i:] + inner[:i] for i in range(M)] if t % 3 == 0 or t >= 6 else
                       [[inner[z] for z in rng.integers(0, M, M)] for _ in range(rng.integers(2, 5))])
             outers = [E] * len(tuples)
             if t == 5:
                 outers[-1] = Coloring.translation(E, (1,) + (0,) * (M - 1))
             members = [Coloring.outer(m, e) for m, e in zip(tuples, outers)]
-            blocks = list(core._row_blocks(members))
-            shared = blocks[0][2].size > 1
-            assert shared == (t != 5)
-            assert len(blocks) > 1
-            expect, _ = _uniform_witness_oracle(members, range(N))
-            res = check_uniform(members)
-            assert res.uniform == (expect is None)
-            assert (res.witness_vertex, res.witness_counts, res.base_counts) == (
-                expect or (None, None, None))
-            outer_outcomes.add((shared, expect is None))
+            windows, uniform = check_outer(members)
+            assert windows == (t != 5) and (uniform or t < 6)
+    # Two collections the step builds, and each with member 1 replaced by member 0.
+    line3 = Coloring.from_table([0, 1, 2], q=3)
+    for col in (construct_bc(6, 2).collection,
+                recursive_step(translations_collection(line3), rm_coloring(3, 1))):
+        members = list(col.colorings)
+        assert check_outer(members) == (True, True) and check_uniform(col).matches_density
+        members[1] = members[0]
+        assert check_outer(members) == (True, False)
     assert {(True, True), (True, False)} < outer_outcomes
