@@ -2,41 +2,40 @@
 
 Frequencies are indexed like vertices; the weight-w characters span the
 eigenspace of H(n, q) for eigenvalue n(q-1) - q*w, so degree questions reduce
-to the support of the transform.  For q = 2 it is the exact Walsh-Hadamard
-spectrum, unnormalized (scaled by q**n).  For q > 2 each coefficient alpha(u)
-in Z[zeta_q] is kept as its residue at zeta -> omega mod p, (p, omega) =
-_split_prime(q) (Pollard, Math. Comp. 1971).  While 2 * q**n * max|f| < p the
-norm of a nonzero alpha(u) is below p**phi(q), and p splits completely
-(Washington, Cyclotomic Fields, Thm 2.13), so not every residue at the j*u,
-j a unit mod q, vanishes; j*u has the weight of u: the weights are exact.
+to the support of the transform.  The transform here is exact and integer for
+every q: the basis change L_q (x) ... (x) L_q, where L_q has row 0 all ones
+and row s >= 1 equal to e_0 - e_s.  Row 0 vanishes on sum-zero vectors, rows
+s >= 1 vanish on constants and together kill no nonzero sum-zero vector.  The
+eigenspace part of a table that is sum-zero in the digits S and constant in
+the others (Delsarte's Hamming scheme; Godsil & Royle, Algebraic Graph Theory,
+ch. 9) thus maps one-to-one into the frequencies whose nonzero digits are S,
+as under the characters: each frequency support set, and so each support
+weight, is the character transform's.  For q = 2, L_2 = H_2 and the
+coefficients are the exact Walsh-Hadamard spectrum, unnormalized (scaled by
+2**n).  The eigenspaces are the graph's, so nothing depends on the group or
+field a coloring was built from.
 
-For q = 2 the kernel writes into one new output array, int32 when q**n *
-max|value| < 2**31 (every color indicator up to 2**30 cells) and int64
-otherwise, by products with Sylvester's H_(2**g) = H_2 (x) ... (x) H_2, g <= 5
-(Fino & Algazi, IEEE Trans. Comput. 1976).  Each partial sum of a product
-adds +-values of disjoint cells, so in any order of summation it is an
-integer of magnitude at most q**n * max|value|: the products run in float32
-while that is at most 2**24 and in float64 while it is at most 2**52, so no
-value is ever rounded; tables past 2**52 are refused (an indicator reaches
-only q**n <= the default guard, 2**26).  Each 2**16-cell tile takes its own
-digits, then the digits above it follow in groups of up to 8, one pass over
-the output per group; each tile is cast into a float buffer, multiplied and
-cast back.  No product exceeds 2**18 multiply-adds, so OpenBLAS runs each on
-the calling thread.
-
-For q > 2 the kernel transforms in Z[x]/(x**q - 1), where a product with
-x**m only moves the q coordinates round m places, so a digit step adds
-between two int32 (q, q**n) buffers (every coordinate is below p/2 < 2**30);
-the lowest digits, whose runs are short, go rotated to the top.  x -> omega
-is a ring homomorphism onto Z/p, so one Horner evaluation of the q
-coordinates mod p gives the int64 residues.  The alphabet is treated as Z_q
-even when a coloring was built from GF(q); the eigenspaces do not depend on
-that choice.  ``CharacterSpectrum.support_weights`` is the one reader of a
-spectrum, one block of frequencies at a time; ``degree`` is its maximum.  The
-eigenspace check of a perfect coloring needs no transform: its own
-quotient's spectrum is the union of the colors' supports.  Tables past these
-bounds raise OutOfRangeError rather than wrap, and so do tables that do not
-hold integers.
+The kernel writes into one new output array, int32 when q**n * max|value| <
+2**31 (every color indicator up to 2**30 cells) and int64 otherwise.  Every
+entry of L_q**(x)g is 0 or +-1, so each partial sum adds +-values of distinct
+cells, and in any order of summation it is an integer of magnitude at most
+q**n * max|value|.  Below q = _DIRECT_Q the kernel multiplies by the blocks
+L_q**(x)g, q**g <= 32, Sylvester's H_(2**g) for q = 2 (Fino & Algazi, IEEE
+Trans. Comput. 1976): the products run in float32 while that bound is at most
+2**24 and in float64 while it is at most 2**52, so no value is ever rounded;
+tables past 2**52 are refused (an indicator reaches only q**n <= the default
+guard, 2**26).  Each tile of at most 2**16 cells takes its own digits, then
+the digits above it follow in groups of at most 2**8 rows, one pass over the
+output per group; each tile is cast into a float buffer, multiplied and cast
+back.  No product exceeds 2**18 multiply-adds, so OpenBLAS runs each on the
+calling thread.  From q = _DIRECT_Q on, where a q x q block would cost q
+multiply-adds per cell and digit, each digit is one sum and q - 1 differences
+in the output's integer dtype.  ``CharacterSpectrum.support_weights`` is the
+one reader of a spectrum, one block of frequencies at a time; ``degree`` is
+its maximum.  The eigenspace check of a perfect coloring needs no transform:
+its own quotient's spectrum is the union of the colors' supports.  Tables past
+these bounds raise OutOfRangeError rather than wrap, and so do tables that do
+not hold integers.
 """
 from __future__ import annotations
 
@@ -50,45 +49,50 @@ from .errors import OutOfRangeError, TooLargeError
 from .verify import _matrix_rows, compute_quotient, graph_eigenvalue, quotient_spectrum
 
 
-def _is_prime(m: int) -> bool:
-    """Deterministic Miller-Rabin test, exact below 4,759,123,141 (bases 2, 7, 61)."""
-    if m < 2 or m in (2, 7, 61):
-        return m >= 2
-    s = ((m - 1) & (1 - m)).bit_length() - 1  # m - 1 = d * 2**s with d odd
-    d = (m - 1) >> s
-    return all(pow(b, d, m) == 1 or m - 1 in [pow(b, d << r, m) for r in range(s)]
-               for b in (2, 7, 61))
-
-
-@lru_cache(maxsize=None)
-def _split_prime(q: int) -> tuple[int, int]:
-    """(p, omega): the largest prime p < 2**31 with p = 1 (mod q), and omega of order q mod p."""
-    p = (2**31 - 2) // q * q + 1
-    while p > q and not _is_prime(p):
-        p -= q
-    if p <= q:
-        raise OutOfRangeError(f"no prime below 2**31 is 1 mod q = {q}")
-    for g in range(2, p):
-        # The order of w divides q, and it is no proper divisor q/r of q.
-        w = pow(g, (p - 1) // q, p)
-        if all(pow(w, q // r, p) != 1 for r in range(2, q + 1) if q % r == 0):
-            return p, w
-
-
-# The q = 2 kernel's tile of 2**_TILE_BITS cells (also the most cells of one
-# degree block), the most higher digits one pass over the output takes, and
-# the most multiply-adds m*n*k of one matrix product (OpenBLAS keeps a product
-# this small on the calling thread); the q > 2 kernel's shortest run of
-# contiguous cells in a digit step.
+# The kernel's tile of at most 2**_TILE_BITS cells (also the most cells of one
+# degree block), the most rows, 2**_GROUP_BITS, of one pass over the output
+# above a tile, and the most multiply-adds m*n*k of one matrix product
+# (OpenBLAS keeps a product this small on the calling thread).  From q =
+# _DIRECT_Q on, a tile holds two digits or fewer and a digit is a sum and
+# differences instead of q x q products: on a 2-vCPU VM the products take at
+# most 1.4 ns per cell and digit up to q = 40, and 2.1-3.8 ns from q = 41,
+# where the sum and differences take 0.9-1.5.
 _TILE_BITS = 16
 _GROUP_BITS = 8
 _GEMM = 2**18
-_RUN = 64
+_DIRECT_Q = 41
 
-# H_32[u, x] = (-1)**popcount(u & x) in both float carriers; H_(2**g) is its
-# top-left 2**g square.
-_HADAMARD = {t: np.array([[(-1) ** bin(u & x).count("1") for x in range(32)] for u in range(32)], t)
-             for t in (np.float32, np.float64)}
+
+def _fit(q: int, cells: int) -> int:
+    """The most digits d with q**d <= cells."""
+    d = 0
+    while q ** (d + 1) <= cells:
+        d += 1
+    return d
+
+
+@lru_cache(maxsize=None)
+def _blocks(q: int, carrier: type) -> tuple[np.ndarray, np.ndarray]:
+    """L_q**(x)G, q**G the largest at most 32 (G >= 1), and its transpose,
+    C-contiguous and read-only in the float carrier.  As L_q[0, 0] = 1, the
+    top-left q**g square of each is L_q**(x)g or its transpose."""
+    L = np.zeros((q, q), carrier)
+    L[0] = L[:, 0] = 1
+    L[range(1, q), range(1, q)] = -1
+    block = L
+    for _ in range(1, max(1, _fit(q, 32))):
+        block = np.kron(block, L)
+    pair = block, np.ascontiguousarray(block.T)
+    for b in pair:
+        b.setflags(write=False)
+    return pair
+
+
+# Every q = 2 call reads these.  Built at import, they are not allocated
+# between a call's large arrays, where they left 0.2 MiB more peak RSS on
+# H(24,2).
+_blocks(2, np.float32)
+_blocks(2, np.float64)
 
 
 def hamming_weights(n: int, q: int) -> np.ndarray:
@@ -103,13 +107,15 @@ def hamming_weights(n: int, q: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CharacterSpectrum:
-    """Transform coefficients, indexed by frequency word; shape (q**n,).
+    """Transform coefficients in the basis L_q (x) ... (x) L_q, indexed by
+    frequency word; shape (q**n,).
 
-    For q = 2 the exact coefficients, int32 when every one fits, i.e. q**n *
-    max|value| < 2**31, else int64.  For q > 2 int64 residues in [0, p) at
-    zeta -> omega, (p, omega) = _split_prime(q).  A residue can vanish where
-    the exact coefficient does not, but the set of support weights is exact.
-    Values carry the implicit 1/q**n normalization.
+    Exact integers, int32 when every one fits, i.e. q**n * max|value| <
+    2**31, else int64.  For q = 2 they are the Walsh-Hadamard coefficients,
+    carrying the implicit 1/q**n normalization.  For q > 2 they are not the
+    character values, but the frequencies whose nonzero digits are a set S
+    all carry zero exactly when the characters' do, so the support weights
+    are exact.
     """
 
     n: int
@@ -120,21 +126,26 @@ class CharacterSpectrum:
         """Ascending frequency weights that carry a nonzero coefficient.
 
         Scans blocks of the q**d <= 2**_TILE_BITS frequencies that share their
-        high digits: a frequency's weight is its block's high-digit weight
-        plus the weight of its d low digits.  A block is skipped once every
-        weight it could add has been found.
+        high digits, or of one digit, d = 1, when q is larger: a frequency's
+        weight is its block's high-digit weight plus the weight of its d low
+        digits.  A block is skipped once every weight it could add has been
+        found.
         """
         n, q = self.n, self.q
-        d = 0
-        while d < n and q ** (d + 1) <= 1 << _TILE_BITS:
-            d += 1
+        d = min(n, max(1, _fit(q, 1 << _TILE_BITS)))
         B = q**d
-        low = hamming_weights(d, q)
+        low = hamming_weights(d, q) if B <= 1 << _TILE_BITS else None
         found = np.zeros(n + 1, dtype=bool)
         for b, high in enumerate(hamming_weights(n - d, q).tolist()):
             if found[high:high + d + 1].all():
                 continue
-            nonzero = self.coeffs[b * B:(b + 1) * B] != 0
+            block = self.coeffs[b * B:(b + 1) * B]
+            if low is None:
+                # One digit of q values, weight 0 at value 0 and 1 elsewhere.
+                found[high] |= block[0] != 0
+                found[high + 1] |= block[1:].any()
+                continue
+            nonzero = block != 0
             if nonzero.any():
                 found[high + low[nonzero]] = True
         return np.flatnonzero(found)
@@ -149,105 +160,76 @@ class DegreeReport:
         return max(self.per_color)
 
 
-def _products(x: np.ndarray, y: np.ndarray, lo: int, hi: int):
+def _products(x: np.ndarray, y: np.ndarray, q: int, lo: int, hi: int):
     """The np.matmul ``(a, b, out)`` calls that take digits lo..hi-1 of the flat float buffer x.
 
     Built once, on views from x through the scratch y (same size and dtype)
     and back, so that the kernel makes no array view per tile.  Digit 0 goes
-    in a group of up to 5 as (rows, 2**g) @ H_(2**g), each group above it, of
-    up to 4, as H_(2**g) @ (2**g, w) columns; no product exceeds m*n*k = _GEMM.
+    in a group of g digits, q**g <= 32, as (rows, q**g) @ L.T, each group
+    above it, q**g <= 16, as L @ (q**g, w) columns, L = L_q**(x)g; a group
+    takes one digit at least, and no product exceeds m*n*k = _GEMM.
     Returns the calls and the buffer that holds the result.
     """
     steps = []
     while lo < hi:
-        g = min(5 if lo == 0 else 4, hi - lo)
-        h = _HADAMARD[x.dtype.type][:1 << g, :1 << g]
+        g = min(max(1, _fit(q, 32 if lo == 0 else 16)), hi - lo)
+        Q = q**g
+        block, transposed = (b[:Q, :Q] for b in _blocks(q, x.dtype.type))
+        most = _fit(q, _GEMM // Q**2)
         if lo == 0:
-            rows = min(x.size >> g, _GEMM >> 2 * g)
-            steps.append((x.reshape(-1, rows, 1 << g), h, y.reshape(-1, rows, 1 << g)))
+            rows = q ** min(_fit(q, x.size) - g, most)
+            steps.append((x.reshape(-1, rows, Q), transposed, y.reshape(-1, rows, Q)))
         else:
-            w = min(1 << lo, _GEMM >> 2 * g)
-            a, o = (b.reshape(-1, 1 << g, (1 << lo) // w, w).transpose(0, 2, 1, 3) for b in (x, y))
-            steps.append((h, a, o))
+            w = q ** min(lo, most)
+            a, o = (b.reshape(-1, Q, q**lo // w, w).transpose(0, 2, 1, 3) for b in (x, y))
+            steps.append((block, a, o))
         x, y = y, x
         lo += g
     return steps, x
 
 
-def _walsh_hadamard(arr: np.ndarray, top: int) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform of 2**n flat integers, |arr| <= top.
-
-    Into a new int32 array when 2**n * top < 2**31, else int64.  The products
-    run in float32 while 2**n * top <= 2**24, else in float64, which is exact
-    while 2**n * top <= 2**52; callers refuse tables past that.
-    """
-    N = arr.size
-    n = N.bit_length() - 1
-    out = np.empty(N, np.int32 if N * top < 2**31 else np.int64)
-    tile_bits = min(n, _TILE_BITS)
-    T = 1 << tile_bits
-    carrier = np.float32 if N * top <= 2**24 else np.float64
+def _tiled_transform(arr: np.ndarray, n: int, q: int, out: np.ndarray, carrier: type) -> None:
+    """out = the transform of the flat table arr, by products with L_q**(x)g
+    blocks in the float carrier, which must hold every partial sum exactly."""
+    tile = min(n, _fit(q, 1 << _TILE_BITS))
+    T = q**tile
+    group = _fit(q, 1 << _GROUP_BITS)
     x, y = np.empty(T, carrier), np.empty(T, carrier)
     # Each contiguous tile first takes its own digits, then the digits above
-    # a tile follow in groups of up to _GROUP_BITS, one pass over the output
-    # per group, on (2**g, w) column tiles; each tile is cast into x,
-    # multiplied and cast back.
-    for a in [0, *range(tile_bits, n, _GROUP_BITS)]:
-        g, src = (tile_bits, arr) if a == 0 else (min(_GROUP_BITS, n - a), out)
-        w = T >> g
-        steps, done = _products(x, y, tile_bits - g, tile_bits)
-        load, done = x.reshape(1 << g, w), done.reshape(1 << g, w)
-        shape = (-1, 1 << g, (1 << a) // w, w)
+    # a tile follow in groups, one pass over the output per group, on
+    # (q**g, w) column tiles; each tile is cast into x, multiplied and cast
+    # back.
+    for a in [0, *range(tile, n, group)]:
+        g, src = (tile, arr) if a == 0 else (min(group, n - a), out)
+        w = T // q**g
+        steps, done = _products(x, y, q, tile - g, tile)
+        load, done = x.reshape(q**g, w), done.reshape(q**g, w)
+        shape = (-1, q**g, q**a // w, w)
         for tiles, dest in zip(src.reshape(shape), out.reshape(shape)):
             for c in range(dest.shape[1]):
                 np.copyto(load, tiles[:, c], casting="unsafe")
                 for f, u, o in steps:
                     np.matmul(f, u, out=o)
                 np.copyto(dest[:, c], done, casting="unsafe")
-    return out
 
 
-def _group_ring_step(a: np.ndarray, b: np.ndarray) -> None:
-    """b[:, :, t] = sum over s of x**(s*t) * a[:, :, s], on (q, A, q, B) views."""
-    q = a.shape[0]
-    for t in range(q):
-        o = b[:, :, t]
-        np.copyto(o, a[:, :, 0])
-        for s in range(1, q):
-            m = s * t % q
-            np.add(o[m:], a[:q - m, :, s], out=o[m:])
-            np.add(o[:m], a[q - m:, :, s], out=o[:m])
-
-
-def _group_ring_transform(values: np.ndarray, n: int, q: int) -> np.ndarray:
-    """Residues at x -> omega mod p of a flat table's transform in Z[x]/(x**q - 1),
-    (p, omega) = _split_prime(q); the int32 coordinates are exact while
-    q**n * max|value| < 2**31."""
-    p, w = _split_prime(q)
-    x, y = np.zeros((q, q**n), np.int32), np.empty((q, q**n), np.int32)
-    np.copyto(x[0], values, casting="unsafe")
-    # Digits low.. first, then the low ones, whose runs of q**i cells are
-    # short, rotated to the top; the second rotation restores the order.
-    low = next(d for d in range(n + 1) if d == n or q**d >= _RUN)
-    for k in (low, n - low):
-        for i in range(k, n):
-            _group_ring_step(x.reshape(q, -1, q, q**i), y.reshape(q, -1, q, q**i))
-            x, y = y, x
-        np.copyto(y.reshape(q, q**k, -1), x.reshape(q, -1, q**k).transpose(0, 2, 1))
-        x, y = y, x
-    del y  # before the output
-    out = np.remainder(x[q - 1], p, dtype=np.int64)
-    for row in x[q - 2::-1]:
-        out *= w
-        out += row
-        out %= p
-    return out
+def _direct_transform(arr: np.ndarray, n: int, q: int, out: np.ndarray) -> None:
+    """out = the transform of the flat table arr, one digit at a time in out's
+    integer dtype: the sum along the digit, then cell 0 minus each other cell."""
+    np.copyto(out, arr, casting="unsafe")
+    for i in range(n):
+        v = out.reshape(-1, q, q**i)
+        total = v.sum(axis=1, dtype=out.dtype)
+        np.subtract(v[:, :1], v[:, 1:], out=v[:, 1:])
+        v[:, 0] = total
 
 
 def character_transform(values, n: int, q: int) -> CharacterSpectrum:
-    """Character transform of an integer-valued table over H(n, q): exact for
-    q = 2 while q**n * max|value| <= 2**52, residues mod p for q > 2 while
-    2 * q**n * max|value| < p."""
+    """Transform of an integer-valued table over H(n, q) in the basis
+    L_q (x) ... (x) L_q (see CharacterSpectrum); exact while q**n *
+    max|value| <= 2**52."""
+    if q < 2:
+        raise OutOfRangeError(f"alphabet size q={q} is below 2")
     N = q**n
     limit = materialize_guard()
     if N > limit:
@@ -257,18 +239,18 @@ def character_transform(values, n: int, q: int) -> CharacterSpectrum:
         raise OutOfRangeError(f"values must be integers, got dtype {arr.dtype}")
     if arr.size != N:
         raise OutOfRangeError(f"expected {N} values, got {arr.size}")
-    # Every coefficient, and for q > 2 every group-ring coordinate, sums
-    # +-values of disjoint cells, so it is at most N * max|v| in magnitude.
-    # Python ints, as np.abs wraps at the int64 minimum.
+    # Every coefficient, and every partial sum on the way, adds +-values of
+    # distinct cells, so it is at most N * max|v| in magnitude.  Python ints,
+    # as np.abs wraps at the int64 minimum.
     top = max(-int(arr.min()), int(arr.max()))
-    if q > 2:
-        p = _split_prime(q)[0]
-        if 2 * N * top >= p:
-            raise OutOfRangeError(f"values up to {top} on {q}**{n} cells reach the prime {p}")
-        return CharacterSpectrum(n, q, _group_ring_transform(arr, n, q))
     if N * top > 2**52:
         raise OutOfRangeError(f"values up to {top} on {q}**{n} cells pass the float64 bound 2**52")
-    return CharacterSpectrum(n, q, _walsh_hadamard(arr, top))
+    out = np.empty(N, np.int32 if N * top < 2**31 else np.int64)
+    if q >= _DIRECT_Q:
+        _direct_transform(arr, n, q, out)
+    else:
+        _tiled_transform(arr, n, q, out, np.float32 if N * top <= 2**24 else np.float64)
+    return CharacterSpectrum(n, q, out)
 
 
 def degree(values, n: int, q: int) -> int:

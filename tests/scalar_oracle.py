@@ -5,8 +5,9 @@ with Python integers only, following the meaning of each body node as the
 construction defines it.  The vectorized ``eval`` of every node is checked
 against it, through both ``Coloring.evaluate`` and ``Coloring.materialize``.
 
-``ntt_transform`` is the plain matrix-step q > 2 character transform mod a
-prime that the group-ring kernel is checked against.
+``eigenbasis_transform`` is the transform in the basis L_q (x) ... (x) L_q,
+by explicit matrix steps with Python integers, that the character transform
+kernel is checked against.
 
 ``quadratic_periods`` and ``quadratic_reduction`` are the period search and
 period reduction that compare the whole table once per shift; the
@@ -86,23 +87,25 @@ def scalar_color(C, v: int) -> int:
     raise TypeError(f"no scalar oracle for {kind}")
 
 
-def ntt_transform(values, n: int, q: int, p: int, w: int) -> np.ndarray:
-    """The matrix-step transform mod p at zeta -> w: int64 residues in [0, p).
+def eigenbasis_transform(values, n: int, q: int, dtype=object) -> np.ndarray:
+    """The transform in the basis L_q (x) ... (x) L_q, L_q with row 0 all ones
+    and row s >= 1 equal to e_0 - e_s.
 
-    Each step transforms the most significant digit by (N/q, q) @ W % p with
-    W[s][t] = w**(s*t) mod p and moves it to the least significant place:
-    after n steps the digits are back in order.  W goes in 16-bit halves, so
-    no int64 sum of q < 2**10 products of residues below 2**31 wraps.  It
-    shares no code with the group-ring kernel.
+    Each of the n steps multiplies one digit's axis by the explicit matrix
+    L_q, in Python ints (an object array) by default.  dtype=np.int64 is for
+    large tables: every value is a signed sum of distinct cells, and the
+    oracle refuses a table where such a sum could reach 2**63.  It shares no
+    code with the kernel.
     """
-    N = q**n
-    W = np.array([[pow(w, s * t, p) for t in range(q)] for s in range(q)], dtype=np.int64)
-    low, high = W & 0xFFFF, W >> 16
-    vals = np.asarray(values, dtype=np.int64) % p
-    for _ in range(n):
-        v = vals.reshape(q, N // q).T
-        vals = (v @ low % p + ((v @ high % p) << 16)) % p
-    return vals.reshape(N)
+    vals = np.asarray(values).reshape(-1)
+    if dtype is not object and vals.size * max(-int(vals.min()), int(vals.max())) >= 2**63:
+        raise ValueError("int64 could wrap")
+    vals = np.array([int(v) for v in vals.tolist()], dtype=dtype)
+    L = np.array([[1] * q] + [[int(x == 0) - int(x == s) for x in range(q)] for s in range(1, q)],
+                 dtype=dtype)
+    for i in range(n):
+        vals = np.matmul(L, vals.reshape(-1, q, q**i)).reshape(-1)
+    return vals
 
 
 def quadratic_periods(C) -> list[int]:

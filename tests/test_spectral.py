@@ -4,14 +4,14 @@ from math import gcd
 import numpy as np
 import pytest
 
-from pcol.core import GUARD_ENV_VAR, Coloring, QuotientMatrix, digits, vertex_index
+from pcol import spectral
+from pcol.core import GUARD_ENV_VAR, Coloring, QuotientMatrix, digits
 from pcol.errors import OutOfRangeError, TooLargeError
-from pcol.spectral import (_GROUP_BITS, _RUN, _TILE_BITS, _group_ring_transform,
-                           _is_prime, _products, _split_prime, character_transform,
+from pcol.spectral import (_DIRECT_Q, _GROUP_BITS, _TILE_BITS, _products, character_transform,
                            coloring_degree, degree, eigen_decomposition_check,
                            hamming_weights)
 from pcol.verify import compute_quotient, graph_eigenvalue, quotient_spectrum
-from scalar_oracle import ntt_transform
+from scalar_oracle import eigenbasis_transform
 
 
 def parity(n):
@@ -54,17 +54,16 @@ def test_double_transform_is_scaling():
 @pytest.mark.parametrize("n,q", [(6, 2), (4, 3), (3, 4), (3, 5), (2, 6), (0, 3), (1, 2),
                                  (3, 7), (2, 8), (2, 9), (2, 10), (8, 2), (9, 2)])
 def test_matches_slow_dft(n, q):
-    # q = 2: the exact coefficients, int32 for these values; q > 2: the int64
-    # residues of the complex ones mod the split prime, and the same support
-    # weights.
+    # int32 coefficients for these values; q = 2: the complex ones, q > 2:
+    # the eigenbasis oracle's; every q: the complex ones' support weights.
     rng = np.random.default_rng(100 + q)
     f = rng.integers(-3, 4, size=q**n)
     spec = character_transform(f, n, q)
-    assert spec.coeffs.dtype == (np.int32 if q == 2 else np.int64)
+    assert spec.coeffs.dtype == np.int32
     if q == 2:
         assert np.allclose(spec.coeffs, dft_oracle(f, n, q), atol=1e-8)
     else:
-        assert np.array_equal(spec.coeffs, ntt_transform(f, n, q, *_split_prime(q)))
+        assert np.array_equal(spec.coeffs, eigenbasis_transform(f, n, q))
     assert spec.support_weights().tolist() == dft_support_weights(f, n, q)
 
 
@@ -158,22 +157,43 @@ def test_q2_int16_front_at_the_bound(n, e):
             assert np.array_equal(spec.coeffs, level_loop_oracle(f))
 
 
-def test_q2_matrix_products_stay_small():
-    # Every product the kernel builds, for each tile size and each group above
-    # a full tile, takes at most m*n*k = 2**18 multiply-adds (OpenBLAS runs
-    # such a product on the calling thread) on rows of contiguous cells.
-    configs = [(b, 0, b) for b in range(_TILE_BITS + 1)]
-    configs += [(_TILE_BITS, _TILE_BITS - g, _TILE_BITS) for g in range(1, _GROUP_BITS + 1)]
-    for bits, lo, hi in configs:
+def check_products_stay_small(q):
+    """Every product the kernel builds for q, for each tile size and each
+    group above a full tile, takes at most m*n*k = 2**18 multiply-adds
+    (OpenBLAS runs such a product on the calling thread) on rows of
+    contiguous cells, and each group's block is L_q**(x)g."""
+    top = 0
+    while q ** (top + 1) <= 2**_TILE_BITS:
+        top += 1
+    group = 0
+    while q ** (group + 1) <= 2**_GROUP_BITS:
+        group += 1
+    configs = [(t, 0, t) for t in range(top + 1)]
+    configs += [(top, top - g, top) for g in range(1, group + 1)]
+    # Column j of L_q**(x)g is the oracle's transform of the unit table e_j.
+    blocks = {q**g: np.array([eigenbasis_transform(e, g, q) for e in np.eye(q**g, dtype=int)]).T
+              for g in range(6) if g <= 1 or q**g <= 32}
+    for digits, lo, hi in configs:
         for carrier in (np.float32, np.float64):
-            x, y = np.empty(2**bits, carrier), np.empty(2**bits, carrier)
-            steps, done = _products(x, y, lo, hi)
+            x, y = np.empty(q**digits, carrier), np.empty(q**digits, carrier)
+            steps, done = _products(x, y, q, lo, hi)
             assert done is (x if len(steps) % 2 == 0 else y)
             for a, b, o in steps:
                 (m, k), n = a.shape[-2:], b.shape[-1]
                 assert b.shape[-2] == k and o.shape[-2:] == (m, n)
-                assert m * n * k <= 2**18, (bits, lo, hi)
+                assert m * n * k <= 2**18, (digits, lo, hi)
                 assert all(v.strides[-1] == v.itemsize for v in (a, b, o))
+                block = a if a.ndim == 2 else b.T
+                assert np.array_equal(block, blocks[len(block)])
+
+
+def test_q2_matrix_products_stay_small():
+    check_products_stay_small(2)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 16, 17, _DIRECT_Q - 1])
+def test_matrix_products_stay_small_for_q_above_2(q):
+    check_products_stay_small(q)
 
 
 def test_q2_transform_holds_one_output_and_tile_buffers():
@@ -191,49 +211,74 @@ def test_q2_transform_holds_one_output_and_tile_buffers():
     assert peak <= 5 * 2**20
 
 
-def rotated_digits(q):
-    """The group-ring kernel's count of low digits rotated to the top."""
-    low = 0
-    while q**low < _RUN:
-        low += 1
-    return low
-
-
-# n runs from 0 past twice the rotated digit count: every digit rotated
-# (n <= low), rotated digits landing on places the others used
-# (low < n < 2 * low), and apart from them.
-@pytest.mark.parametrize("n,q", [(n, q) for q in range(3, 11)
-                                 for n in range(2 * rotated_digits(q) + 2)])
+# The grid of the kernel that this one replaced, kept with its test ids:
+# q = 3..10 and n from 0 to 2 * d + 1, d the least with q**d >= 64.  It holds
+# tiles of every width up to one tile, a short and a full group above a tile
+# for q = 7 and a short one for q = 10.
+@pytest.mark.parametrize("n,q", [(n, q) for q, d in zip(range(3, 11), (4, 3, 3, 3, 3, 2, 2, 2))
+                                 for n in range(2 * d + 2)])
 def test_group_ring_kernel_matches_matrix_step_oracle(n, q):
     rng = np.random.default_rng(700 + 10 * q + n)
     N = q**n
-    p, w = _split_prime(q)
-    # Random values, an indicator, and values at the bound 2 * N * top < p.
-    top = (p - 1) // (2 * N)
+    # Random values, an indicator, and values at the int32 bound N * top <
+    # 2**31 (a float64 carrier from N * top > 2**24) and at the float64 bound.
     inputs = [rng.integers(-9, 10, size=N), rng.integers(0, 2, size=N).astype(bool),
-              rng.choice([-top, top], size=N)]
+              rng.choice([-1, 1], size=N) * ((2**31 - 1) // N),
+              rng.choice([-1, 1], size=N) * (2**52 // N)]
     for f in inputs:
         spec = character_transform(f, n, q)
-        assert spec.coeffs.dtype == np.int64 and spec.coeffs.shape == (N,)
-        assert np.array_equal(spec.coeffs, ntt_transform(f, n, q, p, w)), f.dtype
+        big = N * max(-int(f.min()), int(f.max())) >= 2**31
+        assert spec.coeffs.dtype == (np.int64 if big else np.int32) and spec.coeffs.shape == (N,)
+        assert np.array_equal(spec.coeffs, eigenbasis_transform(f, n, q)), f.dtype
+
+
+# The kernel's tiles and groups at production size: a tile and one short
+# group above it (q = 3, 5, 13), two one-digit groups (q = 17), 40 x 40
+# blocks in and above a tile on the last q that takes products, and the sum
+# and differences from _DIRECT_Q on.
+@pytest.mark.parametrize("n,q", [(11, 3), (8, 5), (5, 13), (5, 17),
+                                 (3, _DIRECT_Q - 1), (4, _DIRECT_Q - 1),
+                                 (0, _DIRECT_Q), (1, _DIRECT_Q), (3, _DIRECT_Q), (2, 64)])
+def test_transform_across_tiles_groups_and_the_direct_step(n, q):
+    rng = np.random.default_rng(750 + q + n)
+    N = q**n
+    for f in (rng.integers(0, 2, size=N).astype(bool), rng.integers(-9, 10, size=N),
+              rng.choice([-1, 1], size=N) * (2**52 // N)):
+        assert np.array_equal(character_transform(f, n, q).coeffs,
+                              eigenbasis_transform(f, n, q, np.int64)), f.dtype
 
 
 @pytest.mark.parametrize("n", [0, 5, 12])
 def test_q3_transform_bound(n):
-    # 2 * N * max|v| < p is accepted and anything above refused; all-equal
-    # values put N * top in group-ring coordinate 0 of frequency 0, so int32
-    # coordinates must hold the largest accepted top.
+    # q = 3 has q = 2's bounds: N * max|v| up to 2**24 runs in a float32
+    # carrier and on up to 2**52 in float64, past which the table is refused.
+    # All-equal values put N * top in coefficient 0.
     N = 3**n
-    p, w = _split_prime(3)
-    top = (p - 1) // (2 * N)
-    assert 2 * N * top <= p - 1 < 2 * N * (top + 1)
-    for t in (top, -top):
-        for f in (np.full(N, t, dtype=np.int64), np.where(np.arange(N) % 4 == 0, t, -t // 2)):
-            spec = character_transform(f, n, 3)
-            assert np.array_equal(spec.coeffs, ntt_transform(f, n, 3, p, w))
-            assert spec.coeffs[0] == sum(f.tolist()) % p
-        with pytest.raises(OutOfRangeError, match=f"reach the prime {p}"):
-            character_transform(np.full(N, t + (1 if t > 0 else -1)), n, 3)
+    carriers = []
+    real = spectral._tiled_transform
+
+    def spy(arr, n, q, out, carrier):
+        carriers.append(carrier)
+        real(arr, n, q, out, carrier)
+
+    for bound, carrier in ((2**24, np.float32), (2**52, np.float64)):
+        top = bound // N
+        for t in (top, -top):
+            for f in (np.full(N, t, dtype=np.int64), np.where(np.arange(N) % 4 == 0, t, -t // 2)):
+                with pytest.MonkeyPatch.context() as m:
+                    m.setattr(spectral, "_tiled_transform", spy)
+                    spec = character_transform(f, n, 3)
+                assert carriers.pop() is carrier
+                assert np.array_equal(spec.coeffs, eigenbasis_transform(f, n, 3, np.int64))
+                assert spec.coeffs[0] == sum(f.tolist())
+    # One more than 2**24 // N takes float64, one more than 2**52 // N is refused.
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(spectral, "_tiled_transform", spy)
+        character_transform(np.full(N, 2**24 // N + 1), n, 3)
+    assert carriers == [np.float64]
+    for t in (2**52 // N + 1, -(2**52 // N + 1)):
+        with pytest.raises(OutOfRangeError, match="float64 bound"):
+            character_transform(np.full(N, t), n, 3)
 
 
 @pytest.mark.parametrize("n,top,dtype", [
@@ -242,29 +287,21 @@ def test_q3_transform_bound(n):
     (5, (2**31 - 1) // 3**5 + 1, np.int64), (12, (2**31 - 1) // 3**12, np.int32),
     (12, -((2**31 - 1) // 3**12 + 1), np.int64)])
 def test_q3_accumulator_dtype_at_the_bound(n, top, dtype):
-    # Kernel coordinates sum values of disjoint cells, so N * max|v| below
-    # 2**31 fits int32 coordinates and from 2**31 on would need int64;
-    # all-equal values put N * top in group-ring coordinate 0 of frequency 0.
-    # Every top here has 2 * N * |top| >= p, so character_transform refuses
-    # it and the int32 kernel never meets a table that would wrap.
+    # N * max|v| below 2**31 accumulates in int32, from 2**31 on in int64,
+    # as for q = 2; all-equal values reach the bound in coefficient 0.
     N = 3**n
-    p, w = _split_prime(3)
-    assert 2 * N * abs(top) >= p
     for f in (np.full(N, top, dtype=np.int64), np.where(np.arange(N) % 4 == 0, top, -top // 2)):
-        if dtype == np.int32:
-            assert np.array_equal(_group_ring_transform(f, n, 3), ntt_transform(f, n, 3, p, w))
-        with pytest.raises(OutOfRangeError, match=f"reach the prime {p}"):
-            character_transform(f, n, 3)
-    # The bound is tight: from N * top = 2**31 on, int32 coordinates wrap.
-    equal = np.full(N, abs(top), dtype=np.int64)
-    in_int32 = _group_ring_transform(equal, n, 3)
-    assert np.array_equal(in_int32, ntt_transform(equal, n, 3, p, w)) == (dtype == np.int32)
+        spec = character_transform(f, n, 3)
+        assert spec.coeffs.dtype == dtype
+        assert np.array_equal(spec.coeffs, eigenbasis_transform(f, n, 3, np.int64))
+        assert spec.coeffs[0] == sum(f.tolist())
 
 
-@pytest.mark.parametrize("n,q,limit", [(12, 3, 28), (7, 7, 64)])
-def test_group_ring_transform_peak_per_cell(n, q, limit):
-    # Two (q, q**n) int32 buffers, then one of them and the (q**n,) int64
-    # residues; the indicator exists before the call.
+@pytest.mark.parametrize("n,q", [(12, 3), (10, 4), (7, 7), (2, 256), (1, 1024)])
+def test_transform_peak_per_cell(n, q):
+    # The int32 output and two tile buffers of at most 2**16 float32 cells,
+    # or with the direct step, one digit's sums; the indicator exists before
+    # the call.
     f = np.arange(q**n) % 5 == 0
     tracemalloc.start()
     try:
@@ -273,14 +310,30 @@ def test_group_ring_transform_peak_per_cell(n, q, limit):
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert np.array_equal(spec.coeffs, ntt_transform(f, n, q, *_split_prime(q)))
-    assert peak <= limit * q**n
+    assert np.array_equal(spec.coeffs, eigenbasis_transform(f, n, q, np.int64))
+    assert peak <= 6 * q**n
+
+
+def test_one_digit_past_a_tile():
+    # q = 2**16 + 1: a tile holds no whole digit, so the transform takes the
+    # direct step and support_weights one block of the digit's q values.
+    # On one digit, L_q f is (sum f, f[0] - f[1], ..., f[0] - f[q-1]).
+    q = 2**16 + 1
+    one_hot = np.arange(q) == 12345
+    for f, weights in [(one_hot, [0, 1]), (np.ones(q, dtype=np.int8), [0]),
+                       (np.zeros(q, dtype=np.int8), []), (np.arange(q) == 0, [0, 1])]:
+        spec = character_transform(f, 1, q)
+        values = f.astype(np.int64)
+        assert spec.coeffs[0] == values.sum()
+        assert np.array_equal(spec.coeffs[1:], values[0] - values[1:])
+        assert spec.support_weights().tolist() == weights
+    assert degree(one_hot, 1, q) == 1
+    assert degree(np.arange(q**0) == 0, 0, q) == 0
 
 
 def test_transform_rejects_int64_overflow():
     # q = 2: coefficient 0 would be 2**63, which wraps to -2**63 in int64,
-    # or just below it, which float64 would round.  q = 3: far past the
-    # split prime.
+    # or just below it, which float64 would round.  q = 3: likewise.
     for values, n, q in [([2**62, 2**62, 0, 0], 2, 2),
                          ([2**61 - 1, -(2**61 - 1), 0, 2**61 - 1], 2, 2),
                          ([2**62, 2**62, 0], 1, 3)]:
@@ -306,47 +359,22 @@ def test_parseval_exact_q2():
 
 @pytest.mark.parametrize("n,q", [(3, 3), (2, 4), (2, 5), (2, 6), (2, 10)])
 def test_parseval_mod_p(n, q):
-    # sum_v alpha(v) alpha(-v) = N * sum_x f(x)**2 in Z[zeta]; zeta -> omega
-    # keeps it mod p.
+    # Parseval in the eigenbasis, exactly: on one digit a constant c maps to
+    # row 0 = q*c, and a sum-zero z to y = Lz with |z|**2 = (q|y|**2 -
+    # (sum y)**2) / q, so N * sum f**2 = c . (Q (x) ... (x) Q) c with Q =
+    # diag(1, q*I - J) on the q - 1 rows s >= 1.  For q = 2 it is Parseval.
     rng = np.random.default_rng(300 + q)
     N = q**n
     f = rng.integers(-3, 4, size=N)
-    p = _split_prime(q)[0]
-    r = character_transform(f, n, q).coeffs.tolist()
-    negated = [vertex_index([-d % q for d in digits(v, n, q)], q) for v in range(N)]
-    total = sum(r[v] * r[negated[v]] for v in range(N))
-    assert total % p == N * int((f.astype(object) ** 2).sum()) % p
-
-
-def test_is_prime_matches_trial_division():
-    sieve = np.ones(10**5, dtype=bool)
-    sieve[:2] = False
-    for m in range(2, 317):
-        sieve[m * m::m] = False
-    assert [m for m in range(10**5) if _is_prime(m)] == np.flatnonzero(sieve).tolist()
-    # Strong pseudoprimes to the bases 2; 2, 3; 2, 3, 5; and 2, 3, 5, 7.
-    for m in (2047, 1373653, 25326001, 3215031751):
-        assert not _is_prime(m)
-    assert _is_prime(2**31 - 1)
-
-
-def test_split_prime_for_every_alphabet_to_1024():
-    for q in range(3, 1025):
-        p, w = _split_prime(q)
-        assert p < 2**31 and p % q == 1 and _is_prime(p)
-        assert not any(_is_prime(m) for m in range(p + q, 2**31, q))
-        # The order of w divides q and is no proper divisor of q.
-        assert pow(w, q, p) == 1
-        assert all(pow(w, q // r, p) != 1 for r in range(2, q + 1) if q % r == 0)
-
-
-def test_split_prime_raises_when_none_exists():
-    # Below 2**31 the only numbers 1 mod q are q + 1 = 2**30 - 1 = 3 * 357913941
-    # and 2 * q + 1 = 2**31 - 3 = 5 * 429496729.
-    q = 2**30 - 2
-    assert not _is_prime(q + 1) and not _is_prime(2 * q + 1) and 3 * q + 1 > 2**31
-    with pytest.raises(OutOfRangeError, match="no prime"):
-        _split_prime(q)
+    c = character_transform(f, n, q).coeffs
+    assert np.array_equal(c, eigenbasis_transform(f, n, q))
+    Q = np.zeros((q, q), dtype=object)
+    Q[0, 0] = 1
+    Q[1:, 1:] = q * np.eye(q - 1, dtype=int) - 1
+    weighted = np.array(c.tolist(), dtype=object)
+    for i in range(n):
+        weighted = np.matmul(Q, weighted.reshape(-1, q, q**i)).reshape(-1)
+    assert sum(int(a) * b for a, b in zip(c, weighted)) == N * sum(int(v) ** 2 for v in f)
 
 
 def test_degree_examples():
@@ -501,6 +529,9 @@ def test_union_coloring_degree():
 def test_character_transform_checks_guard_and_length(monkeypatch):
     with pytest.raises(OutOfRangeError, match="expected 16 values, got 8"):
         character_transform([0] * 8, 4, 2)
+    for q in (1, 0):
+        with pytest.raises(OutOfRangeError, match=f"q={q} is below 2"):
+            character_transform([0], 3, q)
     monkeypatch.setenv(GUARD_ENV_VAR, "8")
     with pytest.raises(TooLargeError):
         character_transform([0] * 16, 4, 2)
