@@ -373,9 +373,9 @@ def construct_unbalanced_boolean(r: int, s: int, e: int) -> UnbalancedBoolean:
     """Boolean function (color 0 = ones) of density r/s and degree e*s/2 in
     n = (2s - 1) * 2**(e-1) - s variables, all essential.
 
-    Requires s a power of two, r odd with 0 < r < s, and e >= 1.  Density,
-    degree, and essentiality are verified exhaustively when the result fits
-    the materialization guard.
+    Requires s a power of two, r odd with 0 < r < s, and e >= 1.  The
+    quotient, density, degree, and essentiality are verified exhaustively
+    when the result fits the materialization guard.
     """
     if s < 2 or s & (s - 1):
         raise BadDensityError(f"s = {s} must be a power of two >= 2")
@@ -396,6 +396,8 @@ def construct_unbalanced_boolean(r: int, s: int, e: int) -> UnbalancedBoolean:
     except TooLargeError:
         return UnbalancedBoolean(coloring, density, expected_degree,
                                  built.predicted_quotient, None, None, False)
+    if compute_quotient(table) != built.predicted_quotient:
+        raise InconsistentError("constructed coloring does not have its predicted quotient")
     dens = densities_by_count(table)
     if dens[0] != density:
         raise InconsistentError(f"measured density {dens[0]} != {density}")

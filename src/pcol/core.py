@@ -317,11 +317,12 @@ class Coloring:
 
 
 class _TableBody:
-    __slots__ = ("arr", "quotient")
+    __slots__ = ("arr", "quotient", "essential")
 
     def __init__(self, arr: np.ndarray):
         self.arr = arr
-        self.quotient = None  # compute_quotient's answer, once asked
+        # compute_quotient's answer and essential mask, once asked
+        self.quotient = self.essential = None
 
     def eval(self, idx):
         return self.arr[idx.astype(np.intp, copy=False)]

@@ -97,10 +97,11 @@ _blocks(2, np.float64)
 
 def hamming_weights(n: int, q: int) -> np.ndarray:
     """Number of nonzero base-q digits of every index in [0, q**n)."""
-    w = np.zeros(1, dtype=np.uint8)
+    w, digit = np.zeros(1, dtype=np.uint8), np.ones(q, dtype=np.uint8)
+    digit[0] = 0
     for _ in range(n):
         # a new most significant digit: 0 keeps the weight, the q-1 others add one
-        w = np.concatenate([w] + [w + 1] * (q - 1))
+        w = np.add.outer(digit, w).reshape(-1)
     w.setflags(write=False)
     return w
 

@@ -1,20 +1,23 @@
 """Exhaustive verification of colorings of H(n, q).
 
 Everything here is a certificate-grade computation: neighbor counting over
-all vertices, exact rational densities, and fraction-free integer spectra.
-Neighbor counts and the essential mask pick their kernel by q alone:
+all vertices, exact rational densities, and exact integer spectra from one
+chain of matrix products.  Neighbor counts pick their kernel by q alone, and
+the same pass finds the essential mask, since it changes every digit of every
+color indicator:
 
-- q = 2 is bit-sliced.  Color indicators, and for the essential mask the
-  bits of the color values, are packed into little-endian uint64 words, 64
-  vertices per word, one block of the table at a time.
+- q = 2 is bit-sliced.  Color indicators are packed into little-endian
+  uint64 words, 64 vertices per word, one block of the table at a time.
   Changing digit p of every vertex is a shift and mask inside each word for
-  p < 6 and a swap of word halves for p >= 6.  The n flipped bitmaps of a
+  p < 6 and a swap of word halves for p >= 6; digit p is essential iff some
+  indicator differs from itself changed so.  The n flipped bitmaps of a
   color are summed into n.bit_length() bit planes of counts by ripple-carry
   adds (Knuth, TAOCP 4A, 7.1.3).  Working memory is one block and a few
   bitmaps of q**n / 8 bytes each, whatever k is.
 - q > 2 loops over the digits p of the vertex index, on the table viewed as
   ``(high digits, digit p, low digits)``, where the adjacency operator of
-  H(n, q) is a sum of line sums along digit p.
+  H(n, q) is a sum of line sums along digit p; digit p is essential iff some
+  indicator has a line sum other than 0 and q.
 
 Both run in one thread; ``verification_report`` accepts ``threads``, which
 must be at least 1 but has no effect.  Failure witnesses are the first in
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 
@@ -112,24 +116,28 @@ def _flip(w: np.ndarray, p: int, out: np.ndarray) -> np.ndarray:
 
 
 def _bitsliced_columns(table, n, q, k, first):
-    """Columns j < k-1 of the quotient for q = 2, and the first vertex whose
-    counts differ from its color's first vertex (None if there is none).
+    """Columns j < k-1 of the quotient for q = 2, the first vertex whose
+    counts differ from its color's first vertex (None if there is none), and
+    the essential mask.
 
     The j-neighbors of every vertex are counted in n.bit_length() bit planes:
     plane i holds bit i of each count, and the n flipped bitmaps of color j
     are added into them with ripple-carry adds.  Working memory is the planes
-    and a few bitmaps, whatever k is.
+    and a few bitmaps, whatever k is.  Digit p is essential iff some flipped
+    indicator differs from its color's own; the last color's indicator is the
+    complement of the others', so colors j < k-1 decide it.
     """
     w, member, seen, buf, spare, bad, *planes = np.zeros(
         (6 + n.bit_length(), -(-table.size // 64)), "<u8")
     f = first.astype(np.uint64)
-    columns = []
+    columns, essential = [], [False] * n
     for j in range(k - 1):
         _pack(table, lambda blk: blk == j, w)
         for plane in planes:
             plane.fill(0)
         for p in range(n):
             carry, tmp = _flip(w, p, buf), spare
+            essential[p] = essential[p] or not np.array_equal(carry, w)
             # After p + 1 adds, a count fits in (p + 1).bit_length() bits.
             for plane in planes[:(p + 1).bit_length()]:
                 np.bitwise_and(plane, carry, out=tmp)
@@ -163,7 +171,7 @@ def _bitsliced_columns(table, n, q, k, first):
         bad &= np.uint64((1 << table.size) - 1)
     hit = int(np.argmax(bad != 0))
     word = int(bad[hit])
-    return columns, 64 * hit + (word & -word).bit_length() - 1 if word else None
+    return columns, 64 * hit + (word & -word).bit_length() - 1 if word else None, essential
 
 
 def _digit_axis_columns(table, n, q, k, first):
@@ -173,7 +181,7 @@ def _digit_axis_columns(table, n, q, k, first):
     # the degree, so it comes out exact.
     count_t = np.min_scalar_type(degree)
     line = np.empty(table.size // q, dtype=count_t)
-    columns = []
+    columns, essential = [], [False] * n
     bad = np.zeros(table.size, dtype=bool)
     for j in range(k - 1):
         ind = (table == j).astype(count_t)
@@ -184,19 +192,26 @@ def _digit_axis_columns(table, n, q, k, first):
             lines, cnt3 = line.reshape(-1, q**p), cnt.reshape(-1, q, q**p)
             np.einsum("arb->ab", ind.reshape(-1, q, q**p), out=lines)
             cnt3 += lines[:, None, :]
+            if not essential[p]:
+                # The indicator changes along a line iff its sum is neither
+                # 0 nor q.  q wraps to 0 when it is the dtype's size (n = 1),
+                # so test 0 < sum < q as sum - 1 < q - 1, wrapping below 0.
+                lines -= 1
+                essential[p] = bool((lines < q - 1).any())
         # Each line through v holds v itself once per digit.
         cnt -= n * ind
         ref = cnt[first]
         bad |= cnt != ref[table]
         columns.append(ref.tolist())
-    return columns, int(np.argmax(bad)) if bad.any() else None
+    return columns, int(np.argmax(bad)) if bad.any() else None, essential
 
 
 def compute_quotient(C: Coloring) -> QuotientMatrix | NonPerfectWitness:
     """Count neighbor colors at every vertex.
 
     Returns the quotient matrix if the profile of a vertex depends only on its
-    color, otherwise the first witness in vertex-index order; the table keeps it.
+    color, otherwise the first witness in vertex-index order.  The table keeps
+    the answer and the essential mask that the same count pass finds.
     """
     Cm = C.materialize()
     if Cm.body.quotient is not None:
@@ -207,7 +222,7 @@ def compute_quotient(C: Coloring) -> QuotientMatrix | NonPerfectWitness:
     # Every row sums to the degree, so the last color's column follows from
     # the others and a vertex mismatches in it only if it mismatches earlier.
     kernel = _bitsliced_columns if q == 2 else _digit_axis_columns
-    columns, v = kernel(table, n, q, k, first)
+    columns, v, essential = kernel(table, n, q, k, first)
     if v is not None:
         color = int(table[v])
         a = int(first[color])
@@ -217,31 +232,18 @@ def compute_quotient(C: Coloring) -> QuotientMatrix | NonPerfectWitness:
         degree = n * (q - 1)
         rows = [[col[i] for col in columns] for i in range(k)]
         Cm.body.quotient = QuotientMatrix.of([row + [degree - sum(row)] for row in rows], n, q)
+    Cm.body.essential = tuple(essential)
     return Cm.body.quotient
 
 
 def essential_arguments(C: Coloring) -> tuple[bool, ...]:
-    """mask[p] is True iff the coloring changes along some line in digit p."""
+    """mask[p] is True iff the coloring changes along some line in digit p.
+
+    Read from compute_quotient's count pass, which the table keeps.
+    """
     Cm = C.materialize()
-    n, q, k, table = Cm.n, Cm.q, Cm.k, Cm.table
-    if q > 2:
-        mask = []
-        for p in range(n):
-            t = table.reshape(-1, q, q**p)
-            mask.append(bool((t[:, 1:] != t[:, :1]).any()))
-        return tuple(mask)
-    # Two colors differ iff some bit of their values does: compare each bit
-    # plane of the colors with itself flipped, until every digit has a hit.
-    mask = [False] * n
-    words = -(-table.size // 64)
-    w, buf = np.zeros(words, "<u8"), np.empty(words, "<u8")
-    for b in range((k - 1).bit_length()):
-        if all(mask):
-            break
-        _pack(table, lambda blk: blk >> b & 1, w)
-        for p in range(n):
-            mask[p] = mask[p] or not np.array_equal(_flip(w, p, buf), w)
-    return tuple(mask)
+    compute_quotient(Cm)
+    return Cm.body.essential
 
 
 def densities_by_count(C: Coloring) -> tuple[Fraction, ...]:
@@ -253,7 +255,10 @@ def densities_by_count(C: Coloring) -> tuple[Fraction, ...]:
 def _matrix_rows(S) -> tuple[tuple[int, ...], ...]:
     if isinstance(S, QuotientMatrix):
         return S.entries
-    return tuple(tuple(int(e) for e in row) for row in S)
+    rows = tuple(tuple(int(e) for e in row) for row in S)
+    if any(len(row) != len(rows) for row in rows):
+        raise OutOfRangeError("quotient matrix must be square")
+    return rows
 
 
 def densities_from_quotient(S) -> tuple[Fraction, ...]:
@@ -294,31 +299,6 @@ def densities_from_quotient(S) -> tuple[Fraction, ...]:
     return tuple(r / total for r in ratio)
 
 
-def _int_rank(rows: list[list[int]]) -> int:
-    """Rank over the rationals by fraction-free (Bareiss) elimination."""
-    M = [row[:] for row in rows]
-    nrows = len(M)
-    ncols = len(M[0]) if nrows else 0
-    rank = 0
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if M[i][c] != 0), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                M[i][j] = (M[i][j] * M[r][c] - M[i][c] * M[r][j]) // prev
-            M[i][c] = 0
-        prev = M[r][c]
-        r += 1
-        rank += 1
-        if r == nrows:
-            break
-    return rank
-
-
 def graph_eigenvalue(n: int, q: int, i: int) -> int:
     return n * (q - 1) - q * i
 
@@ -326,10 +306,15 @@ def graph_eigenvalue(n: int, q: int, i: int) -> int:
 def quotient_spectrum(S, n: int | None = None, q: int | None = None) -> dict[int, int]:
     """Multiplicities of S's eigenvalues among the graph eigenvalues of H(n, q).
 
-    The multiplicity of lambda_i = n(q-1) - q*i is k - rank(S - lambda_i I),
-    computed exactly.  Raises SpectrumNotInGraphError when the multiplicities
-    do not sum to k, i.e. S has an eigenvalue outside the graph spectrum (or
-    too small a geometric eigenspace).
+    With F_i = S - lambda_i I over the graph eigenvalues lambda_i = n(q-1) -
+    q*i, i = 0..n, the product of all F_i is 0 iff S is diagonalizable with
+    its spectrum among them; otherwise SpectrumNotInGraphError.  Then the
+    product of the F_j, j != i, is prod_{j != i} (lambda_i - lambda_j) times
+    the spectral projector of lambda_i, whose trace is the multiplicity.
+    One chain of suffix and prefix products gives them all, in int64 while
+    the factors' absolute row sums (at least 1 each) multiply to less than
+    2**63, which bounds every entry and every row's partial sums, and in
+    Python ints otherwise.  Keys descend.
     """
     if isinstance(S, QuotientMatrix):
         n = S.n if n is None else n
@@ -338,19 +323,27 @@ def quotient_spectrum(S, n: int | None = None, q: int | None = None) -> dict[int
         raise OutOfRangeError("n and q are required for a raw matrix")
     rows = _matrix_rows(S)
     k = len(rows)
+    lams = [graph_eigenvalue(n, q, i) for i in range(n + 1)]
+    factors = [[[e - lam * (a == b) for b, e in enumerate(row)] for a, row in enumerate(rows)]
+               for lam in lams]
+    bound = prod(max([1] + [sum(map(abs, row)) for row in f]) for f in factors)
+    carrier = np.int64 if bound < 2**63 else object
+    factors = [np.array(f, dtype=carrier).reshape(k, k) for f in factors]
+    suffix = [np.eye(k, dtype=carrier)]  # suffix[m]: the product of the last m factors
+    for f in reversed(factors):
+        suffix.append(f @ suffix[-1])
+    if suffix.pop().any():
+        raise SpectrumNotInGraphError(
+            f"S is not diagonalizable with its spectrum among the eigenvalues of H({n}, {q})")
     spectrum: dict[int, int] = {}
-    total = 0
-    for i in range(n + 1):
-        lam = graph_eigenvalue(n, q, i)
-        shifted = [[rows[a][b] - (lam if a == b else 0) for b in range(k)]
-                   for a in range(k)]
-        mult = k - _int_rank(shifted)
+    prefix = suffix[0]  # F_0 ... F_{i-1}
+    for i, lam in enumerate(lams):
+        # trace(prefix @ suffix[n - i]) by one elementwise product, each row's sum exact
+        trace = sum((prefix * suffix[n - i].T).sum(axis=1).tolist())
+        mult = trace // prod(lam - mu for mu in lams if mu != lam)
         if mult:
             spectrum[lam] = mult
-            total += mult
-    if total != k:
-        raise SpectrumNotInGraphError(
-            f"eigenspaces for graph eigenvalues span {total} < {k} dimensions")
+        prefix = prefix @ factors[i]
     return spectrum
 
 

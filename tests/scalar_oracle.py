@@ -9,6 +9,11 @@ against it, through both ``Coloring.evaluate`` and ``Coloring.materialize``.
 by explicit matrix steps with Python integers, that the character transform
 kernel is checked against.
 
+``int_rank`` is rank over the rationals by fraction-free (Bareiss)
+elimination, and ``rank_spectrum`` the multiplicities ``k - rank(S - lambda I)``
+over the graph eigenvalues that ``pcol.verify.quotient_spectrum``'s product
+chain is checked against.
+
 ``quadratic_periods`` and ``quadratic_reduction`` are the period search and
 period reduction that compare the whole table once per shift; the
 candidate-and-coset versions in ``pcol.constructions`` are checked against
@@ -106,6 +111,45 @@ def eigenbasis_transform(values, n: int, q: int, dtype=object) -> np.ndarray:
     for i in range(n):
         vals = np.matmul(L, vals.reshape(-1, q, q**i)).reshape(-1)
     return vals
+
+
+def int_rank(rows) -> int:
+    """Rank over the rationals by fraction-free (Bareiss) elimination."""
+    M = [list(row) for row in rows]
+    nrows = len(M)
+    ncols = len(M[0]) if nrows else 0
+    rank, prev = 0, 1
+    for c in range(ncols):
+        piv = next((i for i in range(rank, nrows) if M[i][c] != 0), None)
+        if piv is None:
+            continue
+        M[rank], M[piv] = M[piv], M[rank]
+        for i in range(rank + 1, nrows):
+            for j in range(c + 1, ncols):
+                M[i][j] = (M[i][j] * M[rank][c] - M[i][c] * M[rank][j]) // prev
+            M[i][c] = 0
+        prev = M[rank][c]
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
+
+
+def rank_spectrum(rows, n: int, q: int) -> dict:
+    """{lambda: k - rank(S - lambda I)} over the graph eigenvalues n(q-1) - q*i
+    in descending order, zeros left out; ValueError when the multiplicities
+    do not sum to k."""
+    k = len(rows)
+    spectrum = {}
+    for i in range(n + 1):
+        lam = n * (q - 1) - q * i
+        mult = k - int_rank([[e - lam * (a == b) for b, e in enumerate(row)]
+                             for a, row in enumerate(rows)])
+        if mult:
+            spectrum[lam] = mult
+    if sum(spectrum.values()) != k:
+        raise ValueError(f"eigenspaces span {sum(spectrum.values())} < {k} dimensions")
+    return spectrum
 
 
 def quadratic_periods(C) -> list[int]:

@@ -1,3 +1,4 @@
+import dataclasses
 import time
 import tracemalloc
 from fractions import Fraction
@@ -369,6 +370,19 @@ def test_construct_boolean_instances(monkeypatch):
     assert (res.verified, res.degree_report, res.essential) == (False, None, None)
 
 
+def test_construct_boolean_checks_the_predicted_quotient(monkeypatch):
+    from pcol import constructions
+
+    def mispredicted(b, c):
+        built = construct_bc(b, c)
+        wrong = QuotientMatrix.of([[1, 2], [2, 1]], built.coloring.n, 2)
+        return dataclasses.replace(built, predicted_quotient=wrong)
+
+    monkeypatch.setattr(constructions, "construct_bc", mispredicted)
+    with pytest.raises(InconsistentError, match="predicted quotient"):
+        construct_unbalanced_boolean(1, 4, 1)
+
+
 def test_construct_boolean_rejects_bad_params():
     with pytest.raises(BadDensityError):
         construct_unbalanced_boolean(2, 4, 1)
@@ -608,9 +622,9 @@ def test_flagship_spectral_and_density_memory():
     # counted by one compare per 1 MiB block (1.0 MiB traced), not with the
     # table cast to np.intp.  Neighbor counts hold eleven packed bitmaps
     # of 512 KiB (five of them count planes) and a few of their temporaries:
-    # 8.0 MiB traced.  The essential mask holds two bitmaps and one block of
-    # color bits: 3.1 MiB.  The eigenspace check of a perfect coloring reads
-    # the quotient its table already holds.
+    # 8.0 MiB traced.  The essential mask is read from that count pass, which
+    # the table keeps.  The eigenspace check of a perfect coloring reads the
+    # quotient its table already holds.
     built = construct_bc(10, 6)
     C = built.coloring.materialize()
     S = built.predicted_quotient

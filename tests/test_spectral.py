@@ -701,7 +701,7 @@ def test_hamming_weights_table():
     w = hamming_weights(3, 3)
     assert w[0] == 0
     assert w[13] == sum(1 for d in digits(13, 3, 3) if d)
-    for n, q in [(0, 2), (1, 7), (5, 2), (3, 4), (2, 5)]:
+    for n, q in [(0, 2), (1, 7), (5, 2), (3, 4), (2, 5), (1, 60000), (10, 3)]:
         w = hamming_weights(n, q)
         assert w.dtype == np.uint8 and not w.flags.writeable
         assert w.tolist() == [sum(1 for d in digits(v, n, q) if d) for v in range(q**n)]

@@ -11,6 +11,7 @@ from pcol.verify import (NonPerfectWitness, check_uniform, compute_quotient,
                          densities_by_count, densities_from_quotient,
                          essential_arguments, quotient_spectrum,
                          search_colorings, verification_report)
+from scalar_oracle import int_rank, rank_spectrum
 
 
 def parity(n):
@@ -161,6 +162,15 @@ def test_kernels_edge_cases():
             assert (const.n, const.k) == (n, 1)
             assert compute_quotient(const).as_lists() == [[n * (q - 1)]]
             assert essential_arguments(const) == (False,) * n
+    # n = 1 at q = 256 and 65536: the uint8 and uint16 count dtypes wrap q to
+    # 0, so a full line sum reads 0.
+    for q in (256, 65536):
+        const = Coloring.from_table(np.zeros(q, np.uint8), q=q)
+        assert compute_quotient(const).as_lists() == [[q - 1]]
+        assert essential_arguments(const) == (False,)
+        halves = Coloring.from_table(np.arange(q) >= q // 2, q=q)
+        assert compute_quotient(halves).as_lists() == [[q // 2 - 1, q // 2], [q // 2, q // 2 - 1]]
+        assert essential_arguments(halves) == (True,)
     # Degrees past uint8 and uint16 use the wider count dtypes.
     for n, q, rows in ((2, 300, [[498, 100], [200, 398]]),
                        (1, 65537, [[43691, 21845], [43692, 21844]])):
@@ -269,6 +279,9 @@ def test_densities_from_quotient():
 def test_densities_row_sum_mismatch():
     with pytest.raises(InconsistentError):
         densities_from_quotient([[0, 2], [1, 2]])
+    for rows in ([[1, 2], [2, 1], [0, 3]], [[1, 2], [2]]):
+        with pytest.raises(OutOfRangeError, match="quotient matrix must be square"):
+            densities_from_quotient(rows)
 
 
 def test_densities_cycle_inconsistency():
@@ -304,6 +317,59 @@ def test_quotient_spectrum_examples():
     assert quotient_spectrum(rows, 8, 3) == {16: 1, -8: 2}
     with pytest.raises(SpectrumNotInGraphError):
         quotient_spectrum(rows, 4, 3)
+    # Ragged and rectangular matrices, before any spectrum is sought.
+    for rows in ([[2, 1], [1]], [[1, 2, 3], [4, 5, 6]], [[1, 2], [2, 1], [0, 3]]):
+        with pytest.raises(OutOfRangeError, match="quotient matrix must be square"):
+            quotient_spectrum(rows, 3, 2)
+        with pytest.raises(OutOfRangeError, match="quotient matrix must be square"):
+            search_colorings(2, 2, rows)
+
+
+def _chain_bound(rows, n, q):
+    """The product of the factors' absolute row sums, at least 1 each, that
+    decides quotient_spectrum's carrier: int64 below 2**63."""
+    bound = 1
+    for i in range(n + 1):
+        lam = n * (q - 1) - q * i
+        bound *= max([1] + [sum(abs(e - lam * (a == b)) for b, e in enumerate(row))
+                            for a, row in enumerate(rows)])
+    return bound
+
+
+def test_quotient_spectrum_matches_rank_oracle():
+    from pcol.constructions import construct_bc, rm_quotient
+
+    cases = [(rm_quotient(q**s, q).as_lists(), q**s, q)
+             for q, s in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (5, 1), (7, 1), (8, 1))]
+    # rho = 1/4 with e = 1..6: bc(3e, e) on H(7 * 2**(e-1) - 4, 2), up to n = 220.
+    for e in range(1, 7):
+        S = construct_bc(3 * e, e).predicted_quotient
+        cases.append((S.as_lists(), S.n, 2))
+    for n in range(7):
+        S = compute_quotient(Coloring.from_table(np.arange(2**n), q=2))
+        cases.append((S.as_lists(), n, 2))
+    rng = np.random.default_rng(20241204)
+    for C in random_colorings(rng):
+        S = compute_quotient(C)
+        if isinstance(S, QuotientMatrix):
+            cases.append((S.as_lists(), C.n, C.q))
+    # Both carriers: the bc quotients from e = 3 (H(24, 2)) on pass the int64
+    # bound, and every other case stays below it.
+    sides = {_chain_bound(rows, n, q) < 2**63 for rows, n, q in cases}
+    assert sides == {True, False}
+    for rows, n, q in cases:
+        assert list(quotient_spectrum(rows, n, q).items()) == list(rank_spectrum(rows, n, q).items())
+
+    # A Jordan block on a graph eigenvalue, and eigenvalues +-2 outside
+    # H(3, 2)'s 3, 1, -1, -3, on both sides of the bound.
+    must_raise = [([[1, 1], [0, 1]], 3, 2), ([[0, 2], [2, 0]], 3, 2),
+                  ([[2, 1], [0, 2]], 40, 2), ([[1, 39], [38, 2]], 40, 2)]
+    assert {_chain_bound(*case) < 2**63 for case in must_raise} == {True, False}
+    for rows, n, q in must_raise:
+        with pytest.raises(ValueError):
+            rank_spectrum(rows, n, q)
+        with pytest.raises(SpectrumNotInGraphError):
+            quotient_spectrum(rows, n, q)
 
 
 def test_quotient_spectrum_float_oracle():
@@ -403,6 +469,20 @@ def test_verification_report_round():
     assert rep.spectrum is None
 
 
+def test_essential_mask_comes_from_the_count_pass(monkeypatch):
+    from pcol import verify
+
+    for values, q, kernel in (([0, 1, 1, 0, 1, 1, 1, 0], 2, "_bitsliced_columns"),
+                              ([0, 1, 2, 0, 1, 2, 0, 1, 2], 3, "_digit_axis_columns")):
+        calls = []
+        counted = getattr(verify, kernel)
+        monkeypatch.setattr(verify, kernel, lambda *args: calls.append(args) or counted(*args))
+        C = Coloring.from_table(values, q=q)
+        assert verification_report(C, essential=True).essential == brute_essential(C)
+        assert essential_arguments(C) == brute_essential(C)
+        assert len(calls) == 1
+
+
 def test_densities_match_detailed_balance():
     for C in (parity(3), hamming_code_characteristic()):
         S = compute_quotient(C)
@@ -410,8 +490,6 @@ def test_densities_match_detailed_balance():
 
 
 def test_int_rank_against_float_oracle():
-    from pcol.verify import _int_rank
-
     rng = np.random.default_rng(99)
     for _ in range(200):
         rows = int(rng.integers(1, 6))
@@ -419,7 +497,7 @@ def test_int_rank_against_float_oracle():
         M = rng.integers(-4, 5, size=(rows, cols))
         if rng.random() < 0.4 and rows > 1:
             M[rows - 1] = M[0] * int(rng.integers(-2, 3))  # force dependence
-        exact = _int_rank(M.tolist())
+        exact = int_rank(M.tolist())
         assert exact == np.linalg.matrix_rank(M.astype(float))
 
 
