@@ -16,7 +16,7 @@ from .constructions import (RecursionSpec, construct_bc,
                             construct_unbalanced_boolean, hamming_cosets,
                             hamming_union_collection, iterate_construction,
                             reduce_by_periods, rm_coloring, rm_quotient,
-                            translations_collection, union_quotient)
+                            translations_collection)
 from .errors import OutOfRangeError, PcolError
 from .pcolfile import BINARY_MAGIC, read_pcol, write_pcol
 from .spectral import coloring_degree
@@ -121,10 +121,8 @@ def _cmd_construct(args) -> int:
         coloring = rm_coloring(args.q, args.s)
         predicted = rm_quotient(args.q**args.s, args.q)
     elif args.kind == "hamming-union":
-        part = hamming_cosets(args.m)
-        collection = hamming_union_collection(part, args.cprime)
-        coloring = collection.colorings[args.shift % part.size]
-        predicted = union_quotient(part.size, args.cprime)
+        collection = hamming_union_collection(hamming_cosets(args.m), args.cprime)
+        coloring, predicted = collection.colorings[0], collection.quotient
     elif args.kind == "bc":
         built = construct_bc(args.b, args.c)
         coloring, collection, predicted = built.coloring, built.collection, built.predicted_quotient
@@ -221,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = kinds.add_parser("hamming-union", help="union of c' Hamming cosets on H(2**m - 1, 2)")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--cprime", type=int, required=True)
-    p.add_argument("--shift", type=int, default=0)
     common(p)
 
     p = kinds.add_parser("bc", help="2-coloring with off-diagonal pair (b, c)")

@@ -48,6 +48,14 @@ def materialize_guard() -> int:
     return limit
 
 
+def _index(value, name: str) -> int:
+    """value as a Python int by operator.index, else OutOfRangeError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise OutOfRangeError(f"{name}={value!r} is not an integer") from None
+
+
 def _check_vertex(v: int, n: int, q: int) -> None:
     """OutOfRangeError unless 0 <= v < q**n, in one short line whatever v and n."""
     if not 0 <= v < q**n:
@@ -184,10 +192,7 @@ class Coloring:
         if arr.dtype.kind not in "biu":
             raise OutOfRangeError(f"color table must hold integers, got dtype {arr.dtype}")
         # A Python int, so q**n never wraps as a numpy integer would.
-        try:
-            q = operator.index(q)
-        except TypeError:
-            raise OutOfRangeError(f"alphabet size q={q!r} is not an integer") from None
+        q = _index(q, "alphabet size q")
         if q < 2:
             raise OutOfRangeError(f"alphabet size q={q} is below 2")
         size = arr.size
@@ -218,9 +223,10 @@ class Coloring:
     @staticmethod
     def translation(base: "Coloring", shift) -> "Coloring":
         """x -> base(x - shift), componentwise over Z_q."""
-        if isinstance(shift, int):
-            shift = digits(shift, base.n, base.q)
-        shift = tuple(int(z) for z in shift)
+        if np.iterable(shift):
+            shift = tuple(_index(z, "shift digit") for z in shift)
+        else:
+            shift = digits(_index(shift, "shift"), base.n, base.q)
         if len(shift) != base.n or any(not 0 <= z < base.q for z in shift):
             raise OutOfRangeError(f"shift {shift} is not a word of H({base.n},{base.q})")
         return Coloring(base.n, base.q, base.k, _TranslationBody(base, shift))
@@ -228,6 +234,7 @@ class Coloring:
     @staticmethod
     def cylinder(base: "Coloring", n: int, offset: int) -> "Coloring":
         """Extend base to n coordinates; base reads positions [offset, offset+base.n)."""
+        n, offset = _index(n, "n"), _index(offset, "offset")
         if offset < 0 or offset + base.n > n:
             raise OutOfRangeError(f"window [{offset}, {offset + base.n}) not inside [0, {n})")
         return Coloring(n, base.q, base.k, _CylinderBody(base, offset))
@@ -249,11 +256,12 @@ class Coloring:
     @staticmethod
     def merged(base: "Coloring", grouping) -> "Coloring":
         """Recolor by group index; grouping must partition {0..base.k-1} into nonempty groups."""
-        groups = [np.asarray(g, dtype=np.int64) for g in grouping]
+        groups = [np.asarray(g) for g in grouping]
         sizes = [g.size for g in groups]
         seen = np.concatenate(groups or [np.zeros(0, np.int64)])
-        if (seen.size != base.k or not all(sizes) or seen.min() < 0
-                or not (np.bincount(seen, minlength=base.k) == 1).all()):
+        # np.asarray([]) is float64, so an empty group fails the dtype test too.
+        if (seen.dtype.kind not in "iu" or seen.size != base.k or not all(sizes)
+                or seen.min() < 0 or not (np.bincount(seen, minlength=base.k) == 1).all()):
             raise InvalidPartitionError(
                 f"grouping {[g.tolist() for g in groups]} is not a partition of 0..{base.k - 1}")
         mapping = np.zeros(base.k, dtype=color_dtype(len(groups)))
@@ -469,13 +477,19 @@ class _SyndromeBody:
 
 @dataclass(frozen=True)
 class QuotientMatrix:
-    """k-by-k neighbor-count matrix of a perfect coloring of H(n, q)."""
+    """k-by-k neighbor-count matrix of a perfect coloring of H(n, q), the one
+    matrix input of the package: n >= 0 and q >= 2, Python ints."""
 
     entries: tuple[tuple[int, ...], ...]
     n: int
     q: int
 
     def __post_init__(self):
+        # Python ints, so the graph eigenvalues n(q-1) - q*i never wrap.
+        object.__setattr__(self, "n", _index(self.n, "n"))
+        object.__setattr__(self, "q", _index(self.q, "alphabet size q"))
+        if self.n < 0 or self.q < 2:
+            raise OutOfRangeError(f"H({self.n}, {self.q}) needs n >= 0 and q >= 2")
         k = len(self.entries)
         for row in self.entries:
             if len(row) != k:

@@ -44,9 +44,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Coloring, QuotientMatrix, materialize_guard
+from .core import Coloring, QuotientMatrix, _index, materialize_guard
 from .errors import OutOfRangeError, TooLargeError
-from .verify import _matrix_rows, compute_quotient, graph_eigenvalue, quotient_spectrum
+from .verify import compute_quotient, graph_eigenvalue, quotient_spectrum
 
 
 # The kernel's tile of at most 2**_TILE_BITS cells (also the most cells of one
@@ -229,6 +229,7 @@ def character_transform(values, n: int, q: int) -> CharacterSpectrum:
     """Transform of an integer-valued table over H(n, q) in the basis
     L_q (x) ... (x) L_q (see CharacterSpectrum); exact while q**n *
     max|value| <= 2**52."""
+    n, q = _index(n, "n"), _index(q, "alphabet size q")
     if q < 2:
         raise OutOfRangeError(f"alphabet size q={q} is below 2")
     N = q**n
@@ -268,7 +269,7 @@ def coloring_degree(C: Coloring) -> DegreeReport:
     return DegreeReport(per_color)
 
 
-def eigen_decomposition_check(C: Coloring, S) -> bool:
+def eigen_decomposition_check(C: Coloring, S: QuotientMatrix) -> bool:
     """Spectral mass of every color must sit on eigenvalues of S.
 
     True iff for every color the transform of its characteristic function is
@@ -277,14 +278,16 @@ def eigen_decomposition_check(C: Coloring, S) -> bool:
     P_lam F = F Pi_lam(T) for each spectral projector, and F has full column
     rank (every color is attained), so the colors' supports together are exactly spec T: one
     quotient replaces the k transforms, and T = S needs no spectrum.  Any other C takes them.
+    S must be a quotient of C's graph H(n, q); another is an OutOfRangeError.
     """
+    n, q = C.n, C.q
+    if (S.n, S.q) != (n, q):
+        raise OutOfRangeError(f"S is a quotient of H({S.n}, {S.q}), not of H({n}, {q})")
     Cm = C.materialize()
-    n, q = Cm.n, Cm.q
     own = compute_quotient(Cm)
     if isinstance(own, QuotientMatrix):
-        return (own.entries == _matrix_rows(S)
-                or set(quotient_spectrum(own)) <= set(quotient_spectrum(S, n, q)))
-    allowed = set(quotient_spectrum(S, n, q))
+        return own == S or set(quotient_spectrum(own)) <= set(quotient_spectrum(S))
+    allowed = set(quotient_spectrum(S))
     table = Cm.table
     for i in range(Cm.k):
         weights = character_transform(table == i, n, q).support_weights()

@@ -34,7 +34,8 @@ from math import prod
 import numpy as np
 
 from .core import (_MATERIALIZE_BLOCK, Coloring, QuotientMatrix, _collection, _color_counts,
-                   _eval_blocks, _first_vertices, _window_block, materialize_guard, neighbors)
+                   _eval_blocks, _first_vertices, _index, _window_block, materialize_guard,
+                   neighbors)
 from .errors import (DisconnectedError, InconsistentError, OutOfRangeError,
                      SpectrumNotInGraphError, TooLargeError)
 
@@ -252,23 +253,13 @@ def densities_by_count(C: Coloring) -> tuple[Fraction, ...]:
     return tuple(Fraction(int(c), N) for c in _color_counts(Cm.table, Cm.k))
 
 
-def _matrix_rows(S) -> tuple[tuple[int, ...], ...]:
-    if isinstance(S, QuotientMatrix):
-        return S.entries
-    rows = tuple(tuple(int(e) for e in row) for row in S)
-    if any(len(row) != len(rows) for row in rows):
-        raise OutOfRangeError("quotient matrix must be square")
-    return rows
-
-
-def densities_from_quotient(S) -> tuple[Fraction, ...]:
+def densities_from_quotient(S: QuotientMatrix) -> tuple[Fraction, ...]:
     """Solve detailed balance rho_i * S[i][j] == rho_j * S[j][i] exactly.
 
     Ratios are propagated along a spanning tree of the color graph and
     every non-tree edge is checked for consistency.
     """
-    rows = _matrix_rows(S)
-    k = len(rows)
+    rows, k = S.entries, S.k
     sums = {sum(r) for r in rows}
     if len(sums) != 1:
         raise InconsistentError(f"row sums differ: {tuple(sum(r) for r in rows)}")
@@ -303,7 +294,7 @@ def graph_eigenvalue(n: int, q: int, i: int) -> int:
     return n * (q - 1) - q * i
 
 
-def quotient_spectrum(S, n: int | None = None, q: int | None = None) -> dict[int, int]:
+def quotient_spectrum(S: QuotientMatrix) -> dict[int, int]:
     """Multiplicities of S's eigenvalues among the graph eigenvalues of H(n, q).
 
     With F_i = S - lambda_i I over the graph eigenvalues lambda_i = n(q-1) -
@@ -316,13 +307,7 @@ def quotient_spectrum(S, n: int | None = None, q: int | None = None) -> dict[int
     2**63, which bounds every entry and every row's partial sums, and in
     Python ints otherwise.  Keys descend.
     """
-    if isinstance(S, QuotientMatrix):
-        n = S.n if n is None else n
-        q = S.q if q is None else q
-    if n is None or q is None:
-        raise OutOfRangeError("n and q are required for a raw matrix")
-    rows = _matrix_rows(S)
-    k = len(rows)
+    n, q, k, rows = S.n, S.q, S.k, S.entries
     lams = [graph_eigenvalue(n, q, i) for i in range(n + 1)]
     factors = [[[e - lam * (a == b) for b, e in enumerate(row)] for a, row in enumerate(rows)]
                for lam in lams]
@@ -371,6 +356,7 @@ def check_uniform(collection, *, sample: int | None = None) -> UniformityCheck:
         windows = _window_block(members)
         blocks = [windows] if windows else _eval_blocks(members)
     else:
+        sample = _index(sample, "sample")
         if sample < 0:
             raise OutOfRangeError(f"sample must be nonnegative, got {sample}")
         rng = np.random.default_rng(_SAMPLE_SEED)
@@ -405,15 +391,14 @@ def check_uniform(collection, *, sample: int | None = None) -> UniformityCheck:
     return UniformityCheck(True, base, sample is None, matches_density=matches)
 
 
-def search_colorings(n: int, q: int, S, require_all_essential: bool = False) -> list[Coloring]:
-    """Brute-force every surjective coloring of H(n, q) against S.
+def search_colorings(S: QuotientMatrix, require_all_essential: bool = False) -> list[Coloring]:
+    """Brute-force every surjective coloring of H(S.n, S.q) against S.
 
     Enumerates all k**(q**n) color assignments (DEFAULT_ASSIGNMENT_GUARD at
     most) and keeps those whose neighbor-count profile matches S exactly,
     optionally only those essential in every argument.  Ascending order.
     """
-    rows = _matrix_rows(S)
-    k = len(rows)
+    n, q, k = S.n, S.q, S.k
     N = q**n
     total = k**N
     if total > DEFAULT_ASSIGNMENT_GUARD:
@@ -422,7 +407,7 @@ def search_colorings(n: int, q: int, S, require_all_essential: bool = False) -> 
 
     d = n * (q - 1)
     nbr = np.array([neighbors(v, n, q) for v in range(N)], dtype=np.int64)
-    S_arr = np.array(rows, dtype=np.int16)
+    S_arr = np.array(S.entries, dtype=np.int16)
 
     out: list[Coloring] = []
     chunk = max(1, _SEARCH_CHUNK_CELLS // max(1, N * d))

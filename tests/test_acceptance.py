@@ -117,12 +117,12 @@ def test_criterion_4_flagship_degree(flagship, capsys):
 
 def test_criterion_5_remark_reproduction(capsys):
     t0 = time.perf_counter()
-    essential_only = search_colorings(3, 2, [[1, 2], [2, 1]],
+    essential_only = search_colorings(QuotientMatrix.of([[1, 2], [2, 1]], 3, 2),
                                       require_all_essential=True)
     assert essential_only == []
-    unrestricted = search_colorings(3, 2, [[1, 2], [2, 1]])
+    unrestricted = search_colorings(QuotientMatrix.of([[1, 2], [2, 1]], 3, 2))
     assert unrestricted
-    four_cycle = search_colorings(2, 2, [[0, 2], [2, 0]],
+    four_cycle = search_colorings(QuotientMatrix.of([[0, 2], [2, 0]], 2, 2),
                                   require_all_essential=True)
     assert [0, 1, 1, 0] in [c.table.tolist() for c in four_cycle]
     elapsed = time.perf_counter() - t0

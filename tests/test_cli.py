@@ -216,6 +216,13 @@ def test_construct_hamming_union_with_collection(tmp_path, capsys):
     for name in manifest["members"]:
         member = read_pcol(coldir / name)
         assert (member.n, member.q, member.k) == (3, 2, 2)
+    # The written coloring is member 0; there is no option to pick another.
+    first = read_pcol(coldir / manifest["members"][0])
+    assert read_pcol(out).table.tolist() == first.table.tolist()
+    with pytest.raises(SystemExit) as refused:
+        main(["construct", "hamming-union", "--m", "2", "--cprime", "1", "--shift", "1",
+              "-o", str(out)])
+    assert refused.value.code == 2
 
 
 def test_construct_recursive_cli(tmp_path, capsys):
@@ -265,7 +272,7 @@ def test_too_many_colors_exit_2_before_building(argv):
 def test_sizes_past_the_guard_print_on_one_short_line(tmp_path):
     # The coset-union member of bc(1, 4095) lives on H(4095, 2): its 2**4095
     # cells, and a vertex of that size, print as powers, not as 1,233 digits.
-    from pcol.core import digits, neighbors
+    from pcol.core import QuotientMatrix, digits, neighbors
     from pcol.spectral import character_transform
     from pcol.verify import check_uniform, search_colorings
 
@@ -283,7 +290,7 @@ def test_sizes_past_the_guard_print_on_one_short_line(tmp_path):
     calls = [lambda: huge.evaluate(2**4095), lambda: huge.materialize(),
              lambda: digits(-2**4095, 4095, 2), lambda: neighbors(2**5000, 4095, 2),
              lambda: character_transform([0], 4095, 2), lambda: check_uniform([huge]),
-             lambda: search_colorings(16, 2, [[0, 16], [16, 0]])]
+             lambda: search_colorings(QuotientMatrix.of([[0, 16], [16, 0]], 16, 2))]
     for call in calls:
         with pytest.raises(PcolError) as info:
             call()

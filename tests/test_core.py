@@ -12,6 +12,8 @@ from pcol.core import (GUARD_ENV_VAR, Coloring, QuotientMatrix, _color_counts,
                        neighbors, vertex_index)
 from pcol.errors import (InvalidPartitionError, NotSurjectiveError,
                          OutOfRangeError, TooLargeError, UnsupportedError)
+from pcol.spectral import character_transform, eigen_decomposition_check
+from pcol.verify import check_uniform
 from scalar_oracle import scalar_color
 
 
@@ -126,6 +128,9 @@ def test_translation_of_parity():
     # word and index shifts agree
     T2 = Coloring.translation(C, 3)
     assert T2.materialize().table.tolist() == T.materialize().table.tolist()
+    # a numpy integer is an index shift, not a word
+    T3 = Coloring.translation(C, np.int64(1))
+    assert T3.materialize().table.tolist() == T1.materialize().table.tolist()
 
 
 def test_translation_general_q():
@@ -332,6 +337,27 @@ def test_default_guard_blocks_huge_materialization():
      "quotient matrix must be square"),
     (lambda: QuotientMatrix.of([[0, -1], [1, 0]], 1, 2), OutOfRangeError,
      "quotient entries must be nonnegative"),
+    (lambda: QuotientMatrix.of([[0]], -1, 2), OutOfRangeError,
+     r"H\(-1, 2\) needs n >= 0 and q >= 2"),
+    (lambda: QuotientMatrix.of([[0]], 1, 1), OutOfRangeError,
+     r"H\(1, 1\) needs n >= 0 and q >= 2"),
+    (lambda: QuotientMatrix.of([[0]], 1.5, 2), OutOfRangeError, "n=1.5 is not an integer"),
+    (lambda: eigen_decomposition_check(parity_coloring(3),
+                                       QuotientMatrix.of([[0, 2], [2, 0]], 2, 2)),
+     OutOfRangeError, r"S is a quotient of H\(2, 2\), not of H\(3, 2\)"),
+    # Integer arguments go through operator.index: a float is refused, not truncated.
+    (lambda: Coloring.cylinder(parity_coloring(2), 3, 0.5), OutOfRangeError,
+     "offset=0.5 is not an integer"),
+    (lambda: Coloring.translation(parity_coloring(2), 1.5), OutOfRangeError,
+     "shift=1.5 is not an integer"),
+    (lambda: Coloring.translation(parity_coloring(2), (0, 0.5)), OutOfRangeError,
+     "shift digit=0.5 is not an integer"),
+    (lambda: Coloring.merged(parity_coloring(2), [[0, 1.5]]), InvalidPartitionError,
+     r"grouping \[\[0.0, 1.5\]\] is not a partition of 0..1"),
+    (lambda: check_uniform([parity_coloring(2)], sample=1.5), OutOfRangeError,
+     "sample=1.5 is not an integer"),
+    (lambda: character_transform([0, 1, 1, 0], 2, 2.0), OutOfRangeError,
+     "alphabet size q=2.0 is not an integer"),
 ])
 def test_core_validation_raises(make, error, message):
     with pytest.raises(error, match=message):

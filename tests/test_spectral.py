@@ -564,8 +564,8 @@ def test_eigen_decomposition_check():
 
 
 def test_eigen_check_of_own_quotient_takes_no_spectrum(monkeypatch):
-    # spec T is a subset of spec T: no rank is computed when S is C's own
-    # quotient, given as a QuotientMatrix or as plain rows.
+    # spec T is a subset of spec T: no spectrum is computed when S is C's
+    # own quotient.
     from pcol import spectral
     from pcol.constructions import construct_bc, rm_coloring
 
@@ -577,9 +577,8 @@ def test_eigen_check_of_own_quotient_takes_no_spectrum(monkeypatch):
     monkeypatch.setattr(spectral, "quotient_spectrum", no_spectrum)
     for C, S in zip(colorings, quotients):
         assert eigen_decomposition_check(C, S)
-        assert eigen_decomposition_check(C, [list(row) for row in S.entries])
     with pytest.raises(AssertionError, match="quotient_spectrum called"):
-        eigen_decomposition_check(colorings[0], [[1, 2], [2, 1]])
+        eigen_decomposition_check(colorings[0], QuotientMatrix.of([[1, 2], [2, 1]], 3, 2))
 
 
 @pytest.mark.parametrize("kernel", ["_bitsliced_columns", "_digit_axis_columns"])
@@ -608,7 +607,7 @@ def transform_eigen_check(C, S):
     """The eigenspace check by k character transforms, one per color."""
     Cm = C.materialize()
     n, q = Cm.n, Cm.q
-    allowed = set(quotient_spectrum(S, n, q))
+    allowed = set(quotient_spectrum(S))
     for i in range(Cm.k):
         weights = whole_table_weights(Cm.table == i, n, q)
         if any(graph_eigenvalue(n, q, w) not in allowed for w in weights):

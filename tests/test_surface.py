@@ -55,7 +55,7 @@ def test_keyword_option_rule():
 
 def test_public_keyword_options_do_not_rise():
     options = keyword_options(package_signatures())
-    assert len(options) <= 11, options
+    assert len(options) <= 9, options
 
 
 def test_the_guard_is_no_parameter():

@@ -269,60 +269,61 @@ def test_densities_by_count():
 
 
 def test_densities_from_quotient():
-    assert densities_from_quotient([[0, 3], [1, 2]]) == (Fraction(1, 4), Fraction(3, 4))
-    assert densities_from_quotient([[2, 5], [3, 4]]) == (Fraction(3, 8), Fraction(5, 8))
-    assert densities_from_quotient([[1, 23], [9, 15]]) == (Fraction(9, 32), Fraction(23, 32))
-    assert densities_from_quotient([[1, 2], [2, 1]]) == (Fraction(1, 2), Fraction(1, 2))
-    assert densities_from_quotient([[0, 8, 8], [8, 0, 8], [8, 8, 0]]) == (Fraction(1, 3),) * 3
+    Q = QuotientMatrix.of
+    assert densities_from_quotient(Q([[0, 3], [1, 2]], 3, 2)) == (Fraction(1, 4), Fraction(3, 4))
+    assert densities_from_quotient(Q([[2, 5], [3, 4]], 7, 2)) == (Fraction(3, 8), Fraction(5, 8))
+    assert densities_from_quotient(Q([[1, 23], [9, 15]], 24, 2)) == (Fraction(9, 32),
+                                                                    Fraction(23, 32))
+    assert densities_from_quotient(Q([[1, 2], [2, 1]], 3, 2)) == (Fraction(1, 2), Fraction(1, 2))
+    assert densities_from_quotient(Q([[0, 8, 8], [8, 0, 8], [8, 8, 0]], 8, 3)) == \
+        (Fraction(1, 3),) * 3
 
 
 def test_densities_row_sum_mismatch():
     with pytest.raises(InconsistentError):
-        densities_from_quotient([[0, 2], [1, 2]])
+        densities_from_quotient(QuotientMatrix.of([[0, 2], [1, 2]], 3, 2))
     for rows in ([[1, 2], [2, 1], [0, 3]], [[1, 2], [2]]):
         with pytest.raises(OutOfRangeError, match="quotient matrix must be square"):
-            densities_from_quotient(rows)
+            densities_from_quotient(QuotientMatrix.of(rows, 3, 2))
 
 
 def test_densities_cycle_inconsistency():
     with pytest.raises(InconsistentError):
-        densities_from_quotient([[0, 2, 2], [1, 0, 3], [3, 1, 0]])
+        densities_from_quotient(QuotientMatrix.of([[0, 2, 2], [1, 0, 3], [3, 1, 0]], 4, 2))
     # Row sums and sign pattern are fine, but the ratios around the triangle
     # 0 -> 1 -> 2 -> 0 multiply to 8, not 1.
     with pytest.raises(InconsistentError, match="detailed balance fails"):
-        densities_from_quotient([[0, 2, 1], [1, 0, 2], [2, 1, 0]])
+        densities_from_quotient(QuotientMatrix.of([[0, 2, 1], [1, 0, 2], [2, 1, 0]], 3, 2))
 
 
 def test_densities_disconnected():
     with pytest.raises(DisconnectedError):
-        densities_from_quotient([[2, 0], [0, 2]])
+        densities_from_quotient(QuotientMatrix.of([[2, 0], [0, 2]], 2, 2))
 
 
 def test_densities_zero_pattern_asymmetric():
     with pytest.raises(InconsistentError):
-        densities_from_quotient([[2, 1, 0], [1, 0, 2], [1, 1, 1]])
+        densities_from_quotient(QuotientMatrix.of([[2, 1, 0], [1, 0, 2], [1, 1, 1]], 3, 2))
 
 
 def test_quotient_spectrum_examples():
-    assert quotient_spectrum([[0, 3], [1, 2]], 3, 2) == {3: 1, -1: 1}
-    assert quotient_spectrum([[12, 10], [6, 16]], 22, 2) == {22: 1, 6: 1}
-    assert quotient_spectrum([[0, 1], [1, 0]], 1, 2) == {1: 1, -1: 1}
-    assert quotient_spectrum([[1, 23], [9, 15]], 24, 2) == {24: 1, -8: 1}
-    assert quotient_spectrum([[1, 2], [2, 1]], 3, 2) == {3: 1, -1: 1}
-    with pytest.raises(OutOfRangeError, match="n and q are required for a raw matrix"):
-        quotient_spectrum([[0, 1], [1, 0]])
+    assert quotient_spectrum(QuotientMatrix.of([[0, 3], [1, 2]], 3, 2)) == {3: 1, -1: 1}
+    assert quotient_spectrum(QuotientMatrix.of([[12, 10], [6, 16]], 22, 2)) == {22: 1, 6: 1}
+    assert quotient_spectrum(QuotientMatrix.of([[0, 1], [1, 0]], 1, 2)) == {1: 1, -1: 1}
+    assert quotient_spectrum(QuotientMatrix.of([[1, 23], [9, 15]], 24, 2)) == {24: 1, -8: 1}
+    assert quotient_spectrum(QuotientMatrix.of([[1, 2], [2, 1]], 3, 2)) == {3: 1, -1: 1}
     # Row sums of 16 are the degree of H(8, 3), not of H(4, 3), whose
     # spectrum 8 - 3i holds neither 16 nor -8.
     rows = [[0, 8, 8], [8, 0, 8], [8, 8, 0]]
-    assert quotient_spectrum(rows, 8, 3) == {16: 1, -8: 2}
+    assert quotient_spectrum(QuotientMatrix.of(rows, 8, 3)) == {16: 1, -8: 2}
     with pytest.raises(SpectrumNotInGraphError):
-        quotient_spectrum(rows, 4, 3)
+        quotient_spectrum(QuotientMatrix.of(rows, 4, 3))
     # Ragged and rectangular matrices, before any spectrum is sought.
     for rows in ([[2, 1], [1]], [[1, 2, 3], [4, 5, 6]], [[1, 2], [2, 1], [0, 3]]):
         with pytest.raises(OutOfRangeError, match="quotient matrix must be square"):
-            quotient_spectrum(rows, 3, 2)
+            quotient_spectrum(QuotientMatrix.of(rows, 3, 2))
         with pytest.raises(OutOfRangeError, match="quotient matrix must be square"):
-            search_colorings(2, 2, rows)
+            search_colorings(QuotientMatrix.of(rows, 2, 2))
 
 
 def _chain_bound(rows, n, q):
@@ -358,7 +359,8 @@ def test_quotient_spectrum_matches_rank_oracle():
     sides = {_chain_bound(rows, n, q) < 2**63 for rows, n, q in cases}
     assert sides == {True, False}
     for rows, n, q in cases:
-        assert list(quotient_spectrum(rows, n, q).items()) == list(rank_spectrum(rows, n, q).items())
+        assert (list(quotient_spectrum(QuotientMatrix.of(rows, n, q)).items())
+                == list(rank_spectrum(rows, n, q).items()))
 
     # A Jordan block on a graph eigenvalue, and eigenvalues +-2 outside
     # H(3, 2)'s 3, 1, -1, -3, on both sides of the bound.
@@ -369,7 +371,7 @@ def test_quotient_spectrum_matches_rank_oracle():
         with pytest.raises(ValueError):
             rank_spectrum(rows, n, q)
         with pytest.raises(SpectrumNotInGraphError):
-            quotient_spectrum(rows, n, q)
+            quotient_spectrum(QuotientMatrix.of(rows, n, q))
 
 
 def test_quotient_spectrum_float_oracle():
@@ -377,7 +379,7 @@ def test_quotient_spectrum_float_oracle():
     cases = [([[0, 3], [1, 2]], 3, 2), ([[12, 10], [6, 16]], 22, 2),
              ([[1, 23], [9, 15]], 24, 2), ([[2, 5], [3, 4]], 7, 2)]
     for rows, n, q in cases:
-        exact = quotient_spectrum(rows, n, q)
+        exact = quotient_spectrum(QuotientMatrix.of(rows, n, q))
         approx = sorted(np.linalg.eigvals(np.array(rows, dtype=float)).real)
         expanded = sorted(lam for lam, m in exact.items() for _ in range(m))
         assert np.allclose(approx, expanded, atol=1e-9)
@@ -386,7 +388,7 @@ def test_quotient_spectrum_float_oracle():
 
 def test_quotient_spectrum_not_in_graph():
     with pytest.raises(SpectrumNotInGraphError):
-        quotient_spectrum([[0, 2], [2, 0]], 3, 2)
+        quotient_spectrum(QuotientMatrix.of([[0, 2], [2, 0]], 3, 2))
 
 
 def test_quotient_spectrum_from_object():
@@ -420,16 +422,17 @@ def test_check_uniform_guard_and_sampling(monkeypatch):
 
 
 def test_search_colorings_four_cycle():
-    found = search_colorings(2, 2, [[0, 2], [2, 0]], require_all_essential=True)
+    found = search_colorings(QuotientMatrix.of([[0, 2], [2, 0]], 2, 2), require_all_essential=True)
     tables = [c.table.tolist() for c in found]
     assert [0, 1, 1, 0] in tables
     assert all(t in ([0, 1, 1, 0], [1, 0, 0, 1]) for t in tables)
 
 
 def test_search_colorings_remark():
-    essential_only = search_colorings(3, 2, [[1, 2], [2, 1]], require_all_essential=True)
+    essential_only = search_colorings(QuotientMatrix.of([[1, 2], [2, 1]], 3, 2),
+                                      require_all_essential=True)
     assert essential_only == []
-    unrestricted = search_colorings(3, 2, [[1, 2], [2, 1]])
+    unrestricted = search_colorings(QuotientMatrix.of([[1, 2], [2, 1]], 3, 2))
     assert unrestricted
     # each hit really does have a dummy argument and the right matrix
     for c in unrestricted[:3]:
@@ -443,14 +446,14 @@ def test_search_colorings_guard(monkeypatch):
 
     monkeypatch.setattr(verify, "DEFAULT_ASSIGNMENT_GUARD", 255)
     with pytest.raises(TooLargeError, match="exceed the guard 255"):
-        search_colorings(3, 2, [[1, 2], [2, 1]])
+        search_colorings(QuotientMatrix.of([[1, 2], [2, 1]], 3, 2))
     monkeypatch.setattr(verify, "DEFAULT_ASSIGNMENT_GUARD", 256)
-    assert search_colorings(3, 2, [[1, 2], [2, 1]])
+    assert search_colorings(QuotientMatrix.of([[1, 2], [2, 1]], 3, 2))
 
 
 def test_search_deterministic_order():
-    a = search_colorings(2, 2, [[0, 2], [2, 0]])
-    b = search_colorings(2, 2, [[0, 2], [2, 0]])
+    a = search_colorings(QuotientMatrix.of([[0, 2], [2, 0]], 2, 2))
+    b = search_colorings(QuotientMatrix.of([[0, 2], [2, 0]], 2, 2))
     assert [c.table.tolist() for c in a] == [c.table.tolist() for c in b]
 
 
@@ -505,10 +508,10 @@ def test_search_chunking_agrees(monkeypatch):
     import pcol.verify as verify_mod
 
     full = [c.table.tolist()
-            for c in search_colorings(3, 2, [[1, 2], [2, 1]])]
+            for c in search_colorings(QuotientMatrix.of([[1, 2], [2, 1]], 3, 2))]
     monkeypatch.setattr(verify_mod, "_SEARCH_CHUNK_CELLS", 64)
     chunked = [c.table.tolist()
-               for c in search_colorings(3, 2, [[1, 2], [2, 1]])]
+               for c in search_colorings(QuotientMatrix.of([[1, 2], [2, 1]], 3, 2))]
     assert full == chunked
 
 
