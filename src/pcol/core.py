@@ -499,7 +499,8 @@ class QuotientMatrix:
 
     @staticmethod
     def of(rows, n: int, q: int) -> "QuotientMatrix":
-        return QuotientMatrix(tuple(tuple(int(e) for e in row) for row in rows), n, q)
+        return QuotientMatrix(tuple(tuple(_index(e, "quotient entry") for e in row)
+                                    for row in rows), n, q)
 
     @property
     def k(self) -> int:

@@ -1,18 +1,19 @@
 """PCOL coloring file formats.
 
-Text:   line 1 ``PCOL 1``, line 2 ``q=<q> n=<n> k=<k>``, then q**n
-whitespace-separated color values in vertex-index order.
+Text:   line 1 ``PCOL 1``, line 2 ``q=<q> n=<n> k=<k>``, then q**n color
+values in vertex-index order: runs of ASCII digits apart by the whitespace of
+``str.split`` on ASCII (``\\t\\n\\v\\f\\r``, ``\\x1c``-``\\x1f``, space).
 Binary: line 1 ``PCOLB1``, the same header line, then one little-endian byte
 per vertex (two when k > 256).  Both round-trip bit-exactly.  The reader
-finds and parses the header once, and checks it against the materialization
-guard before it reads the payload.
+parses the header once and holds it against the guard before the payload.
 
-Text is written one block at a time, one fixed-width record a value, and
-read when canonical (ASCII digits separated by ``\\t\\n\\v\\f\\r`` and
-space) in blocks classed by uint8 comparisons: one-digit tokens at every even
-offset, as written for k <= 10, by one strided subtraction, others by place
-value.  Any other text file goes through the per-token loop, which reports
-the line and column of a bad token.
+Text is written one fixed-width record a value, and read by one loop of
+_PARSE_BLOCK bytes into the table.  A token of more than 19 digits is its
+last 19 when every earlier one is 0, else 2**63 or more.  Of a text file's
+faults the first of these is raised: a byte past ASCII, a bad magic or
+header line, the first bad token (signs and underscores are bad) at its line
+and column, the first value of 2**63 or more, a count other than q**n, the
+first color not below k.
 """
 from __future__ import annotations
 
@@ -24,28 +25,26 @@ import numpy as np
 
 from .core import Coloring, color_dtype, materialize_guard
 from .errors import (ColorOutOfRangeError, LengthMismatchError, ParseError,
-                     TooLargeError)
+                     TooLargeError, UnsupportedError)
 
 TEXT_MAGIC = "PCOL 1"
 BINARY_MAGIC = b"PCOLB1"
 _VALUES_PER_LINE = 64
 # Values per written block; a multiple of _VALUES_PER_LINE, so blocks end on line ends.
 _WRITE_BLOCK = 1 << 18
-# Payload bytes per parsed block, before the cut back to whitespace.
-_PARSE_BLOCK = 1 << 20
-# Longest token parsed by digit arithmetic: 10**18 - 1 still fits in int64.
-_MAX_DIGITS = 18
-_POW10 = 10 ** np.arange(_MAX_DIGITS, dtype=np.int64)
-# uint8 operands, so that the wrapping byte comparisons of the canonical
-# parser do not depend on numpy's scalar promotion rules.
-_ZERO, _TEN, _TAB, _FIVE, _SPACE = (np.uint8(c) for c in (48, 10, 9, 5, 32))
+# Payload bytes per read block.
+_PARSE_BLOCK = 1 << 18
+# Digit places summed per token: 10**19 - 1 still fits in uint64, so a value
+# of 2**63 or more is told from one below it.
+_PLACES = 19
+_POW10 = 10 ** np.arange(_PLACES, dtype=np.uint64)
+# uint8 operands, so that the wrapping byte comparisons of the text reader do
+# not depend on numpy's scalar promotion rules.
+_ZERO, _TEN, _TAB, _FS, _FIVE = (np.uint8(c) for c in (48, 10, 9, 28, 5))
 # The ASCII line boundaries of str.splitlines, and the binary format's one.
 _LINE_END = re.compile(rb"\r\n|[\n\r\v\f\x1c-\x1e]")
 _BINARY_LINE_END = re.compile(rb"\n")
-
-
-def _format_header(C: Coloring) -> str:
-    return f"q={C.q} n={C.n} k={C.k}"
+_TOKEN = re.compile(rb"[^\t-\r\x1c- ]*")
 
 
 def _parse_header(line: str, lineno: int) -> tuple[int, int, int]:
@@ -76,7 +75,7 @@ def _above(q: int, n: int, count: int) -> bool:
 def write_pcol(path, C: Coloring, *, binary: bool = False) -> None:
     """Write a coloring; symbolic colorings are materialized first."""
     Cm = C.materialize()
-    header = _format_header(Cm)
+    header = f"q={Cm.q} n={Cm.n} k={Cm.k}"
     if binary:
         # The table itself when it already has the file's dtype and layout.
         payload = np.ascontiguousarray(Cm.table, "<u1" if Cm.k <= 256 else "<u2")
@@ -104,12 +103,16 @@ def write_pcol(path, C: Coloring, *, binary: bool = False) -> None:
             fh.write(text if Cm.k <= 10 else text[text != 0])
 
 
-def _check_payload(arr: np.ndarray, q: int, n: int, k: int) -> Coloring:
-    if _above(q, n, arr.size):
+def _check_count(count: int, q: int, n: int) -> None:
+    if _above(q, n, count):
         raise LengthMismatchError(
-            f"header q={q} n={n} asks for more than the {arr.size} values given")
-    if arr.size != q**n:
-        raise LengthMismatchError(f"expected q**n = {q**n} values, got {arr.size}")
+            f"header q={q} n={n} asks for more than the {count} values given")
+    if count != q**n:
+        raise LengthMismatchError(f"expected q**n = {q**n} values, got {count}")
+
+
+def _check_payload(arr: np.ndarray, q: int, n: int, k: int) -> Coloring:
+    _check_count(arr.size, q, n)
     if arr.size and int(arr.max()) >= k:
         v = int(np.argmax(arr >= k))
         raise ColorOutOfRangeError(
@@ -119,127 +122,115 @@ def _check_payload(arr: np.ndarray, q: int, n: int, k: int) -> Coloring:
     return Coloring.from_table(arr, q, k)
 
 
-def _parse_block_values(chunk: np.ndarray, digit: np.ndarray,
-                        scratch: np.ndarray) -> np.ndarray | None:
-    """Values of the digit tokens in a block that starts on a token boundary.
+def _trailing(mask: np.ndarray) -> int:
+    """Length of the run of True at the end of a bool array."""
+    return mask.size if mask.all() else int(np.argmin(mask[::-1]))
 
-    One-digit tokens at every even offset (every odd byte is then whitespace)
-    are read into the uint8 buffer ``scratch``.  None past _MAX_DIGITS digits.
-    """
+
+def _token_values(chunk: np.ndarray, digit: np.ndarray, scratch: np.ndarray):
+    """(values, token offsets) of digit tokens from the first byte to the last:
+    one-digit tokens at every even offset into the uint8 buffer ``scratch``
+    (offsets None), others in uint64 by one gather per digit place."""
     if digit[::2].all() and not digit[1::2].any():
-        return np.subtract(chunk[::2], _ZERO, out=scratch[:(chunk.size + 1) // 2])
-    first = digit.copy()
-    first[1:] &= ~digit[:-1]
-    pos = np.flatnonzero(digit)
-    starts = np.flatnonzero(first[pos])
-    lens = np.diff(starts, append=pos.size)
-    if lens.max(initial=0) > _MAX_DIGITS:
-        return None
-    place = np.repeat(starts + lens, lens) - np.arange(1, pos.size + 1)
-    return np.add.reduceat((chunk[pos] - ord("0")) * _POW10[place], starts)
+        return np.subtract(chunk[::2], _ZERO, out=scratch[:(chunk.size + 1) // 2]), None
+    # Each digit run starts and stops at a change of class.
+    bounds = np.flatnonzero(np.diff(digit, prepend=False, append=False))
+    starts, stops = bounds[::2], bounds[1::2]
+    lens = stops - starts
+    values = np.zeros(starts.size, dtype=np.uint64)
+    for place in range(min(int(lens.max(initial=0)), _PLACES)):
+        digits = chunk.take(stops - (place + 1), mode="wrap") - _ZERO
+        values += np.multiply(digits, lens > place, out=digits) * _POW10[place:place + 1]
+    if lens.max(initial=0) > _PLACES:
+        # Past 2**63 unless every digit before the last 19 is 0.
+        nonzero = np.concatenate(([0], np.cumsum(chunk > _ZERO)))
+        long = np.flatnonzero(lens > _PLACES)
+        values[long[nonzero[stops[long] - _PLACES] > nonzero[starts[long]]]] = 2**63
+    return values, starts
 
 
-def _parse_canonical_text(blob: bytes, offset: int, q: int, n: int, k: int):
-    """(table, q, n, k) of a canonical text payload blob[offset:] with exactly
-    q**n values below k.
+def _token_error(fh, offset: int, start: int, vertex: int | None = None, k: int = 0):
+    """The error of the token at file offset start: the color of vertex, not
+    below k, or else a bad token, at its line and column from line 3 at offset."""
+    fh.seek(start)
+    text, size = "", 0
+    while block := fh.read(_PARSE_BLOCK):
+        token = _TOKEN.match(block).group()
+        part = token.lstrip(b"0") if vertex is not None and not size else token
+        text, size = text + part[:65 - len(text)].decode("ascii", "replace"), size + len(part)
+        if len(token) < len(block):
+            break
+    if vertex is not None:
+        shown = text if size <= 64 else f"{text[:20]}... ({size} characters)"
+        return ColorOutOfRangeError(f"vertex {vertex} has color {shown}, not below k={k}")
+    fh.seek(offset)
+    line, head, prev = 3, offset, b""
+    for pos in range(offset, start, _PARSE_BLOCK):
+        block = fh.read(min(_PARSE_BLOCK, start - pos))
+        ends = [m.end() for m in _LINE_END.finditer(block)]
+        # A "\r\n" split by a block end is one line end.
+        line += len(ends) - (prev == b"\r" and block[:1] == b"\n")
+        head, prev = pos + ends[-1] if ends else head, block[-1:]
+    shown = repr(text) if size <= 20 else f"{text[:20]!r}... ({size} characters)"
+    return ParseError(f"non-integer token {shown}", line=line, column=start - head + 1)
 
-    None for anything else, which the token loop then reads or rejects.
-    """
-    data = np.frombuffer(blob, dtype=np.uint8, offset=offset)
-    # Every value but the last takes a digit and a separator.
-    most = (data.size + 1) // 2
-    if _above(q, n, most) or q**n > most:
-        return None
-    cells = q**n
-    table = np.empty(cells, dtype=color_dtype(k))
-    # Block buffers: the digit class, and shifted bytes, a class mask or values.
-    digit = np.empty(min(_PARSE_BLOCK, data.size), dtype=np.bool_)
-    scratch = np.empty(digit.size, dtype=np.uint8)
-    filled = start = 0
-    while start < data.size:
-        end = min(start + _PARSE_BLOCK, data.size)
-        chunk, is_digit, shifted = data[start:end], digit[:end - start], scratch[:end - start]
+
+def _read_text(fh, offset: int, most: int, q: int, n: int, k: int) -> Coloring:
+    """The coloring of the text payload at file offset `offset`, of at most `most` values."""
+    table = np.empty(0 if _above(q, n, most) or q**n > most else q**n, dtype=color_dtype(k))
+    # One block after the digits carried from the one before, its digit class
+    # and scratch bytes: shifted bytes, a class mask or one-digit values.
+    buf = np.empty(_PARSE_BLOCK + _PLACES + 1, dtype=np.uint8)
+    digit, scratch = np.empty(buf.size, dtype=np.bool_), np.empty_like(buf)
+    # The (token offset, vertex) of the first color not below k and of 2**63 or
+    # more; at and base are the file offsets of the carried token and of buf[carried].
+    found, count, carried, got, at, base = [None, None], 0, 0, None, offset, offset
+    while got != 0:
+        got = fh.readinto(memoryview(buf)[carried:carried + _PARSE_BLOCK])
+        chunk = buf[:carried + got]
+        is_digit, shifted = digit[:chunk.size], scratch[:chunk.size]
         mask = shifted.view(np.bool_)
         np.less(np.subtract(chunk, _ZERO, out=shifted), _TEN, out=is_digit)
-        # Digits, "\t" to "\r" and space are disjoint classes: a byte outside
-        # them leaves the counts short of the block.
-        classed = np.count_nonzero(is_digit) + np.count_nonzero(np.equal(chunk, _SPACE, out=mask))
-        np.less(np.subtract(chunk, _TAB, out=shifted), _FIVE, out=mask)
-        if classed + np.count_nonzero(mask) < chunk.size:
-            return None
-        if end < data.size and is_digit[-1] and 48 <= data[end] <= 57:
-            # A token runs past the block: end the block at its last whitespace.
-            cut = chunk.size - int(np.argmin(is_digit[::-1]))
-            if is_digit[cut - 1]:
-                return None
-            chunk, is_digit, end = chunk[:cut], is_digit[:cut], start + cut
-        values = _parse_block_values(chunk, is_digit, scratch)
-        if (values is None or filled + values.size > cells
-                or values.size and int(values.max()) >= k):
-            return None
-        table[filled:filled + values.size] = values
-        filled += values.size
-        start = end
-    if filled != cells:
-        return None
-    return table, q, n, k
+        classed = np.count_nonzero(is_digit)
+        # Digits, "\t" to "\r" and "\x1c" to space are disjoint classes.
+        for low in (_TAB, _FS):
+            np.less(np.subtract(chunk, low, out=shifted), _FIVE, out=mask)
+            classed += np.count_nonzero(mask)
+        if classed < chunk.size:
+            bad = int(np.argmin(is_digit | (chunk - _TAB < _FIVE) | (chunk - _FS < _FIVE)))
+            start = bad - _trailing(is_digit[:bad])
+            raise _token_error(fh, offset, at if start < carried else base - carried + start)
+        # Until the end of the file, a last digit run may go on in the next block.
+        cut = chunk.size - (_trailing(is_digit) if got and is_digit[-1] else 0)
+        if cut:
+            values, starts = _token_values(chunk[:cut], is_digit[:cut], scratch)
+            table[count:count + values.size] = values[:max(table.size - count, 0)]
+            top = int(values.max(initial=0))
+            for i, bound in enumerate((k, 2**63)):
+                if found[i] is None and top >= bound:
+                    v = int(np.argmax(values >= bound))
+                    s = 2 * v if starts is None else int(starts[v])
+                    found[i] = at if s < carried else base - carried + s, count + v
+            count += values.size
+        at = at if cut < carried else base - carried + cut
+        # A longer run keeps its last 19 digits, after a 1 if a digit before them is not 0.
+        rest = chunk[cut:] if chunk.size - cut <= _PLACES + 1 else np.append(
+            np.uint8(49 if (chunk[cut:-_PLACES] > _ZERO).any() else 48), chunk[-_PLACES:])
+        buf[:rest.size], carried, base = rest, rest.size, base + got
+    if found[1]:
+        raise _token_error(fh, offset, *found[1], k)
+    _check_count(count, q, n)
+    if found[0]:
+        raise _token_error(fh, offset, *found[0], k)
+    table.setflags(write=False)
+    return Coloring.from_table(table, q, k)
 
 
-def _parse_text_tokens(blob: bytes):
-    """(values, q, n, k) of any text file, token by token; raises on bad input."""
-    try:
-        text = blob.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not an ASCII PCOL file: {exc}", line=1)
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != TEXT_MAGIC:
-        raise ParseError(f"missing magic {TEXT_MAGIC!r}", line=1)
-    if len(lines) < 2:
-        raise ParseError("missing header line", line=2)
-    q, n, k = _parse_header(lines[1].strip(), 2)
-    # int() refuses more than 4300 digits.  Leading zeros add nothing, and past
-    # 64 digits a color is out of range anyway: such a value is kept as text.
-    values, huge = [], {}
-    for lineno, line in enumerate(lines[2:], start=3):
-        col = 1
-        for token in line.split():
-            digits = (token.lstrip("0") or "0") if token.isdigit() else token
-            if len(digits) > 64 and digits.isdigit():
-                huge[len(values)] = digits
-            try:
-                values.append(2**63 if len(values) in huge else int(digits))
-            except ValueError:
-                shown = (repr(token) if len(token) <= 20
-                         else f"{token[:20]!r}... ({len(token)} characters)")
-                raise ParseError(f"non-integer token {shown}", line=lineno,
-                                 column=line.find(token, col - 1) + 1)
-            col = line.find(token, col - 1) + len(token) + 1
-    try:
-        arr = np.array(values, dtype=np.int64)
-    except OverflowError:
-        v, value = next((v, x) for v, x in enumerate(values) if not 0 <= x < 2**63)
-        shown = huge.get(v, str(value))
-        if len(shown) > 64:
-            shown = f"{shown[:20]}... ({len(shown)} characters)"
-        raise ColorOutOfRangeError(
-            f"vertex {v} has color {shown}, not below k={k}" if value >= 0
-            else f"vertex {v} has negative color {shown}")
-    if arr.size and arr.min() < 0:
-        v = int(np.argmax(arr < 0))
-        raise ColorOutOfRangeError(f"vertex {v} has negative color {int(arr[v])}")
-    return arr, q, n, k
-
-
-def _read_header(fh):
-    """(binary, payload offset, (q, n, k) or None) of a file's two header lines.
-
-    Reads on in _PARSE_BLOCK steps until the header lines end, and no
-    further than one block past them.  A bad binary header raises; a text
-    header that the canonical parser cannot take gives None, and the token
-    loop then reports the fault.
-    """
+def _read_header(fh, binary: bool):
+    """(payload offset, (q, n, k)) of a file's two header lines, read in
+    _PARSE_BLOCK steps no further than one block past them; raises their faults."""
+    fh.seek(0)
     buf = bytearray(fh.read(_PARSE_BLOCK))
-    binary = buf.startswith(BINARY_MAGIC)
     line_end = _BINARY_LINE_END if binary else _LINE_END
     ends, pos, eof = [], 0, not buf
     while len(ends) < 2:
@@ -249,23 +240,22 @@ def _read_header(fh):
             ends.append(m)
             pos = m.end()
         elif eof:
-            if binary:
-                raise ParseError("truncated binary header", line=1)
-            return False, 0, None
+            break
         else:
             pos = m.start() if m else len(buf)
-            chunk = fh.read(_PARSE_BLOCK)
+            buf.extend(chunk := fh.read(_PARSE_BLOCK))
             eof = not chunk
-            buf += chunk
-    head = buf[ends[0].end():ends[1].start()]
-    if binary:
-        return True, ends[1].end(), _parse_header(head.decode("ascii", "replace"), 2)
-    try:
-        if buf[:ends[0].start()].decode("ascii").strip() == TEXT_MAGIC:
-            return False, ends[1].end(), _parse_header(head.decode("ascii").strip(), 2)
-    except (UnicodeDecodeError, ParseError):
-        pass
-    return False, 0, None
+    if binary and len(ends) < 2:
+        raise ParseError("truncated binary header", line=1)
+    # Text lines are those of str.splitlines: the last may end at the end of the file.
+    if not binary and buf[:ends[0].start() if ends else len(buf)].decode(
+            "ascii", "replace").strip() != TEXT_MAGIC:
+        raise ParseError(f"missing magic {TEXT_MAGIC!r}", line=1)
+    if not ends or ends[0].end() == len(buf):
+        raise ParseError("missing header line", line=2)
+    stop, offset = (ends[1].start(), ends[1].end()) if len(ends) == 2 else (len(buf),) * 2
+    head = buf[ends[0].end():stop].decode("ascii", "replace")
+    return offset, _parse_header(head if binary else head.strip(), 2)
 
 
 def read_pcol(path) -> Coloring:
@@ -276,11 +266,11 @@ def read_pcol(path) -> Coloring:
     enough to hold q**n values; a shorter one stays a LengthMismatchError.
     """
     with open(path, "rb") as raw:
-        # A pipe cannot be reread, so it is read whole and then read as a file.
+        # A pipe cannot be sized or reread: it is buffered whole, then read as a file.
         fh = raw if raw.seekable() else io.BytesIO(raw.read())
-        binary, offset, header = _read_header(fh)
-        if header:
-            q, n, k = header
+        binary = fh.read(len(BINARY_MAGIC)) == BINARY_MAGIC
+        try:
+            offset, (q, n, k) = _read_header(fh, binary)
             size = fh.seek(0, os.SEEK_END) - offset
             # One or two bytes a value in binary; in text a digit and a
             # separator a value, but the last.
@@ -289,15 +279,22 @@ def read_pcol(path) -> Coloring:
             if not _above(q, n, most) and limit < q**n <= most:
                 raise TooLargeError(f"header q={q} n={n}: q**n = {q}**{n} exceeds "
                                     f"the materialization guard {limit}")
-        fh.seek(0)
-        blob = fh.read()
-    if binary:
-        itemsize = 1 if k <= 256 else 2
-        size = len(blob) - offset
-        if size % itemsize:
-            raise LengthMismatchError(
-                f"payload of {size} bytes is not a multiple of {itemsize}")
-        arr = np.frombuffer(blob, dtype="<u1" if itemsize == 1 else "<u2", offset=offset)
-        return _check_payload(arr, q, n, k)
-    parsed = _parse_canonical_text(blob, offset, *header) if header else None
-    return _check_payload(*(parsed or _parse_text_tokens(blob)))
+            fh.seek(offset)
+            if not binary:
+                return _read_text(fh, offset, most, q, n, k)
+            payload = fh.read()
+        except (ParseError, UnsupportedError):
+            # A byte past ASCII anywhere in a text file is its first fault.  The
+            # faults found after a whole pass come from ASCII files.
+            pos = fh.seek(0)
+            while not binary and (block := fh.read(_PARSE_BLOCK)):
+                if m := re.search(rb"[\x80-\xff]", block):
+                    raise ParseError(f"not an ASCII PCOL file: 'ascii' codec can't decode byte "
+                                     f"0x{block[m.start()]:02x} in position {pos + m.start()}: "
+                                     "ordinal not in range(128)", line=1) from None
+                pos += len(block)
+            raise
+    itemsize = 1 if k <= 256 else 2
+    if size % itemsize:
+        raise LengthMismatchError(f"payload of {size} bytes is not a multiple of {itemsize}")
+    return _check_payload(np.frombuffer(payload, dtype="<u1" if itemsize == 1 else "<u2"), q, n, k)

@@ -22,10 +22,16 @@ them.
 ``field_tables_oracle`` is the GF(q) arithmetic that ``pcol.gf.FieldTable``
 is checked against: schoolbook products of coefficient lists, reduced by the
 lowest-label monic irreducible that trial division finds.
+
+``text_tokens_oracle`` reads a text file token by token through ``str``
+methods and ``int``; ``pcol.pcolfile.read_pcol``'s block loop is checked
+against it, value by value and fault by fault.
 """
 import numpy as np
 
 from pcol.core import _shifted_index, digits
+from pcol.errors import ColorOutOfRangeError, ParseError
+from pcol.pcolfile import TEXT_MAGIC, _parse_header
 
 BODY_KINDS = ("_TableBody", "_TranslationBody", "_CylinderBody", "_OuterBody",
               "_MergeBody", "_SyndromeBody", "_RMBody")
@@ -237,3 +243,43 @@ def field_tables_oracle(q: int) -> dict:
         "neg_table": [_label([-x % p for x in coeffs[a]], p) for a in range(q)],
         "inv_table": [0] + [mul[a].index(1) for a in range(1, q)],
     }
+
+
+def text_tokens_oracle(blob: bytes):
+    """(values, q, n, k) of any text file, token by token; raises on bad input."""
+    try:
+        text = blob.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not an ASCII PCOL file: {exc}", line=1)
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != TEXT_MAGIC:
+        raise ParseError(f"missing magic {TEXT_MAGIC!r}", line=1)
+    if len(lines) < 2:
+        raise ParseError("missing header line", line=2)
+    q, n, k = _parse_header(lines[1].strip(), 2)
+    # int() refuses more than 4300 digits.  Leading zeros add nothing, and past
+    # 64 digits a color is out of range anyway: such a value is kept as text.
+    values, huge = [], {}
+    for lineno, line in enumerate(lines[2:], start=3):
+        col = 1
+        for token in line.split():
+            # A token is ASCII digits: no sign, no underscore.
+            if not token.isdigit():
+                shown = (repr(token) if len(token) <= 20
+                         else f"{token[:20]!r}... ({len(token)} characters)")
+                raise ParseError(f"non-integer token {shown}", line=lineno,
+                                 column=line.find(token, col - 1) + 1)
+            digits = token.lstrip("0") or "0"
+            if len(digits) > 64:
+                huge[len(values)] = digits
+            values.append(2**63 if len(values) in huge else int(digits))
+            col = line.find(token, col - 1) + len(token) + 1
+    try:
+        arr = np.array(values, dtype=np.int64)
+    except OverflowError:
+        v = next(v for v, x in enumerate(values) if x >= 2**63)
+        shown = huge.get(v, str(values[v]))
+        if len(shown) > 64:
+            shown = f"{shown[:20]}... ({len(shown)} characters)"
+        raise ColorOutOfRangeError(f"vertex {v} has color {shown}, not below k={k}")
+    return arr, q, n, k

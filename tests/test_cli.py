@@ -16,6 +16,7 @@ from pcol.core import GUARD_ENV_VAR, Coloring
 from pcol.errors import (ColorOutOfRangeError, LengthMismatchError,
                          ParseError, PcolError, TooLargeError, UnsupportedError)
 from pcol.pcolfile import read_pcol, write_pcol
+from scalar_oracle import text_tokens_oracle
 
 
 def parity(n):
@@ -357,10 +358,6 @@ def _layout(rng, values, separators):
     return body + (seps[-1] if rng.integers(2) else "")
 
 
-def _no_token_loop(blob):
-    raise AssertionError("canonical text went through the token loop")
-
-
 CANONICAL_SPACE = [" ", "\t", "\n", "\r\n", "\r", "\v", "\f"]
 
 
@@ -381,7 +378,7 @@ def test_text_reader_matches_token_split(tmp_path, q, k):
 
 
 @pytest.mark.parametrize("q,n,k", [(2, 19, 2), (3, 12, 27), (5, 8, 300)])
-def test_text_reader_past_one_block(tmp_path, monkeypatch, q, n, k):
+def test_text_reader_past_one_block(tmp_path, q, n, k):
     # Several parse blocks, with one- and multi-digit tokens cut at block ends.
     C = _random_table(np.random.default_rng(k), q, n, k)
     payload = _layout(np.random.default_rng(n), C.table.tolist(), CANONICAL_SPACE)
@@ -393,19 +390,17 @@ def test_text_reader_past_one_block(tmp_path, monkeypatch, q, n, k):
     assert len(payload) > block and payload[block - 1:block + 1].isdigit()
     path = tmp_path / "big.pcol"
     path.write_bytes((header + payload).encode("ascii"))
-    monkeypatch.setattr(pcolfile, "_parse_text_tokens", _no_token_loop)
     assert np.array_equal(read_pcol(path).table, C.table)
 
 
 @pytest.mark.parametrize("q,n,k", [(2, 0, 1), (2, 5, 2), (3, 5, 27), (3, 12, 300),
                                    (2, 19, 11)])
-def test_text_writer_matches_joined_lines(tmp_path, monkeypatch, q, n, k):
+def test_text_writer_matches_joined_lines(tmp_path, q, n, k):
     # N = 1, N < 64, N not a multiple of 64, and N past one write block.
     C = _random_table(np.random.default_rng(q * n + k), q, n, k)
     path = tmp_path / "w.pcol"
     write_pcol(path, C)
     assert path.read_bytes() == _oracle_text(C).encode("ascii")
-    monkeypatch.setattr(pcolfile, "_parse_text_tokens", _no_token_loop)
     assert np.array_equal(read_pcol(path).table, C.table)
 
 
@@ -413,7 +408,7 @@ def test_text_writer_matches_joined_lines(tmp_path, monkeypatch, q, n, k):
 FLAGSHIP_TEXT_SHA256 = "184fd684f0e40bd55f00118db8740d7e6a5925bd3d0d65118f86848ada407184"
 
 
-def test_flagship_text_bytes_pinned(tmp_path, monkeypatch):
+def test_flagship_text_bytes_pinned(tmp_path):
     from pcol.constructions import construct_bc
 
     C = construct_bc(10, 6).coloring.materialize()
@@ -421,7 +416,6 @@ def test_flagship_text_bytes_pinned(tmp_path, monkeypatch):
     path = tmp_path / "bc.pcol"
     write_pcol(path, C)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == FLAGSHIP_TEXT_SHA256
-    monkeypatch.setattr(pcolfile, "_parse_text_tokens", _no_token_loop)
     assert np.array_equal(read_pcol(path).table, C.table)
 
 
@@ -436,7 +430,6 @@ def test_flagship_text_bytes_pinned(tmp_path, monkeypatch):
     "0  1\t\t1 0\n\n", " 0\n\n1  1\f\v0", "0\r\n1\r\n1\r\n0\r\n", "0 1\r\n1 0"])
 def test_text_reader_one_digit_tokens_across_blocks(tmp_path, monkeypatch, block, payload):
     monkeypatch.setattr(pcolfile, "_PARSE_BLOCK", block)
-    monkeypatch.setattr(pcolfile, "_parse_text_tokens", _no_token_loop)
     path = tmp_path / "s.pcol"
     path.write_bytes(f"PCOL 1\nq=2 n=2 k=2\n{payload}".encode("ascii"))
     assert read_pcol(path).table.tolist() == [0, 1, 1, 0]
@@ -446,7 +439,6 @@ def test_text_reader_one_digit_tokens_across_blocks(tmp_path, monkeypatch, block
 def test_text_reader_multi_digit_tokens_across_blocks(tmp_path, monkeypatch, block):
     # Blocks that end inside "10" are cut back to their last whitespace.
     monkeypatch.setattr(pcolfile, "_PARSE_BLOCK", block)
-    monkeypatch.setattr(pcolfile, "_parse_text_tokens", _no_token_loop)
     values = [10, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 10, 0, 10, 10]
     path = tmp_path / "m.pcol"
     for sep in (" ", "  ", "\r\n"):
@@ -454,35 +446,40 @@ def test_text_reader_multi_digit_tokens_across_blocks(tmp_path, monkeypatch, blo
         assert read_pcol(path).table.tolist() == values
 
 
-def test_text_reader_class_edges_are_not_canonical():
-    # The bytes next to each canonical class: "\b", "\x0e", "\x1f", "!", "/", ":".
-    # With k = 300 a byte taken for a digit would still give values below k.
-    for byte in b"\x08\x0e\x1f!/:":
-        for payload in (b"0%c1 1 0\n" % byte, b"0 1 1 0%c" % byte, b"0 1 1 %c0" % byte):
-            assert pcolfile._parse_canonical_text(payload, 0, 2, 2, 300) is None
-    assert pcolfile._parse_canonical_text(b"0\t1\r1\v0 ", 0, 2, 2, 300) is not None
+def test_text_reader_class_edges_are_bad_tokens(tmp_path):
+    # The bytes next to each class: "\b", "\x0e", "\x1b", "!", "/", ":".  With
+    # k = 300 a byte taken for a digit would still give values below k.
+    path = tmp_path / "e.pcol"
+    for byte in b"\x08\x0e\x1b!/:":
+        for payload, token, line, column in ((b"0%c1 1 0\n", "0%c1", 3, 1),
+                                             (b"0 1 1 0%c", "0%c", 3, 7),
+                                             (b"1 1\r\n1 %c0", "%c0", 4, 3)):
+            path.write_bytes(b"PCOL 1\nq=2 n=2 k=300\n" + payload % byte)
+            with pytest.raises(ParseError) as ei:
+                read_pcol(path)
+            assert (ei.value.line, ei.value.column) == (line, column)
+            assert str(ei.value).startswith(f"non-integer token {token % byte!r} (line")
 
 
-def test_text_reader_one_cell_without_final_newline(tmp_path, monkeypatch):
-    monkeypatch.setattr(pcolfile, "_parse_text_tokens", _no_token_loop)
+def test_text_reader_one_cell_without_final_newline(tmp_path):
     path = tmp_path / "one.pcol"
     for q in (2, 3):
         path.write_bytes(f"PCOL 1\nq={q} n=0 k=1\n0".encode("ascii"))
         assert read_pcol(path).table.tolist() == [0]
 
 
-def test_text_reader_sends_file_separators_to_the_token_loop(tmp_path, monkeypatch):
-    # "\x1c" splits tokens for str.split but is not canonical whitespace,
-    # even between one-digit tokens at even offsets.
-    calls = []
-    loop = pcolfile._parse_text_tokens
-    monkeypatch.setattr(pcolfile, "_parse_text_tokens",
-                        lambda blob: calls.append(blob) or loop(blob))
+def test_text_reader_file_separators_are_whitespace(tmp_path):
+    # "\x1c" to "\x1f" split tokens as str.split has them, also between
+    # one-digit tokens at even offsets; "\x1c" to "\x1e" also end lines.
     path = tmp_path / "fs.pcol"
-    for payload in (b"0\x1c1 1 0\n", b"0 1 1\x1c0", b"0 1 1 0\x1c"):
-        path.write_bytes(b"PCOL 1\nq=2 n=2 k=2\n" + payload)
-        assert read_pcol(path).table.tolist() == [0, 1, 1, 0]
-    assert len(calls) == 3
+    for sep in b"\x1c\x1d\x1e\x1f":
+        for payload in (b"0%c1 1 0\n", b"0 1 1%c0", b"0 1 1 0%c", b"0%c1%c1%c0%c"):
+            path.write_bytes(b"PCOL 1\nq=2 n=2 k=2\n" + payload.replace(b"%c", bytes([sep])))
+            assert read_pcol(path).table.tolist() == [0, 1, 1, 0]
+        path.write_bytes(b"PCOL 1\nq=2 n=2 k=2\n0%c1%c1%cx" % (sep, sep, sep))
+        with pytest.raises(ParseError) as ei:
+            read_pcol(path)
+        assert (ei.value.line, ei.value.column) == ((3, 7) if sep == 0x1f else (6, 1))
 
 
 def test_binary_payload_is_the_table_in_file_order(tmp_path):
@@ -503,16 +500,14 @@ def test_binary_payload_is_the_table_in_file_order(tmp_path):
     assert path.read_bytes() == b"PCOLB1\nq=2 n=2 k=2\n\x00\x01\x01\x00"
 
 
-def test_noncanonical_tokens_read_as_before(tmp_path):
+def test_signs_and_underscores_are_bad_tokens(tmp_path):
+    # A token is ASCII digits only: Python's int() would take these three.
     path = tmp_path / "f.pcol"
-    path.write_text("PCOL 1\nq=2 n=2 k=2\n0 +1 1 0\n")
-    assert read_pcol(path).table.tolist() == [0, 1, 1, 0]
-    path.write_text("PCOL 1\nq=2 n=2 k=2\n0 1_0 1 0\n")
-    with pytest.raises(ColorOutOfRangeError, match="vertex 1 has color 10, not below k=2"):
-        read_pcol(path)
-    path.write_text("PCOL 1\nq=2 n=2 k=2\n0 -1 1 0\n")
-    with pytest.raises(ColorOutOfRangeError, match="vertex 1 has negative color -1"):
-        read_pcol(path)
+    for token in ("+1", "1_0", "-1"):
+        path.write_text(f"PCOL 1\nq=2 n=2 k=2\n0 {token} 1 0\n")
+        with pytest.raises(ParseError) as ei:
+            read_pcol(path)
+        assert str(ei.value) == f"non-integer token {token!r} (line 3, column 3)"
     # Tokens longer than the digit arithmetic takes.
     for ones in ("0" * 18 + "1", "0" * 24 + "1"):
         path.write_text(f"PCOL 1\nq=2 n=2 k=2\n0 {ones}\n1 0")
@@ -544,6 +539,11 @@ def test_zero_padded_long_tokens_read_as_their_value(tmp_path):
     path = tmp_path / "z.pcol"
     path.write_text(f"PCOL 1\nq=2 n=2 k=2\n0 {'0' * 5000} {'0' * 4999}1 0\n")
     assert read_pcol(path).table.tolist() == [0, 0, 1, 0]
+    # A run of zeros longer than one read block, carried across it.
+    blob = f"PCOL 1\nq=2 n=2 k=2\n0 {'0' * (2**20 + 1)}1 1 0\n".encode("ascii")
+    path.write_bytes(blob)
+    assert read_pcol(path).table.tolist() == [0, 1, 1, 0]
+    assert text_tokens_oracle(blob)[0].tolist() == [0, 1, 1, 0]
 
 
 def test_oversized_token_is_out_of_range(tmp_path, capsys):
@@ -565,7 +565,7 @@ def test_oversized_token_is_out_of_range(tmp_path, capsys):
      r"vertex 1 has color 9{20}\.\.\. \(5000 characters\), not below k=2"),
     ("x" * 5000, ParseError,
      r"non-integer token 'x{20}'\.\.\. \(5000 characters\) \(line 3, column 3\)"),
-    # A digit run longer than one parse block leaves the canonical parser.
+    # A digit run longer than one read block is carried across it.
     ("1" * (pcolfile._PARSE_BLOCK + 1), ColorOutOfRangeError,
      rf"vertex 1 has color 1{{20}}\.\.\. \({pcolfile._PARSE_BLOCK + 1} characters\)"),
 ], ids=["zeros-5000-then-2", "nines-4000", "zeros-then-nines-5000", "letters-5000",
@@ -598,10 +598,14 @@ def _outcome(read):
     try:
         return read().table.tolist()
     except PcolError as exc:
-        return type(exc), str(exc)
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
 
 
-_FUZZ_BYTES = b"0123456789 \t\n\r\v\f\x1c\x1f+-_xq=nk\x00\xff"
+def _oracle_outcome(blob):
+    return _outcome(lambda: pcolfile._check_payload(*text_tokens_oracle(blob)))
+
+
+_FUZZ_BYTES = b"0123456789 \t\n\r\v\f\x1b\x1c\x1f+-_!xq=nk\x00\x80\xff"
 
 
 def _mutations(rng, blob):
@@ -635,12 +639,55 @@ def test_fuzz_reader_raises_only_pcol_errors(tmp_path, capsys):
                     path.write_bytes(mutated)
                     got = _outcome(lambda: read_pcol(path))
                     if not mutated.startswith(pcolfile.BINARY_MAGIC):
-                        # The block parser agrees with the token loop on every input.
-                        assert got == _outcome(lambda: pcolfile._check_payload(
-                            *pcolfile._parse_text_tokens(mutated)))
+                        # The block loop agrees with the token loop on every input.
+                        assert got == _oracle_outcome(mutated)
                     if isinstance(got, tuple):
                         assert main(["info", str(path)]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+# Faults in the order the reader raises them (header q=2 n=2 k=2): a byte
+# past ASCII anywhere, the first bad token, the first value of 2**63 or
+# more, a count other than 4, the first color not below k.
+_FAULTS = ["0 1 1 0 x\xff", "x 1 1 0\xff", "0 1 1 x 99999999999999999999",
+           "0 5 1 99999999999999999999 0", "0 1000000000000000000 1 9223372036854775808",
+           "0 5 1 1000000000000000000", "0 9223372036854775807 1",
+           "0 " + "0" * 25 + "9223372036854775808 1 0", "0 " + "0" * 25 + "9223372036854775807 1 0",
+           "0 1" + "0" * 19 + " 1 0", "0 2 " + "1" * 70 + " 0", "0 " + "1" * 70,
+           "0 1\r\n1 0 " + "0" * 40 + "1", "0\r\n1\r\n1 0 " + "1" * 30 + "x"]
+
+
+@pytest.mark.parametrize("block", [3, 7, 64, None])
+def test_reader_fault_order_matches_token_loop(tmp_path, monkeypatch, block):
+    if block:
+        monkeypatch.setattr(pcolfile, "_PARSE_BLOCK", block)
+    path = tmp_path / "f.pcol"
+    for payload in _FAULTS:
+        blob = b"PCOL 1\nq=2 n=2 k=2\n" + payload.encode("latin-1")
+        path.write_bytes(blob)
+        assert _outcome(lambda: read_pcol(path)) == _oracle_outcome(blob), payload
+
+
+@pytest.mark.parametrize("block", [3, 7, 64])
+def test_fuzz_reader_across_block_ends(tmp_path, monkeypatch, block):
+    # Blocks so small that bad tokens, long tokens, "\r\n" and bytes past
+    # ASCII fall across their ends.
+    from pcol.constructions import rm_coloring
+
+    monkeypatch.setattr(pcolfile, "_PARSE_BLOCK", block)
+    rng = np.random.default_rng(block)
+    path = tmp_path / "fuzz.pcol"
+    blobs = [(b"PCOL 1\nq=2 n=2 k=2\n" + payload.encode("latin-1")) for payload in _FAULTS]
+    for C in (parity(3), rm_coloring(3, 1).materialize(), _random_table(rng, 2, 9, 300)):
+        write_pcol(path, C)
+        payload = _layout(rng, C.table.tolist(), CANONICAL_SPACE).replace(" 0", " " + "0" * 20)
+        blobs += [path.read_bytes(),
+                  f"PCOL 1\r\nq={C.q} n={C.n} k={C.k}\r\n{payload}".encode("ascii")]
+    for blob in blobs:
+        for _ in range(3):
+            for mutated in _mutations(rng, blob):
+                path.write_bytes(mutated)
+                assert _outcome(lambda: read_pcol(path)) == _oracle_outcome(mutated)
 
 
 def test_fuzz_reader_applies_the_guard_from_the_header(tmp_path, capsys, monkeypatch):
@@ -665,6 +712,8 @@ def test_fuzz_reader_applies_the_guard_from_the_header(tmp_path, capsys, monkeyp
                     path.write_bytes(mutated)
                     monkeypatch.delenv(GUARD_ENV_VAR)
                     free = _outcome(lambda: read_pcol(path))
+                    if not mutated.startswith(pcolfile.BINARY_MAGIC):
+                        assert free == _oracle_outcome(mutated)
                     monkeypatch.setenv(GUARD_ENV_VAR, str(cells - 1))
                     got = _outcome(lambda: read_pcol(path))
                     if isinstance(free, list) and len(free) > cells - 1:
@@ -718,7 +767,8 @@ def test_malformed_guard_variable_exits_2(tmp_path, capsys, monkeypatch, value):
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 def test_reader_takes_a_pipe(monkeypatch):
-    # A pipe is read whole, then its header is held against the guard.
+    # A pipe is buffered whole, its header is held against the guard, and
+    # its payload is read by the same block loop as a file's.
     for guard in ("4", "3"):
         monkeypatch.setenv(GUARD_ENV_VAR, guard)
         r, w = os.pipe()

@@ -667,12 +667,22 @@ def test_guard_edge_non_perfect_eigen_check_memory():
 
 def test_flagship_text_io_memory(tmp_path):
     # The writer holds one block of 2**18 two-byte records and its intp
-    # indices (2.5 MiB traced).  The reader holds the file's 8 MiB, the 4 MiB
-    # table and two 1 MiB block buffers (14.0 MiB traced).
+    # indices (2.5 MiB traced).  The reader holds the 4 MiB table, one read
+    # block and its two block buffers (4.8 MiB traced), never the file's 8 MiB.
     C = construct_bc(10, 6).coloring.materialize()
     path = tmp_path / "bc.pcol"
     assert _traced_peak(lambda: write_pcol(path, C)) < 4 * 2**20
-    assert _traced_peak(lambda: read_pcol(path)) < 16 * 2**20
+    assert _traced_peak(lambda: read_pcol(path)) < 8 * 2**20
+
+
+def test_guard_edge_text_read_memory(tmp_path):
+    # bc(9,3) on H(24,2): a 32 MiB text file read into its 16 MiB table
+    # (16.8 MiB traced; 50 MiB when the reader held the whole file).
+    C = construct_bc(9, 3).coloring.materialize()
+    path = tmp_path / "bc93.pcol"
+    write_pcol(path, C)
+    assert _traced_peak(lambda: read_pcol(path)) <= 20 * 2**20
+    assert np.array_equal(read_pcol(path).table, C.table)
 
 
 def test_flagship_binary_read_memory(tmp_path):

@@ -342,6 +342,11 @@ def test_default_guard_blocks_huge_materialization():
     (lambda: QuotientMatrix.of([[0]], 1, 1), OutOfRangeError,
      r"H\(1, 1\) needs n >= 0 and q >= 2"),
     (lambda: QuotientMatrix.of([[0]], 1.5, 2), OutOfRangeError, "n=1.5 is not an integer"),
+    # Entries go through operator.index too: a float or a string is refused, not truncated.
+    (lambda: QuotientMatrix.of([[1.5, 1.5], [1.5, 1.5]], 3, 2), OutOfRangeError,
+     "quotient entry=1.5 is not an integer"),
+    (lambda: QuotientMatrix.of([[0, "2"], [2, 0]], 2, 2), OutOfRangeError,
+     "quotient entry='2' is not an integer"),
     (lambda: eigen_decomposition_check(parity_coloring(3),
                                        QuotientMatrix.of([[0, 2], [2, 0]], 2, 2)),
      OutOfRangeError, r"S is a quotient of H\(2, 2\), not of H\(3, 2\)"),
@@ -362,6 +367,12 @@ def test_default_guard_blocks_huge_materialization():
 def test_core_validation_raises(make, error, message):
     with pytest.raises(error, match=message):
         make()
+
+
+def test_quotient_entries_take_numpy_integers():
+    S = QuotientMatrix.of(np.array([[0, 2], [2, 0]], dtype=np.int64), 2, 2)
+    assert S.entries == ((0, 2), (2, 0))
+    assert all(type(e) is int for row in S.entries for e in row)
 
 
 def _shift_by_digits(idx, q, word, sign):
